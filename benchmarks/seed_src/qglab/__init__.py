@@ -1,0 +1,85 @@
+"""Pseudo-spectral laboratory for three quasi-geostrophic models.
+
+A numpy library for simulating and verifying the inviscid, fractionally
+dissipative and BBM-style regularized QG equations on the periodic square:
+conservation laws, maximum principles, contraction-mapping local solves,
+critical-case regularity monitors, scale-local energy fluxes and the
+mu -> 0 convergence of the regularized model.
+"""
+
+from .diagnostics import (
+    HALF_SQUARE,
+    SQRT1P,
+    ConvexProfile,
+    FluxEstimate,
+    NormRecord,
+    besov_norm,
+    coarse_grained_flux,
+    critical_monitor,
+    energy_balance_residual,
+    gn_residual,
+    ladder_bracket,
+    log_interpolation_constant,
+    lp_norm,
+    max_principle_check,
+    sobolev_norm,
+)
+from .errors import (
+    CorruptSnapshot,
+    DegenerateFit,
+    NegativePowerOnMean,
+    NoContraction,
+    ParseError,
+    QGLabError,
+    ReferenceTooCoarse,
+    UnstableStep,
+    ValidationError,
+    Violation,
+)
+from .experiments import (
+    BlowupWatch,
+    MuSweepResult,
+    blowup_watch,
+    compare_mu,
+    envelope_growth_constant,
+    fit_loglog_slope,
+    flux_decay_exponent,
+    z_ode_constant,
+)
+from .io import RunConfig, Snapshot, load_config, load_snapshot, save_snapshot, write_series
+from .models import (
+    ModelParams,
+    advection_term,
+    regularized_gradient_kernel,
+    rhs_dissipative,
+    rhs_inviscid,
+    rhs_regularized,
+)
+from .presets import cmt, from_init_string, random_shell_field, single_mode
+from .spectral import (
+    Grid,
+    Mollifier,
+    PhysicalField,
+    SpectralField,
+    apply_sqrt_laplacian,
+    dealias,
+    forward_transform,
+    hermitian_defect,
+    inverse_transform,
+    mollify,
+    pad_spectrum,
+    riesz_velocity,
+    translate,
+)
+from .stepping import (
+    PicardCertificate,
+    PicardTrajectory,
+    RunResult,
+    StepperConfig,
+    continue_solution,
+    picard_solve,
+    run,
+    step,
+)
+
+__version__ = "0.1.0"

@@ -1,0 +1,439 @@
+"""Norms, conservation residuals, inequality monitors and scale-local flux.
+
+Everything here is a pure function of its inputs and safe to evaluate
+concurrently across snapshots.  Norm conventions follow the physical
+integral: |f|_q = (integral |f|^q dx)^(1/q) by exact grid quadrature and
+||f||_s = |Lambda^s f|_2 = 2 pi sqrt(sum |k|^(2s) |f_hat|^2).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import NegativePowerOnMean, Violation
+from .models import ModelParams
+from .spectral import (
+    TWO_PI,
+    Grid,
+    Mollifier,
+    PhysicalField,
+    SpectralField,
+    inverse_transform,
+    pad_spectrum,
+    riesz_velocity,
+)
+
+CELL_AREA_FACTOR = TWO_PI * TWO_PI  # integral f dx = (2 pi)^2 * mean of samples
+
+
+# ---------------------------------------------------------------------------
+# norms
+
+
+def lp_norm(f: PhysicalField, q) -> float:
+    """(integral |f|^q dx)^(1/q); q = inf gives the max over nodes."""
+    if q == np.inf or q == math.inf:
+        return float(np.max(np.abs(f.values)))
+    if q < 1.0:
+        raise ValueError(f"lp_norm requires q >= 1, got {q}")
+    moment = float(np.mean(np.abs(f.values) ** q))
+    return (CELL_AREA_FACTOR * moment) ** (1.0 / q)
+
+
+def sobolev_norm(f: SpectralField, s: float) -> float:
+    """H^s norm |Lambda^s f|_2; the mean participates only at s = 0."""
+    c2 = np.abs(f.coeffs) ** 2
+    if s == 0.0:
+        total = float(np.sum(c2))
+    else:
+        if s < 0.0:
+            scale = 1.0 + float(np.sqrt(np.max(c2)))
+            if abs(f.coeffs[0, 0]) > 1e-13 * scale:
+                raise NegativePowerOnMean(f"H^{s} norm of field with nonzero mean")
+        w = f.grid.kabs_safe ** (2.0 * s)
+        total = float(np.sum(w * c2)) - float(c2[0, 0])
+    return TWO_PI * math.sqrt(max(total, 0.0))
+
+
+def dyadic_shell(f: SpectralField, j: int) -> SpectralField:
+    """Restrict to the dyadic shell 2^j <= |k| < 2^(j+1)."""
+    lo, hi = 2.0**j, 2.0 ** (j + 1)
+    mask = (f.grid.kabs >= lo) & (f.grid.kabs < hi)
+    return SpectralField(f.grid, np.where(mask, f.coeffs, 0.0))
+
+
+def besov_norm(f: SpectralField, s: float) -> float:
+    """B^(s,inf)_3 norm: sup over shells j >= 0 of 2^(js) |Delta_j f|_3.
+
+    Sharp dyadic cutoffs; the j = 0 shell covers 1 <= |k| < 2 and the mean
+    belongs to no shell.
+    """
+    kmax = float(np.max(f.grid.kabs))
+    best = 0.0
+    j = 0
+    while 2.0**j <= kmax:
+        shell = dyadic_shell(f, j)
+        if np.any(shell.coeffs):
+            val = 2.0 ** (j * s) * lp_norm(inverse_transform(shell), 3.0)
+            best = max(best, val)
+        j += 1
+    return best
+
+
+# ---------------------------------------------------------------------------
+# time-series records
+
+
+@dataclass
+class NormRecord:
+    """Sampled diagnostics of a single state along a run."""
+
+    t: float
+    lp: dict  # q -> |theta|_q for q in {2, 3, 4, inf}
+    hs: dict  # s -> ||theta||_s
+    energy: float  # |theta|_2^2
+    mod_energy: float  # |theta|_2^2 + mu ||theta||_alpha^2
+    diss_integral: float  # running 2 kappa int_0^t ||theta||_alpha^2
+    q_inf: float  # |theta|_inf + |u|_inf
+    ladder: float  # 1 + ||theta||_1 sqrt(log(1 + ||theta||_sigma^(1/(sigma-1))))
+    balance_residual: float = 0.0
+    forcing_power: float = 0.0  # instantaneous 2 (theta, f)
+    work_integral: float = 0.0  # running 2 int_0^t (theta, f)
+    besov: tuple | None = None  # (s, value) when requested
+
+
+def ladder_bracket(theta: SpectralField, sigma: float) -> float:
+    """The log-interpolation bracket controlling |theta|_inf."""
+    h1 = sobolev_norm(theta, 1.0)
+    hsig = sobolev_norm(theta, sigma)
+    return 1.0 + h1 * math.sqrt(math.log1p(hsig ** (1.0 / (sigma - 1.0))))
+
+
+def velocity_sup(theta: SpectralField) -> float:
+    """Pointwise-Euclidean sup of the Riesz velocity."""
+    u1, u2 = riesz_velocity(theta)
+    v1 = inverse_transform(u1).values
+    v2 = inverse_transform(u2).values
+    return float(np.max(np.hypot(v1, v2)))
+
+
+def make_record(
+    theta: SpectralField,
+    t: float,
+    p: ModelParams,
+    s: float = 2.0,
+    sigma: float = 2.0,
+    prev: NormRecord | None = None,
+    initial: NormRecord | None = None,
+    besov_s: float | None = None,
+) -> NormRecord:
+    """Assemble a NormRecord; running integrals continue from `prev` by trapezoid."""
+    phys = inverse_transform(theta)
+    lp = {q: lp_norm(phys, q) for q in (2.0, 3.0, 4.0)}
+    lp[np.inf] = float(np.max(np.abs(phys.values)))
+    hs = {1.0: sobolev_norm(theta, 1.0)}
+    if s not in hs:
+        hs[s] = sobolev_norm(theta, s)
+    if p.model != "inviscid" and p.alpha not in hs:
+        hs[p.alpha] = sobolev_norm(theta, p.alpha)
+
+    energy = lp[2.0] ** 2
+    mod_energy = energy + (p.mu * hs[p.alpha] ** 2 if p.model == "regularized" else 0.0)
+
+    forcing_power = 0.0
+    if p.forcing is not None:
+        inner = np.sum(theta.coeffs * np.conj(p.forcing.coeffs)).real
+        forcing_power = 2.0 * CELL_AREA_FACTOR * float(inner)
+
+    diss_integral = 0.0
+    work_integral = 0.0
+    if prev is not None:
+        h = t - prev.t
+        work_integral = prev.work_integral + 0.5 * h * (prev.forcing_power + forcing_power)
+        if p.model == "dissipative":
+            rate_prev = 2.0 * p.kappa * prev.hs[p.alpha] ** 2
+            rate_now = 2.0 * p.kappa * hs[p.alpha] ** 2
+            diss_integral = prev.diss_integral + 0.5 * h * (rate_prev + rate_now)
+
+    record = NormRecord(
+        t=t,
+        lp=lp,
+        hs=hs,
+        energy=energy,
+        mod_energy=mod_energy,
+        diss_integral=diss_integral,
+        q_inf=lp[np.inf] + velocity_sup(theta),
+        ladder=ladder_bracket(theta, sigma),
+        forcing_power=forcing_power,
+        work_integral=work_integral,
+    )
+    if besov_s is not None:
+        record.besov = (besov_s, besov_norm(theta, besov_s))
+    if initial is not None:
+        if p.model == "regularized":
+            record.balance_residual = abs(record.mod_energy - initial.mod_energy) / initial.mod_energy
+        else:
+            drift = record.energy + record.diss_integral - record.work_integral - initial.energy
+            record.balance_residual = abs(drift) / initial.energy
+    return record
+
+
+# ---------------------------------------------------------------------------
+# monitored inequalities
+
+
+@dataclass
+class MaxPrincipleReport:
+    q: float
+    worst_margin: float  # max_t [ |theta(t)|_q - |theta_0|_q - int |f|_q ]
+    worst_time: float
+    slack: float
+
+
+def max_principle_check(
+    records: list[NormRecord], q, forcing_lq: float = 0.0, slack_rel: float = 1e-3
+) -> MaxPrincipleReport:
+    """Verify |theta(t)|_q <= |theta_0|_q + int_0^t |f|_q + slack along a run.
+
+    `forcing_lq` is the (constant-in-time) |f|_q.  The slack absorbs
+    spectral pointwise overshoot and defaults to 1e-3 |theta_0|_q.
+    Raises Violation at the first failing sample.
+    """
+    if not records:
+        raise ValueError("empty record series")
+    base = records[0].lp[q]
+    slack = slack_rel * base
+    worst, worst_t = -math.inf, records[0].t
+    for rec in records[1:]:  # the t = 0 sample meets the bound trivially
+        margin = rec.lp[q] - base - forcing_lq * (rec.t - records[0].t)
+        if margin > worst:
+            worst, worst_t = margin, rec.t
+        if margin > slack:
+            raise Violation(rec.t, f"maximum principle violated for q={q}: margin {margin:.3e} > slack {slack:.3e}")
+    if not math.isfinite(worst):
+        worst, worst_t = 0.0, records[0].t
+    return MaxPrincipleReport(q=q, worst_margin=worst, worst_time=worst_t, slack=slack)
+
+
+def energy_balance_residual(records: list[NormRecord]) -> float:
+    """Max relative defect of |theta|_2^2 + 2 kappa int ||theta||_alpha^2 = const.
+
+    Valid for unforced dissipative runs; the running integral uses the
+    trapezoid rule over the diagnostic samples.
+    """
+    if not records:
+        raise ValueError("empty record series")
+    e0 = records[0].energy
+    return max(abs(rec.energy + rec.diss_integral - rec.work_integral - e0) / e0 for rec in records)
+
+
+@dataclass
+class CriticalReport:
+    q_inf: float
+    ladder: float
+    q_small: bool  # q_inf < kappa / c0
+    ladder_small: bool  # ladder <= c_ladder * kappa
+
+
+def critical_monitor(
+    theta: SpectralField,
+    p: ModelParams,
+    c0: float,
+    sigma: float = 2.0,
+    c_ladder: float | None = None,
+) -> CriticalReport:
+    """Evaluate the critical-case smallness monitors with user-supplied constants.
+
+    The constants are configuration inputs, not derived quantities; the
+    flags simply compare against them.
+    """
+    if c_ladder is None:
+        c_ladder = c0
+    phys = inverse_transform(theta)
+    q = float(np.max(np.abs(phys.values))) + velocity_sup(theta)
+    lad = ladder_bracket(theta, sigma)
+    return CriticalReport(
+        q_inf=q,
+        ladder=lad,
+        q_small=bool(q < p.kappa / c0),
+        ladder_small=bool(lad <= c_ladder * p.kappa),
+    )
+
+
+def log_bound_ratio(theta: SpectralField, sigma: float) -> float:
+    """|F|_inf over the ladder bracket, the quantity the lemma bounds."""
+    sup = float(np.max(np.abs(inverse_transform(theta).values)))
+    return sup / ladder_bracket(theta, sigma)
+
+
+def log_interpolation_constant(
+    trials: int, sigma: float = 2.0, mode_cap: int = 32, seed: int = 0, grid_n: int | None = None
+) -> float:
+    """Empirical constant for the L-infinity log-interpolation bound.
+
+    Draws `trials` zero-mean fields with random phases and |k|^(-gamma)
+    magnitudes (gamma uniform in [1, 3], modes up to `mode_cap`) and
+    returns the largest observed ratio |F|_inf / bracket.
+    """
+    if sigma <= 1.0:
+        raise ValueError("sigma must exceed 1")
+    from .presets import random_shell_field
+
+    n = grid_n if grid_n is not None else max(8, 4 * mode_cap)
+    grid = Grid(n)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        gamma = rng.uniform(1.0, 3.0)
+        f = random_shell_field(grid, mode_cap, gamma, rng)
+        worst = max(worst, log_bound_ratio(f, sigma))
+    return worst
+
+
+def gn_residual(f: SpectralField, s: float, alpha: float, beta: float) -> float:
+    """lhs - rhs of the constant-1 spectral interpolation inequality.
+
+    |Lambda^(s+beta) f|_2 <= |Lambda^(s+alpha) f|_2^(beta/alpha)
+    |Lambda^s f|_2^(1-beta/alpha); the return value is nonpositive up to
+    round-off.
+    """
+    if not 0.0 < beta < alpha:
+        raise ValueError(f"need 0 < beta < alpha, got beta={beta}, alpha={alpha}")
+    lhs = sobolev_norm(f, s + beta)
+    frac = beta / alpha
+    rhs = sobolev_norm(f, s + alpha) ** frac * sobolev_norm(f, s) ** (1.0 - frac)
+    return lhs - rhs
+
+
+# ---------------------------------------------------------------------------
+# scale-local (coarse-grained) flux
+
+
+@dataclass(frozen=True)
+class ConvexProfile:
+    """A C^2 strictly convex profile with evaluable derivatives."""
+
+    tag: str
+
+    def g(self, x):
+        if self.tag == "half-square":
+            return 0.5 * x * x
+        return np.sqrt(1.0 + x * x)
+
+    def g1(self, x):
+        if self.tag == "half-square":
+            return x
+        return x / np.sqrt(1.0 + x * x)
+
+    def g2(self, x):
+        if self.tag == "half-square":
+            return np.ones_like(np.asarray(x, dtype=np.float64))
+        return (1.0 + x * x) ** -1.5
+
+
+HALF_SQUARE = ConvexProfile("half-square")
+SQRT1P = ConvexProfile("sqrt1p")
+CONVEX_PROFILES = {"half-square": HALF_SQUARE, "sqrt1p": SQRT1P}
+
+
+@dataclass
+class FluxEstimate:
+    """Scale-eps transfer quantities of a single state."""
+
+    eps: float
+    profile: str
+    sigma_l1: float  # |sigma_eps|_1, Euclidean magnitude under the integral
+    flux_integral: float  # integral sigma_eps . grad theta_eps dx
+    r_l32: float | None = None  # |r_eps|_{3/2} from the stencil quadrature
+    decomposition_l1_error: float | None = None
+    dr_field: PhysicalField | None = None
+
+
+def _normalized_product_coeffs(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    n2 = grid.n * grid.n
+    return np.fft.fft2(a * b) / n2
+
+
+def coarse_grained_flux(
+    theta: SpectralField,
+    eps: float,
+    g: ConvexProfile = HALF_SQUARE,
+    profile: str = "gaussian",
+    with_remainder: bool = True,
+    with_dr_field: bool = False,
+) -> FluxEstimate:
+    """Mollified-flux diagnostics at scale eps.
+
+    sigma_eps = u_eps theta_eps - (u theta)_eps is computed spectrally on a
+    doubled grid so the quadratic products are alias free.  When
+    `with_remainder` is set, r_eps(u, theta) is evaluated independently by
+    a 21 x 21 stencil quadrature against the mollifier kernel and the
+    identity sigma_eps = (u - u_eps)(theta - theta_eps) - r_eps is checked;
+    the L1 defect of that identity is reported.  The optional dissipation
+    field is G''(theta_eps) grad theta_eps . ((u theta)_eps - u_eps theta_eps).
+    """
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    grid = theta.grid
+    fine = pad_spectrum(theta, 2 * grid.n)
+    gf = fine.grid
+    n2 = gf.n * gf.n
+    mol = Mollifier(eps, profile)
+    m = mol.multiplier(gf)
+
+    m1, m2 = gf.velocity_multipliers
+    th_hat = fine.coeffs
+    u1_hat = m1 * th_hat
+    u2_hat = m2 * th_hat
+
+    th = np.fft.ifft2(th_hat).real * n2
+    u1 = np.fft.ifft2(u1_hat).real * n2
+    u2 = np.fft.ifft2(u2_hat).real * n2
+    th_eps = np.fft.ifft2(m * th_hat).real * n2
+    u1_eps = np.fft.ifft2(m * u1_hat).real * n2
+    u2_eps = np.fft.ifft2(m * u2_hat).real * n2
+
+    uth1_eps = np.fft.ifft2(m * _normalized_product_coeffs(gf, u1, th)).real * n2
+    uth2_eps = np.fft.ifft2(m * _normalized_product_coeffs(gf, u2, th)).real * n2
+    sigma1 = u1_eps * th_eps - uth1_eps
+    sigma2 = u2_eps * th_eps - uth2_eps
+
+    dth1_eps = np.fft.ifft2(1j * gf.k1 * m * th_hat * gf.riesz_mask).real * n2
+    dth2_eps = np.fft.ifft2(1j * gf.k2 * m * th_hat * gf.riesz_mask).real * n2
+
+    flux = float(np.mean(sigma1 * dth1_eps + sigma2 * dth2_eps)) * CELL_AREA_FACTOR
+    sigma_l1 = float(np.mean(np.hypot(sigma1, sigma2))) * CELL_AREA_FACTOR
+
+    est = FluxEstimate(eps=eps, profile=profile, sigma_l1=sigma_l1, flux_integral=flux)
+
+    if with_remainder:
+        offsets, weights = mol.stencil(gf)
+        ph = np.exp(-1j * np.outer(gf.wavenumbers, offsets))  # (2n, points)
+        r1 = np.zeros_like(th)
+        r2 = np.zeros_like(th)
+        for b in range(len(offsets)):
+            for a in range(len(offsets)):
+                w = weights[b, a]
+                if w == 0.0:
+                    continue
+                phase = ph[:, b][:, None] * ph[:, a][None, :]
+                du1 = np.fft.ifft2(u1_hat * phase).real * n2 - u1
+                du2 = np.fft.ifft2(u2_hat * phase).real * n2 - u2
+                dth = np.fft.ifft2(th_hat * phase).real * n2 - th
+                r1 += w * du1 * dth
+                r2 += w * du2 * dth
+        rmag = np.hypot(r1, r2)
+        est.r_l32 = (float(np.mean(rmag**1.5)) * CELL_AREA_FACTOR) ** (2.0 / 3.0)
+        d1 = (u1 - u1_eps) * (th - th_eps) - r1 - sigma1
+        d2 = (u2 - u2_eps) * (th - th_eps) - r2 - sigma2
+        est.decomposition_l1_error = float(np.mean(np.hypot(d1, d2))) * CELL_AREA_FACTOR
+
+    if with_dr_field:
+        # (u theta)_eps - u_eps theta_eps = -sigma_eps
+        dr = g.g2(th_eps) * (dth1_eps * (-sigma1) + dth2_eps * (-sigma2))
+        est.dr_field = PhysicalField(grid, dr[::2, ::2].copy())
+
+    return est

@@ -1,0 +1,218 @@
+"""Multi-run studies: the mu -> 0 limit, blow-up criteria, flux scaling.
+
+Slope fits use least squares on log-log pairs after dropping any point
+within 10x of the 1e-14 round-off floor.  Per-mu runs are independent of
+each other; aggregation is order independent.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import diagnostics
+from .diagnostics import HALF_SQUARE, ConvexProfile, NormRecord, coarse_grained_flux
+from .errors import DegenerateFit, ReferenceTooCoarse, ValidationError
+from .models import ModelParams
+from .spectral import SpectralField
+from .stepping import StepperConfig, run
+
+ROUNDOFF_FLOOR = 1e-14
+
+
+def fit_loglog_slope(x, y, floor: float = ROUNDOFF_FLOOR) -> float:
+    """Least-squares slope of log y against log x, ignoring near-zero y."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    keep = y > 10.0 * floor
+    if np.count_nonzero(keep) < 2:
+        raise DegenerateFit("fewer than two points above the round-off floor")
+    return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
+
+
+@dataclass
+class MuSweepResult:
+    """Errors of the regularized model against the inviscid reference."""
+
+    mu_list: np.ndarray
+    err_l2: np.ndarray  # per mu: sup_t |theta_mu - theta|_2
+    err_modified: np.ndarray  # per mu: sup_t (|w|_2^2 + mu ||w||_alpha^2)
+    slope_l2: float
+    slope_modified: float
+    reference_dt: float
+    reference_self_error: float
+    sample_times: np.ndarray
+    grid_n: int
+
+
+def compare_mu(
+    theta0: SpectralField,
+    alpha: float,
+    mu_list,
+    t_end: float,
+    cfg: StepperConfig,
+) -> MuSweepResult:
+    """Run the regularized model over mu_list against an inviscid reference.
+
+    All runs share theta0, so the data-discrepancy term of the convergence
+    bound vanishes.  The reference is integrated at half the sweep's dt and
+    checked against the full-dt run: its self-convergence error must stay
+    below 10% of the smallest mu-error, else ReferenceTooCoarse.
+    """
+    mu_arr = np.asarray(sorted(mu_list, reverse=True), dtype=np.float64)
+    if len(mu_arr) < 2 or np.any(np.diff(mu_arr) >= 0.0):
+        raise ValidationError("mu_list must contain at least two distinct values")
+
+    steps = max(1, int(round(t_end / cfg.dt)))
+    snap = cfg.snapshot_every if cfg.snapshot_every > 0 else max(1, steps // 10)
+
+    def run_model(p, dt, snapshot_every):
+        local = StepperConfig(
+            dt=dt,
+            t_end=t_end,
+            scheme="rk4",
+            diag_every=max(1, steps),
+            snapshot_every=snapshot_every,
+            s=cfg.s,
+            sigma=cfg.sigma,
+        )
+        return run(theta0, p, local)
+
+    inviscid = ModelParams("inviscid", alpha=0.0)
+    ref_coarse = run_model(inviscid, cfg.dt, snap)
+    ref_fine = run_model(inviscid, 0.5 * cfg.dt, 2 * snap)
+    times = np.array([t for t, _ in ref_fine.samples])
+    ref_states = [f for _, f in ref_fine.samples]
+    coarse_states = [f for _, f in ref_coarse.samples]
+
+    self_err = max(
+        diagnostics.sobolev_norm(a - b, 0.0) for a, b in zip(coarse_states, ref_states)
+    )
+
+    err_l2 = np.zeros(len(mu_arr))
+    err_mod = np.zeros(len(mu_arr))
+    for i, mu in enumerate(mu_arr):
+        p = ModelParams("regularized", alpha=alpha, mu=float(mu))
+        result = run_model(p, cfg.dt, snap)
+        worst_l2 = 0.0
+        worst_mod = 0.0
+        for (_, state), ref in zip(result.samples, ref_states):
+            w = state - ref
+            l2 = diagnostics.sobolev_norm(w, 0.0)
+            mod = l2 * l2 + mu * diagnostics.sobolev_norm(w, alpha) ** 2
+            worst_l2 = max(worst_l2, l2)
+            worst_mod = max(worst_mod, mod)
+        err_l2[i] = worst_l2
+        err_mod[i] = worst_mod
+
+    smallest = float(np.min(err_l2))
+    if smallest > 10.0 * ROUNDOFF_FLOOR and self_err > 0.1 * smallest:
+        raise ReferenceTooCoarse(
+            f"reference self-convergence error {self_err:.3e} exceeds 10% of {smallest:.3e}"
+        )
+
+    try:
+        slope_l2 = fit_loglog_slope(mu_arr, err_l2)
+        slope_mod = fit_loglog_slope(mu_arr, err_mod)
+    except DegenerateFit:
+        slope_l2 = slope_mod = math.nan  # steady data: all errors at round-off
+
+    return MuSweepResult(
+        mu_list=mu_arr,
+        err_l2=err_l2,
+        err_modified=err_mod,
+        slope_l2=slope_l2,
+        slope_modified=slope_mod,
+        reference_dt=0.5 * cfg.dt,
+        reference_self_error=self_err,
+        sample_times=times,
+        grid_n=theta0.grid.n,
+    )
+
+
+@dataclass
+class BlowupWatch:
+    """Running integrals of the extension criteria plus norm histories."""
+
+    times: np.ndarray
+    theta_inf_integral: np.ndarray  # int_0^t |theta|_inf
+    u_inf_integral: np.ndarray  # int_0^t |u|_inf
+    h1_history: np.ndarray
+    hs_history: np.ndarray
+    m_threshold: float | None = None
+
+    def extension_guaranteed(self) -> np.ndarray:
+        """True while both criterion integrals stay below the threshold."""
+        if self.m_threshold is None:
+            raise ValidationError("no threshold configured")
+        return (self.theta_inf_integral < self.m_threshold) & (
+            self.u_inf_integral < self.m_threshold
+        )
+
+
+def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(values)
+    if len(values) > 1:
+        seg = 0.5 * np.diff(times) * (values[1:] + values[:-1])
+        out[1:] = np.cumsum(seg)
+    return out
+
+
+def blowup_watch(records: list[NormRecord], s: float, m_threshold: float | None = None) -> BlowupWatch:
+    """Accumulate the blow-up criterion integrals from a diagnostic series."""
+    times = np.array([r.t for r in records])
+    th_inf = np.array([r.lp[np.inf] for r in records])
+    u_inf = np.array([r.q_inf - r.lp[np.inf] for r in records])
+    return BlowupWatch(
+        times=times,
+        theta_inf_integral=_cumtrapz(times, th_inf),
+        u_inf_integral=_cumtrapz(times, u_inf),
+        h1_history=np.array([r.hs[1.0] for r in records]),
+        hs_history=np.array([r.hs[s] for r in records]),
+        m_threshold=m_threshold,
+    )
+
+
+def envelope_growth_constant(times, z, mu: float) -> float:
+    """Fitted C in z(t) <= z(0) exp(C t / sqrt(mu)) from a recorded series."""
+    times = np.asarray(times, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    slope = float(np.polyfit(times, np.log(z), 1)[0])
+    return max(slope, 0.0) * math.sqrt(mu)
+
+
+def z_ode_constant(times, z) -> float:
+    """Max finite-difference ratio (dz/dt) / (z sqrt(1 + log z)) over a series."""
+    times = np.asarray(times, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    dz = np.diff(z) / np.diff(times)
+    zmid = 0.5 * (z[1:] + z[:-1])
+    denom = zmid * np.sqrt(np.maximum(1.0 + np.log(zmid), 1e-12))
+    ratios = dz / denom
+    return float(np.max(ratios)) if len(ratios) else 0.0
+
+
+def flux_decay_exponent(
+    theta: SpectralField,
+    s: float,
+    eps_list,
+    g: ConvexProfile = HALF_SQUARE,
+    profile: str = "gaussian",
+) -> float:
+    """Fitted decay exponent of |flux_integral(eps)| as eps -> 0.
+
+    For a field of Besov regularity s the theory bounds the flux by
+    eps^(3s-1); smooth fields decay at least quadratically.  Raises
+    DegenerateFit when the flux sits at the round-off floor (the field is
+    too smooth, or steady, to carry a measurable transfer).
+    """
+    eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=np.float64)
+    vals = np.array(
+        [
+            abs(coarse_grained_flux(theta, float(e), g, profile, with_remainder=False).flux_integral)
+            for e in eps_arr
+        ]
+    )
+    return fit_loglog_slope(eps_arr, vals)

@@ -1,0 +1,155 @@
+"""Right-hand sides for the three quasi-geostrophic models.
+
+The models evolve a scalar theta advected by its own Riesz-transform
+velocity u = (-R2 theta, R1 theta):
+
+* inviscid:     theta_t + u . grad theta = 0
+* dissipative:  theta_t + u . grad theta + kappa (-Lap)^alpha theta = f
+* regularized:  theta_t + u . grad theta + mu (-Lap)^alpha theta_t = 0
+
+The advection term is evaluated in divergence form div(u theta) with the
+product formed in physical space and dealiased by the 2/3 rule.  The
+regularized model inverts (1 + mu Lambda^(2 alpha)) diagonally; signs are
+fixed so that it reduces to the inviscid model as mu -> 0.
+
+All evaluations are pure and safe for concurrent use on distinct inputs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ValidationError
+from .spectral import Grid, SpectralField
+
+MODELS = ("inviscid", "dissipative", "regularized")
+MODEL_CODES = {"inviscid": 0, "dissipative": 1, "regularized": 2}
+MODEL_NAMES = {code: name for name, code in MODEL_CODES.items()}
+
+
+@dataclass
+class ModelParams:
+    """Model tag plus the coefficients alpha, kappa, mu and optional forcing."""
+
+    model: str
+    alpha: float = 0.5
+    kappa: float = 0.0
+    mu: float = 0.0
+    forcing: SpectralField | None = None
+    dealias_products: bool = True
+
+    def __post_init__(self):
+        if self.model not in MODELS:
+            raise ValidationError(f"unknown model {self.model!r}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if self.model == "inviscid" and (self.kappa != 0.0 or self.mu != 0.0):
+            raise ValidationError("inviscid model requires kappa = mu = 0")
+        if self.model == "dissipative":
+            if self.kappa <= 0.0:
+                raise ValidationError("dissipative model requires kappa > 0")
+            if self.mu != 0.0:
+                raise ValidationError("dissipative model requires mu = 0")
+        if self.model == "regularized":
+            if self.mu <= 0.0:
+                raise ValidationError("regularized model requires mu > 0")
+            if self.kappa != 0.0:
+                raise ValidationError("regularized model requires kappa = 0")
+            if self.alpha < 0.5:
+                raise ValidationError(
+                    f"regularized model requires alpha >= 1/2, got {self.alpha}"
+                )
+        if self.forcing is not None and self.model != "dissipative":
+            raise ValidationError("forcing is supported for the dissipative model only")
+
+
+def advection_coeffs(grid: Grid, coeffs: np.ndarray, dealias_products: bool = True) -> np.ndarray:
+    """Normalized coefficients of div(u theta); array-level hot path."""
+    m1, m2 = grid.velocity_multipliers
+    u1 = np.fft.ifft2(m1 * coeffs).real
+    u2 = np.fft.ifft2(m2 * coeffs).real
+    th = np.fft.ifft2(coeffs).real
+    n2 = grid.n * grid.n
+    f1 = np.fft.fft2(u1 * th) * n2
+    f2 = np.fft.fft2(u2 * th) * n2
+    adv = 1j * (grid.k1 * f1 + grid.k2 * f2)
+    if dealias_products:
+        adv = np.where(grid.dealias_mask, adv, 0.0)
+    else:
+        adv = np.where(grid.riesz_mask, adv, 0.0)  # gradient still needs real output
+    adv[0, 0] = 0.0
+    return adv
+
+
+def advection_term(theta: SpectralField, dealias_products: bool = True) -> SpectralField:
+    """div(u theta) with u = riesz_velocity(theta); mean advects nothing."""
+    return SpectralField(theta.grid, advection_coeffs(theta.grid, theta.coeffs, dealias_products))
+
+
+def dissipation_symbol(grid: Grid, kappa: float, alpha: float) -> np.ndarray:
+    """kappa |k|^(2 alpha) with the k = 0 mode excluded (also when alpha = 0)."""
+    sym = kappa * grid.kabs_safe ** (2.0 * alpha)
+    sym[0, 0] = 0.0
+    return sym
+
+
+def inverse_symbol(grid: Grid, mu: float, alpha: float) -> np.ndarray:
+    """Diagonal inverse 1 / (1 + mu |k|^(2 alpha))."""
+    return 1.0 / (1.0 + mu * grid.kabs ** (2.0 * alpha))
+
+
+def regularized_gradient_kernel(k1, k2, mu: float, alpha: float):
+    """Spectral kernel i (k1, k2) / (1 + mu |k|^(2 alpha)), zero at k = 0.
+
+    Accepts scalars or arrays; returns the two components.  Its magnitude
+    is bounded by 1/mu whenever alpha >= 1/2.
+    """
+    k1 = np.asarray(k1, dtype=np.float64)
+    k2 = np.asarray(k2, dtype=np.float64)
+    denom = 1.0 + mu * np.hypot(k1, k2) ** (2.0 * alpha)
+    return 1j * k1 / denom, 1j * k2 / denom
+
+
+def rhs_inviscid(theta: SpectralField, p: ModelParams | None = None) -> SpectralField:
+    """theta_t = -div(u theta)."""
+    dealias_products = True if p is None else p.dealias_products
+    return SpectralField(
+        theta.grid, -advection_coeffs(theta.grid, theta.coeffs, dealias_products)
+    )
+
+
+def rhs_dissipative(theta: SpectralField, p: ModelParams) -> SpectralField:
+    """theta_t = -div(u theta) - kappa Lambda^(2 alpha) theta + f."""
+    if p.model != "dissipative":
+        raise ValidationError(f"rhs_dissipative called with model {p.model!r}")
+    g = theta.grid
+    out = -advection_coeffs(g, theta.coeffs, p.dealias_products)
+    out -= dissipation_symbol(g, p.kappa, p.alpha) * theta.coeffs
+    if p.forcing is not None:
+        out = out + p.forcing.coeffs
+    return SpectralField(g, out)
+
+
+def rhs_regularized(theta: SpectralField, p: ModelParams) -> SpectralField:
+    """theta_t = -(1 + mu Lambda^(2 alpha))^(-1) div(u theta).
+
+    Mode for mode this is the diagonal inverse applied to the inviscid
+    right-hand side, equivalently the gradient kernel contracted with the
+    flux u theta.
+    """
+    if p.model != "regularized":
+        raise ValidationError(f"rhs_regularized called with model {p.model!r}")
+    g = theta.grid
+    adv = advection_coeffs(g, theta.coeffs, p.dealias_products)
+    return SpectralField(g, -adv * inverse_symbol(g, p.mu, p.alpha))
+
+
+def rhs(theta: SpectralField, p: ModelParams) -> SpectralField:
+    """Dispatch to the model's right-hand side."""
+    if p.model == "inviscid":
+        return rhs_inviscid(theta, p)
+    if p.model == "dissipative":
+        return rhs_dissipative(theta, p)
+    return rhs_regularized(theta, p)

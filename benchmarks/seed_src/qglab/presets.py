@@ -1,0 +1,78 @@
+"""Initial data presets.
+
+Three families are supported, matching the config grammar:
+
+* ``single:k1,k2``      cos(k1 x1 + k2 x2), a steady single mode
+* ``cmt``               sin x1 sin x2 + cos x2, a conventional QG test datum
+* ``random:smax,gamma`` seeded shell spectrum |theta_hat(k)| = |k|^(-gamma)
+                        with random phases on 1 <= |k| <= smax
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import ValidationError
+from .spectral import Grid, PhysicalField, SpectralField, forward_transform
+
+
+def single_mode(grid: Grid, k1: int, k2: int) -> SpectralField:
+    """cos(k1 x1 + k2 x2) built exactly in spectral space."""
+    half = grid.n // 2
+    if max(abs(k1), abs(k2)) >= half:
+        raise ValidationError(f"mode ({k1}, {k2}) does not fit below Nyquist on n={grid.n}")
+    if k1 == 0 and k2 == 0:
+        raise ValidationError("single mode must be nonzero")
+    c = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    c[k2 % grid.n, k1 % grid.n] = 0.5
+    c[(-k2) % grid.n, (-k1) % grid.n] = 0.5
+    return SpectralField(grid, c)
+
+
+def cmt(grid: Grid) -> SpectralField:
+    """sin x1 sin x2 + cos x2."""
+    values = np.sin(grid.x1) * np.sin(grid.x2) + np.cos(grid.x2)
+    return forward_transform(PhysicalField(grid, values))
+
+
+def random_shell_field(grid: Grid, kmax: float, gamma: float, rng) -> SpectralField:
+    """Zero-mean field with |theta_hat| = |k|^(-gamma) on 0 < |k| <= kmax.
+
+    Phases are drawn from `rng` (an int seed or a numpy Generator); the
+    spectrum is kept strictly below the Nyquist lines so every operator in
+    the package acts exactly on it.
+    """
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    half = grid.n // 2
+    if kmax >= half:
+        raise ValidationError(f"kmax={kmax} does not fit below Nyquist on n={grid.n}")
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(grid.n, grid.n))
+    k1, k2, kabs = grid.k1, grid.k2, grid.kabs_safe
+    in_band = (grid.kabs > 0) & (grid.kabs <= kmax)
+    upper = (k2 > 0) | ((k2 == 0) & (k1 > 0))
+    amp = np.where(in_band & upper, kabs**-gamma, 0.0)
+    c = amp * np.exp(1j * phases)
+    mirrored = np.roll(np.conj(c[::-1, ::-1]), 1, axis=(0, 1))
+    return SpectralField(grid, c + mirrored)
+
+
+def from_init_string(grid: Grid, init: str, seed: int = 0) -> SpectralField:
+    """Build the initial field described by a preset string."""
+    init = init.strip()
+    if init == "cmt":
+        return cmt(grid)
+    if init.startswith("single:"):
+        try:
+            a, b = (int(part) for part in init[len("single:"):].split(","))
+        except ValueError as exc:
+            raise ValidationError(f"bad single-mode preset {init!r}") from exc
+        return single_mode(grid, a, b)
+    if init.startswith("random:"):
+        try:
+            smax_s, gamma_s = init[len("random:"):].split(",")
+            smax, gamma = float(smax_s), float(gamma_s)
+        except ValueError as exc:
+            raise ValidationError(f"bad random preset {init!r}") from exc
+        return random_shell_field(grid, smax, gamma, np.random.default_rng(seed))
+    raise ValidationError(f"unknown preset {init!r}")

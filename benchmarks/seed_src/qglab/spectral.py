@@ -1,0 +1,308 @@
+"""Fourier grid, transforms and multiplier operators on the periodic square.
+
+The domain is fixed to [0, 2pi]^2.  Conventions used throughout:
+
+* Physical fields are sampled on the n x n uniform grid, node (i, j) at
+  x = (2 pi i / n, 2 pi j / n).  Arrays are indexed ``values[j, i]`` with
+  the x2 index j as the slow (row) axis.
+* Spectral coefficients are normalized so the k = 0 entry equals the mean
+  of the field.  With this choice Parseval reads
+  ``integral |f|^2 dx = (2 pi)^2 sum_k |f_hat(k)|^2``.
+* Wavenumbers run over {-n/2+1, ..., n/2}^2; the Nyquist line is stored
+  with the positive sign.
+* Odd multipliers (the Riesz transforms) zero the unmatched Nyquist lines
+  so real fields stay real.  Fields evolved by the solvers live inside
+  the 2/3 dealias band, where those lines are empty and the identity
+  R1^2 + R2^2 = -I holds exactly.
+
+All operations are pure: inputs are never modified and outputs are fresh
+arrays, so fields and grids are safe to share read-only across threads.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+from .errors import NegativePowerOnMean
+
+TWO_PI = 2.0 * np.pi
+
+MOLLIFIER_PROFILES = ("gaussian", "raised-cosine")
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Uniform n x n grid on [0, 2pi]^2 with its wavenumber bookkeeping."""
+
+    n: int
+
+    def __post_init__(self):
+        if self.n % 2 != 0 or self.n < 8:
+            raise ValueError(f"grid size must be even and >= 8, got {self.n}")
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """1d array of node coordinates 2 pi i / n."""
+        return TWO_PI * np.arange(self.n) / self.n
+
+    @cached_property
+    def x1(self) -> np.ndarray:
+        """x1 coordinate per node, shape (n, n)."""
+        return np.broadcast_to(self.nodes[None, :], (self.n, self.n)).copy()
+
+    @cached_property
+    def x2(self) -> np.ndarray:
+        """x2 coordinate per node, shape (n, n)."""
+        return np.broadcast_to(self.nodes[:, None], (self.n, self.n)).copy()
+
+    @cached_property
+    def wavenumbers(self) -> np.ndarray:
+        """1d wavenumber vector in FFT order, Nyquist stored as +n/2."""
+        w = np.fft.fftfreq(self.n, 1.0 / self.n)
+        w[self.n // 2] = self.n // 2
+        return w
+
+    @cached_property
+    def k1(self) -> np.ndarray:
+        """k1 per coefficient slot, shape (n, n)."""
+        return np.broadcast_to(self.wavenumbers[None, :], (self.n, self.n)).copy()
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        """k2 per coefficient slot, shape (n, n)."""
+        return np.broadcast_to(self.wavenumbers[:, None], (self.n, self.n)).copy()
+
+    @cached_property
+    def kabs(self) -> np.ndarray:
+        return np.hypot(self.k1, self.k2)
+
+    @cached_property
+    def kabs_safe(self) -> np.ndarray:
+        """|k| with the zero mode replaced by 1 (division guard)."""
+        k = self.kabs.copy()
+        k[0, 0] = 1.0
+        return k
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """True where max(|k1|, |k2|) <= n/3 (two-thirds rule keeps equality)."""
+        lim = self.n / 3.0
+        return (np.abs(self.k1) <= lim) & (np.abs(self.k2) <= lim)
+
+    @cached_property
+    def riesz_mask(self) -> np.ndarray:
+        """True where odd multipliers are well defined (no k=0, no Nyquist)."""
+        half = self.n // 2
+        mask = (np.abs(self.k1) < half) & (np.abs(self.k2) < half)
+        mask[0, 0] = False
+        return mask
+
+    @cached_property
+    def velocity_multipliers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Spectral multipliers taking theta_hat to (u1_hat, u2_hat)."""
+        m1 = 1j * self.k2 / self.kabs_safe
+        m2 = -1j * self.k1 / self.kabs_safe
+        m1[~self.riesz_mask] = 0.0
+        m2[~self.riesz_mask] = 0.0
+        return m1, m2
+
+
+@dataclass
+class PhysicalField:
+    """Real samples of a scalar on the grid, indexed values[j, i]."""
+
+    grid: Grid
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=np.float64)
+        if v.shape != (self.grid.n, self.grid.n):
+            raise ValueError(f"expected shape {(self.grid.n,) * 2}, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("physical field contains non-finite values")
+        self.values = v
+
+    def copy(self) -> "PhysicalField":
+        return PhysicalField(self.grid, self.values.copy())
+
+
+@dataclass
+class SpectralField:
+    """Fourier coefficients of a real scalar, one complex value per wavenumber."""
+
+    grid: Grid
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        c = np.asarray(self.coeffs, dtype=np.complex128)
+        if c.shape != (self.grid.n, self.grid.n):
+            raise ValueError(f"expected shape {(self.grid.n,) * 2}, got {c.shape}")
+        self.coeffs = c
+
+    @property
+    def mean(self) -> float:
+        return float(self.coeffs[0, 0].real)
+
+    def copy(self) -> "SpectralField":
+        return SpectralField(self.grid, self.coeffs.copy())
+
+    def __add__(self, other: "SpectralField") -> "SpectralField":
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
+
+    def __sub__(self, other: "SpectralField") -> "SpectralField":
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
+
+    def __mul__(self, scalar) -> "SpectralField":
+        return SpectralField(self.grid, self.coeffs * scalar)
+
+    __rmul__ = __mul__
+
+
+def forward_transform(p: PhysicalField) -> SpectralField:
+    """Grid samples to normalized coefficients (k = 0 slot holds the mean)."""
+    n = p.grid.n
+    return SpectralField(p.grid, np.fft.fft2(p.values) / (n * n))
+
+
+def inverse_transform(f: SpectralField) -> PhysicalField:
+    """Coefficients back to real grid samples."""
+    n = f.grid.n
+    return PhysicalField(f.grid, np.fft.ifft2(f.coeffs).real * (n * n))
+
+
+def physical_values(f: SpectralField) -> np.ndarray:
+    """Bare-array version of :func:`inverse_transform` for hot loops."""
+    n = f.grid.n
+    return np.fft.ifft2(f.coeffs).real * (n * n)
+
+
+def field_from_values(grid: Grid, values: np.ndarray) -> SpectralField:
+    """Transform a raw sample array directly to a spectral field."""
+    return forward_transform(PhysicalField(grid, values))
+
+
+def apply_sqrt_laplacian(f: SpectralField, power: float) -> SpectralField:
+    """Apply the |k|^power multiplier (power beta of the square-root Laplacian).
+
+    The k = 0 coefficient is annihilated for power > 0.  A negative power on
+    a field with nonzero mean is ill posed and raises NegativePowerOnMean.
+    """
+    if power == 0.0:
+        return f.copy()
+    if power < 0.0:
+        scale = 1.0 + float(np.max(np.abs(f.coeffs)))
+        if abs(f.coeffs[0, 0]) > 1e-13 * scale:
+            raise NegativePowerOnMean(
+                f"power {power} requested on field with mean {f.mean:.3e}"
+            )
+    out = f.coeffs * f.grid.kabs_safe**power
+    out[0, 0] = 0.0
+    return SpectralField(f.grid, out)
+
+
+def riesz_velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
+    """Velocity (u1, u2) = (-R2 theta, R1 theta) from the scalar.
+
+    Mode by mode u1_hat = i k2 / |k| theta_hat and u2_hat = -i k1 / |k|
+    theta_hat, which is exactly divergence free: k . u_hat = 0.
+    """
+    m1, m2 = theta.grid.velocity_multipliers
+    return (
+        SpectralField(theta.grid, m1 * theta.coeffs),
+        SpectralField(theta.grid, m2 * theta.coeffs),
+    )
+
+
+def dealias(f: SpectralField) -> SpectralField:
+    """Zero all modes with max(|k1|, |k2|) > n/3 (two-thirds rule)."""
+    return SpectralField(f.grid, np.where(f.grid.dealias_mask, f.coeffs, 0.0))
+
+
+@dataclass(frozen=True)
+class Mollifier:
+    """Low-pass smoothing at scale eps, realized as a spectral multiplier.
+
+    Both profiles satisfy m_eps(0) = 1 (mass preservation), 0 <= m_eps <= 1
+    and m_eps nonincreasing in |k|.  The gaussian profile is
+    exp(-(eps |k|)^2 / 2); the raised-cosine profile is
+    cos^2(pi eps |k| / 2) cut off at eps |k| = 1.
+    """
+
+    eps: float
+    profile: str = "gaussian"
+
+    def __post_init__(self):
+        if self.eps <= 0.0:
+            raise ValueError(f"mollifier scale must be positive, got {self.eps}")
+        if self.profile not in MOLLIFIER_PROFILES:
+            raise ValueError(f"unknown mollifier profile {self.profile!r}")
+
+    def multiplier(self, grid: Grid) -> np.ndarray:
+        r = self.eps * grid.kabs
+        if self.profile == "gaussian":
+            return np.exp(-0.5 * r * r)
+        return np.cos(0.5 * np.pi * np.clip(r, 0.0, 1.0)) ** 2
+
+    def stencil(self, grid: Grid, half_width: float = 3.0, points: int = 21):
+        """Quadrature stencil for physical-space convolution with this kernel.
+
+        Returns (offsets, weights): a 1d array of per-axis offsets covering
+        [-half_width * eps, half_width * eps] and a (points, points) weight
+        array sampled from the periodized kernel, renormalized to sum to 1.
+        weights[b, a] belongs to the offset (offsets[a], offsets[b]).
+        """
+        d = self.eps * np.linspace(-half_width, half_width, points)
+        m = self.multiplier(grid)
+        e = np.exp(1j * np.outer(grid.wavenumbers, d))  # (n, points)
+        w = (e.T @ m @ e).real  # periodized kernel at the offsets
+        return d, w / w.sum()
+
+
+def mollify(f: SpectralField, m: Mollifier) -> SpectralField:
+    """Multiply coefficients by m_eps(k); the mean is preserved exactly."""
+    return SpectralField(f.grid, f.coeffs * m.multiplier(f.grid))
+
+
+def translate(f: SpectralField, a1: float, a2: float) -> SpectralField:
+    """Field of x -> f(x1 - a1, x2 - a2) via the phase multiplier.
+
+    Exact for fields with empty Nyquist lines (the phase is an odd
+    multiplier there); any Nyquist residue is discarded on inverse
+    transform.
+    """
+    phase = np.exp(-1j * (f.grid.k1 * a1 + f.grid.k2 * a2))
+    return SpectralField(f.grid, f.coeffs * phase)
+
+
+def pad_spectrum(f: SpectralField, m: int) -> SpectralField:
+    """Embed the coefficients into a finer m x m grid (m >= n, m even).
+
+    Nyquist lines of the source are split half-and-half between +n/2 and
+    -n/2 on the destination, which keeps the embedded field real and
+    reproduces the original samples on the coarse nodes.
+    """
+    n = f.grid.n
+    if m < n:
+        raise ValueError(f"target size {m} smaller than source {n}")
+    if m == n:
+        return f.copy()
+    dest = Grid(m)
+    b = np.zeros((m, n))
+    w = f.grid.wavenumbers.astype(int)
+    for s, k in enumerate(w):
+        if abs(k) < n // 2:
+            b[k % m, s] = 1.0
+        else:  # source Nyquist: split between +- n/2
+            b[(n // 2) % m, s] = 0.5
+            b[(-(n // 2)) % m, s] = 0.5
+    return SpectralField(dest, b @ f.coeffs @ b.T)
+
+
+def hermitian_defect(f: SpectralField) -> float:
+    """Max |c(k) - conj(c(-k))|; zero for coefficients of a real field."""
+    c = f.coeffs
+    mirrored = np.roll(c[::-1, ::-1], 1, axis=(0, 1))
+    return float(np.max(np.abs(c - np.conj(mirrored))))
