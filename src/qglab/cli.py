@@ -212,20 +212,7 @@ def _cmd_check_inequality(args) -> int:
         )
         print(f"max |F|_inf / bracket over {args.trials} trials: {const:.6g}")
         return 0
-    rng = np.random.default_rng(args.seed)
-    grid = Grid(max(32, 2 * args.mode_cap))
-    worst = -np.inf
-    for _ in range(args.trials):
-        gamma = rng.uniform(1.0, 3.0)
-        f = presets.random_shell_field(grid, min(args.mode_cap, grid.n // 2 - 1), gamma, rng)
-        s = rng.uniform(0.0, 2.0)
-        alpha = rng.uniform(0.2, 1.5)
-        beta = alpha * rng.uniform(0.1, 0.9)
-        resid = diagnostics.gn_residual(f, s, alpha, beta)
-        rhs = diagnostics.sobolev_norm(f, s + alpha) ** (beta / alpha) * diagnostics.sobolev_norm(
-            f, s
-        ) ** (1 - beta / alpha)
-        worst = max(worst, resid / rhs)
+    worst = diagnostics.gn_constant(args.trials, mode_cap=args.mode_cap, seed=args.seed)
     print(f"max relative interpolation residual over {args.trials} trials: {worst:.3e}")
     return 0
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import NegativePowerOnMean, Violation
 from .models import ModelParams
+from .presets import random_shell_field
 from .spectral import (
     TWO_PI,
     Grid,
@@ -219,10 +220,11 @@ def max_principle_check(
 
 
 def energy_balance_residual(records: list[NormRecord]) -> float:
-    """Max relative defect of |theta|_2^2 + 2 kappa int ||theta||_alpha^2 = const.
+    """Max relative defect of |theta|_2^2 + 2 kappa int ||theta||_alpha^2 - 2 int (theta, f) = const.
 
-    Valid for unforced dissipative runs; the running integral uses the
-    trapezoid rule over the diagnostic samples.
+    Valid for inviscid and dissipative runs, forced or not: the forcing
+    work is subtracted.  The running integrals use the trapezoid rule over
+    the diagnostic samples.
     """
     if not records:
         raise ValueError("empty record series")
@@ -280,8 +282,6 @@ def log_interpolation_constant(
     """
     if sigma <= 1.0:
         raise ValueError("sigma must exceed 1")
-    from .presets import random_shell_field
-
     n = grid_n if grid_n is not None else max(8, 4 * mode_cap)
     grid = Grid(n)
     rng = np.random.default_rng(seed)
@@ -290,6 +290,29 @@ def log_interpolation_constant(
         gamma = rng.uniform(1.0, 3.0)
         f = random_shell_field(grid, mode_cap, gamma, rng)
         worst = max(worst, log_bound_ratio(f, sigma))
+    return worst
+
+
+def gn_constant(trials: int, mode_cap: int = 32, seed: int = 0) -> float:
+    """Largest relative residual of the constant-1 interpolation inequality.
+
+    Each trial draws gamma uniform in [1, 3], a zero-mean |k|^(-gamma)
+    shell field with modes up to `mode_cap`, then s in [0, 2], alpha in
+    [0.2, 1.5] and beta = alpha * U[0.1, 0.9]; the trial's value is
+    gn_residual over the right-hand side.  The result is nonpositive up to
+    round-off (-inf when trials = 0).
+    """
+    rng = np.random.default_rng(seed)
+    grid = Grid(max(32, 2 * mode_cap))
+    worst = -np.inf
+    for _ in range(trials):
+        gamma = rng.uniform(1.0, 3.0)
+        f = random_shell_field(grid, min(mode_cap, grid.n // 2 - 1), gamma, rng)
+        s = rng.uniform(0.0, 2.0)
+        alpha = rng.uniform(0.2, 1.5)
+        beta = alpha * rng.uniform(0.1, 0.9)
+        rhs = sobolev_norm(f, s + alpha) ** (beta / alpha) * sobolev_norm(f, s) ** (1 - beta / alpha)
+        worst = max(worst, gn_residual(f, s, alpha, beta) / rhs)
     return worst
 
 

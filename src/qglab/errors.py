@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+PICARD_RATIO_LIMIT = 0.55  # largest contraction ratio a Picard certificate accepts
+
 
 class QGLabError(Exception):
     """Base class for all qglab errors."""
@@ -22,7 +24,9 @@ class NoContraction(QGLabError):
     """Picard iteration failed to contract at the guaranteed rate."""
 
     def __init__(self, t, ratio):
-        super().__init__(f"contraction ratio {ratio:.4f} exceeds 0.55 (time reached {t:.6g})")
+        super().__init__(
+            f"contraction ratio {ratio:.4f} exceeds {PICARD_RATIO_LIMIT} (time reached {t:.6g})"
+        )
         self.t = t
         self.ratio = ratio
 

@@ -8,7 +8,7 @@ each other; aggregation is order independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,19 +65,12 @@ def compare_mu(
     if len(mu_arr) < 2 or np.any(np.diff(mu_arr) >= 0.0):
         raise ValidationError("mu_list must contain at least two distinct values")
 
-    steps = max(1, int(round(t_end / cfg.dt)))
+    base = replace(cfg, t_end=t_end, scheme="rk4")  # validates t_end against dt
+    steps = base.nsteps
     snap = cfg.snapshot_every if cfg.snapshot_every > 0 else max(1, steps // 10)
 
     def run_model(p, dt, snapshot_every):
-        local = StepperConfig(
-            dt=dt,
-            t_end=t_end,
-            scheme="rk4",
-            diag_every=max(1, steps),
-            snapshot_every=snapshot_every,
-            s=cfg.s,
-            sigma=cfg.sigma,
-        )
+        local = replace(base, dt=dt, diag_every=steps, snapshot_every=snapshot_every)
         return run(theta0, p, local)
 
     inviscid = ModelParams("inviscid", alpha=0.0)

@@ -15,10 +15,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import CorruptSnapshot, ParseError, ValidationError
-from .models import MODEL_CODES, MODEL_NAMES, MODELS, ModelParams
+from .models import MODEL_CODES, MODEL_NAMES, ModelParams
 from .presets import from_init_string
-from .spectral import MOLLIFIER_PROFILES, Grid, PhysicalField, SpectralField, forward_transform, physical_values
-from .stepping import SCHEMES, StepperConfig
+from .spectral import MOLLIFIER_PROFILES, Grid, PhysicalField, SpectralField, forward_transform, inverse_transform
+from .stepping import StepperConfig
 
 CSV_HEADER = "t,l2,l3,l4,linf,hs,h1,energy,mod_energy,diss_integral,balance_residual,q_inf,ladder"
 
@@ -57,23 +57,16 @@ class RunConfig:
     mollifier: str = "gaussian"
 
     def validate(self):
-        if self.model not in MODELS:
-            raise ValidationError(f"unknown model {self.model!r}")
         if self.n % 2 != 0 or self.n < 8:
             raise ValidationError(f"n must be even and >= 8, got {self.n}")
-        if self.dt <= 0.0 or self.t_end <= 0.0:
-            raise ValidationError("dt and t_end must be positive")
-        if self.scheme not in SCHEMES:
-            raise ValidationError(f"unknown scheme {self.scheme!r}")
-        if self.diag_every < 1 or self.snapshot_every < 0:
-            raise ValidationError("diag_every must be >= 1 and snapshot_every >= 0")
         if self.sigma <= 1.0:
             raise ValidationError(f"sigma must exceed 1, got {self.sigma}")
-        if self.c0 <= 0.0 or self.m <= 0.0:
+        if not (self.c0 > 0.0 and self.m > 0.0):  # also rejects NaN
             raise ValidationError("c0 and m thresholds must be positive")
         if self.mollifier not in MOLLIFIER_PROFILES:
             raise ValidationError(f"unknown mollifier profile {self.mollifier!r}")
         self.model_params()  # model-specific invariants
+        self.stepper_config()  # dt, t_end, scheme and sampling invariants
         return self
 
     def grid(self) -> Grid:
@@ -185,7 +178,7 @@ class Snapshot:
             kappa=p.kappa,
             mu=p.mu,
             model=p.model,
-            values=physical_values(theta),
+            values=inverse_transform(theta).values,
         )
 
     def to_field(self) -> SpectralField:

@@ -12,11 +12,16 @@ product formed in physical space and dealiased by the 2/3 rule.  The
 regularized model inverts (1 + mu Lambda^(2 alpha)) diagonally; signs are
 fixed so that it reduces to the inviscid model as mu -> 0.
 
+`RhsSplit` is the one place a model's right-hand side is written down, as
+a stiff diagonal linear part plus a nonlinear part; the `rhs*` functions
+here and the integrator and Picard solver in `stepping` all evaluate it.
+
 All evaluations are pure and safe for concurrent use on distinct inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +48,9 @@ class ModelParams:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValidationError(f"unknown model {self.model!r}")
+        for name in ("alpha", "kappa", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.model == "inviscid" and (self.kappa != 0.0 or self.mu != 0.0):
@@ -112,24 +120,54 @@ def regularized_gradient_kernel(k1, k2, mu: float, alpha: float):
     return 1j * k1 / denom, 1j * k2 / denom
 
 
+class RhsSplit:
+    """A model's right-hand side as theta_t = linear * theta + nonlinear(theta).
+
+    Acts on bare coefficient arrays.  `linear` is the stiff diagonal part
+    -kappa |k|^(2 alpha), present for the dissipative model only (None
+    otherwise).  `nonlinear` is -div(u theta), times the diagonal inverse
+    (1 + mu Lambda^(2 alpha))^(-1) for the regularized model, plus the
+    forcing when there is one.
+    """
+
+    def __init__(self, grid: Grid, p: ModelParams):
+        self.grid = grid
+        self.dealias_products = p.dealias_products
+        self.linear = -dissipation_symbol(grid, p.kappa, p.alpha) if p.model == "dissipative" else None
+        self.inverse = inverse_symbol(grid, p.mu, p.alpha) if p.model == "regularized" else None
+        self.forcing = None if p.forcing is None else p.forcing.coeffs
+
+    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+        out = -advection_coeffs(self.grid, c, self.dealias_products)
+        if self.inverse is not None:
+            out *= self.inverse
+        if self.forcing is not None:
+            out += self.forcing
+        return out
+
+    def __call__(self, c: np.ndarray) -> np.ndarray:
+        """The full right-hand side linear * c + nonlinear(c)."""
+        if self.linear is None:
+            return self.nonlinear(c)
+        return self.linear * c + self.nonlinear(c)
+
+
+def rhs(theta: SpectralField, p: ModelParams) -> SpectralField:
+    """The model's right-hand side, evaluated through its RhsSplit."""
+    return SpectralField(theta.grid, RhsSplit(theta.grid, p)(theta.coeffs))
+
+
 def rhs_inviscid(theta: SpectralField, p: ModelParams | None = None) -> SpectralField:
-    """theta_t = -div(u theta)."""
+    """theta_t = -div(u theta); only the dealias flag of `p` is used."""
     dealias_products = True if p is None else p.dealias_products
-    return SpectralField(
-        theta.grid, -advection_coeffs(theta.grid, theta.coeffs, dealias_products)
-    )
+    return rhs(theta, ModelParams("inviscid", dealias_products=dealias_products))
 
 
 def rhs_dissipative(theta: SpectralField, p: ModelParams) -> SpectralField:
     """theta_t = -div(u theta) - kappa Lambda^(2 alpha) theta + f."""
     if p.model != "dissipative":
         raise ValidationError(f"rhs_dissipative called with model {p.model!r}")
-    g = theta.grid
-    out = -advection_coeffs(g, theta.coeffs, p.dealias_products)
-    out -= dissipation_symbol(g, p.kappa, p.alpha) * theta.coeffs
-    if p.forcing is not None:
-        out = out + p.forcing.coeffs
-    return SpectralField(g, out)
+    return rhs(theta, p)
 
 
 def rhs_regularized(theta: SpectralField, p: ModelParams) -> SpectralField:
@@ -141,15 +179,4 @@ def rhs_regularized(theta: SpectralField, p: ModelParams) -> SpectralField:
     """
     if p.model != "regularized":
         raise ValidationError(f"rhs_regularized called with model {p.model!r}")
-    g = theta.grid
-    adv = advection_coeffs(g, theta.coeffs, p.dealias_products)
-    return SpectralField(g, -adv * inverse_symbol(g, p.mu, p.alpha))
-
-
-def rhs(theta: SpectralField, p: ModelParams) -> SpectralField:
-    """Dispatch to the model's right-hand side."""
-    if p.model == "inviscid":
-        return rhs_inviscid(theta, p)
-    if p.model == "dissipative":
-        return rhs_dissipative(theta, p)
-    return rhs_regularized(theta, p)
+    return rhs(theta, p)

@@ -173,17 +173,6 @@ def inverse_transform(f: SpectralField) -> PhysicalField:
     return PhysicalField(f.grid, np.fft.ifft2(f.coeffs).real * (n * n))
 
 
-def physical_values(f: SpectralField) -> np.ndarray:
-    """Bare-array version of :func:`inverse_transform` for hot loops."""
-    n = f.grid.n
-    return np.fft.ifft2(f.coeffs).real * (n * n)
-
-
-def field_from_values(grid: Grid, values: np.ndarray) -> SpectralField:
-    """Transform a raw sample array directly to a spectral field."""
-    return forward_transform(PhysicalField(grid, values))
-
-
 def apply_sqrt_laplacian(f: SpectralField, power: float) -> SpectralField:
     """Apply the |k|^power multiplier (power beta of the square-root Laplacian).
 

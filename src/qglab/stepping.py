@@ -3,10 +3,12 @@
 Two marching schemes are provided: plain RK4 on the full right-hand side
 and an integrating-factor RK4 ("etd-rk4") that advances the stiff
 fractional dissipation exactly through the factor exp(-kappa |k|^(2 alpha) dt).
-For the inviscid and regularized models the two schemes coincide.
+`Integrator` applies either one to the model's `RhsSplit` and checks the
+blow-up sentinel; `step` and `run` go through it.  For the inviscid and
+regularized models, which have no linear part, the two schemes coincide.
 
 The Picard solver iterates the integral form of the regularized model,
-theta -> theta_0 + int_0^t rhs(theta), on the horizon T = mu / (4 R) with
+theta -> theta_0 + int_0^t rhs(theta) with the same split, on the horizon T = mu / (4 R) with
 R = 2 ||theta_0||_s, and certifies the observed contraction ratios; the
 theory guarantees a factor of 1/2 on that horizon.
 
@@ -17,24 +19,26 @@ computed from read-only copies of the state.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics
-from .errors import NoContraction, UnstableStep, ValidationError
-from .models import ModelParams, advection_coeffs, dissipation_symbol, inverse_symbol
-from .spectral import Grid, SpectralField, inverse_transform, riesz_velocity
+from .errors import PICARD_RATIO_LIMIT, NoContraction, UnstableStep, ValidationError
+from .models import ModelParams, RhsSplit
+from .spectral import Grid, SpectralField
 
 log = logging.getLogger(__name__)
 
 SCHEMES = ("etd-rk4", "rk4")
 BLOWUP_SENTINEL = 1e12
+STEP_COUNT_RTOL = 4.0 * np.finfo(np.float64).eps  # t_end / dt may miss an integer by this much
 
 
 @dataclass
 class StepperConfig:
-    """Marching controls."""
+    """Marching controls; t_end must be a whole number of steps of dt."""
 
     dt: float
     t_end: float
@@ -45,10 +49,18 @@ class StepperConfig:
     sigma: float = 2.0  # index used by the ladder bracket
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "s", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.t_end <= 0.0:
             raise ValidationError(f"t_end must be positive, got {self.t_end}")
+        ratio = self.t_end / self.dt
+        if abs(ratio - round(ratio)) > STEP_COUNT_RTOL * ratio:
+            raise ValidationError(
+                f"t_end={self.t_end} is not a whole number of steps of dt={self.dt}"
+            )
         if self.scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         if self.diag_every < 1:
@@ -56,40 +68,19 @@ class StepperConfig:
         if self.snapshot_every < 0:
             raise ValidationError("snapshot_every must be >= 0")
 
+    @property
+    def nsteps(self) -> int:
+        """Number of steps of size dt from 0 to t_end."""
+        return round(self.t_end / self.dt)
+
 
 def cfl_limit(theta: SpectralField, p: ModelParams) -> float:
     """Advisory advective time-step bound 2.8 / (max|u| kmax)."""
-    u1, u2 = riesz_velocity(theta)
-    umax = float(
-        np.max(np.hypot(inverse_transform(u1).values, inverse_transform(u2).values))
-    )
+    umax = diagnostics.velocity_sup(theta)
     kmax = theta.grid.n / 3.0 if p.dealias_products else theta.grid.n / 2.0
     if umax * kmax == 0.0:
         return np.inf
     return 2.8 / (umax * kmax)
-
-
-def _nonlinear_fn(grid: Grid, p: ModelParams):
-    """Coefficient-level nonlinear part of the model's right-hand side."""
-    da = p.dealias_products
-    if p.model == "regularized":
-        inv = inverse_symbol(grid, p.mu, p.alpha)
-
-        def nl(c):
-            return -advection_coeffs(grid, c, da) * inv
-
-    elif p.forcing is not None:
-        f_hat = p.forcing.coeffs
-
-        def nl(c):
-            return -advection_coeffs(grid, c, da) + f_hat
-
-    else:
-
-        def nl(c):
-            return -advection_coeffs(grid, c, da)
-
-    return nl
 
 
 def etd_rk4_step(c, exp_half, exp_full, nonlinear, dt):
@@ -113,27 +104,38 @@ def rk4_step(c, rhs_fn, dt):
     return c + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _make_stepper(grid: Grid, p: ModelParams, dt: float, scheme: str):
-    nl = _nonlinear_fn(grid, p)
-    if scheme == "etd-rk4" and p.model == "dissipative":
-        lin = -dissipation_symbol(grid, p.kappa, p.alpha)
-        exp_half = np.exp(0.5 * dt * lin)
-        exp_full = np.exp(dt * lin)
-        return lambda c: etd_rk4_step(c, exp_half, exp_full, nl, dt)
-    if p.model == "dissipative":
-        lin = -dissipation_symbol(grid, p.kappa, p.alpha)
-        return lambda c: rk4_step(c, lambda x: lin * x + nl(x), dt)
-    return lambda c: rk4_step(c, nl, dt)
+class Integrator:
+    """Steps of one model at a fixed dt, built once per (grid, params, dt, scheme).
+
+    Holds the model's RhsSplit and, for etd-rk4 on a model with a linear
+    part, the exact linear-flow factors exp(L dt / 2) and exp(L dt).
+    Without a linear part both schemes are the same RK4 on the split.
+    """
+
+    def __init__(self, grid: Grid, p: ModelParams, dt: float, scheme: str):
+        if scheme not in SCHEMES:
+            raise ValidationError(f"unknown scheme {scheme!r}")
+        self.split = RhsSplit(grid, p)
+        self.dt = dt
+        self.exp_factors = None
+        if scheme == "etd-rk4" and self.split.linear is not None:
+            self.exp_factors = (np.exp(0.5 * dt * self.split.linear), np.exp(dt * self.split.linear))
+
+    def advance(self, c: np.ndarray, t: float) -> np.ndarray:
+        """Coefficients one step after c; raises UnstableStep at time t past the sentinel."""
+        if self.exp_factors is None:
+            out = rk4_step(c, self.split, self.dt)
+        else:
+            out = etd_rk4_step(c, *self.exp_factors, self.split.nonlinear, self.dt)
+        peak = float(np.max(np.abs(out)))
+        if not np.isfinite(peak) or peak > BLOWUP_SENTINEL:
+            raise UnstableStep(t, peak)
+        return out
 
 
 def step(theta: SpectralField, p: ModelParams, dt: float, scheme: str = "etd-rk4") -> SpectralField:
     """Advance one step; raises UnstableStep past the blow-up sentinel."""
-    if scheme not in SCHEMES:
-        raise ValidationError(f"unknown scheme {scheme!r}")
-    out = _make_stepper(theta.grid, p, dt, scheme)(theta.coeffs)
-    peak = float(np.max(np.abs(out)))
-    if not np.isfinite(peak) or peak > BLOWUP_SENTINEL:
-        raise UnstableStep(dt, peak)
+    out = Integrator(theta.grid, p, dt, scheme).advance(theta.coeffs, dt)
     return SpectralField(theta.grid, out)
 
 
@@ -156,8 +158,8 @@ def run(theta0: SpectralField, p: ModelParams, cfg: StepperConfig) -> RunResult:
     failure time attached.
     """
     grid = theta0.grid
-    nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
-    advance = _make_stepper(grid, p, cfg.dt, cfg.scheme)
+    nsteps = cfg.nsteps
+    integrator = Integrator(grid, p, cfg.dt, cfg.scheme)
 
     limit = cfl_limit(theta0, p)
     if cfg.dt > limit:
@@ -170,11 +172,8 @@ def run(theta0: SpectralField, p: ModelParams, cfg: StepperConfig) -> RunResult:
 
     prev = first
     for i in range(1, nsteps + 1):
-        c = advance(c)
-        peak = float(np.max(np.abs(c)))
         t = i * cfg.dt
-        if not np.isfinite(peak) or peak > BLOWUP_SENTINEL:
-            raise UnstableStep(t, peak)
+        c = integrator.advance(c, t)
         if i % cfg.diag_every == 0 or i == nsteps:
             state = SpectralField(grid, c.copy())
             rec = diagnostics.make_record(
@@ -259,9 +258,7 @@ def _sup_hs_distance(grid: Grid, a: np.ndarray, b: np.ndarray, s: float) -> floa
     return 2.0 * np.pi * float(np.sqrt(np.max(np.sum(d2 * w0, axis=(1, 2)))))
 
 
-def _picard_iterate(grid, p, c0, T, nodes, s, tol, max_iter, t_offset):
-    inv = inverse_symbol(grid, p.mu, p.alpha)
-    da = p.dealias_products
+def _picard_iterate(grid, nonlinear, c0, T, nodes, s, tol, max_iter, t_offset):
     times = np.linspace(0.0, T, nodes)
     h = times[1] - times[0]
     traj = np.broadcast_to(c0, (nodes, *c0.shape)).copy()
@@ -270,16 +267,14 @@ def _picard_iterate(grid, p, c0, T, nodes, s, tol, max_iter, t_offset):
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        rhs_vals = np.stack(
-            [-advection_coeffs(grid, traj[i], da) * inv for i in range(nodes)]
-        )
+        rhs_vals = np.stack([nonlinear(traj[i]) for i in range(nodes)])
         new = c0[None, :, :] + cumulative_simpson(rhs_vals, h)
         diff = _sup_hs_distance(grid, new, traj, s)
         traj = new
         if prev_diff is not None and prev_diff > 0.0:
             ratio = diff / prev_diff
             ratios.append(ratio)
-            if ratio > 0.55 and diff > tol:
+            if ratio > PICARD_RATIO_LIMIT and diff > tol:
                 raise NoContraction(t_offset, ratio)
         prev_diff = diff
         if diff <= tol:
@@ -304,7 +299,7 @@ def picard_solve(
     The iteration theta_(m+1) = theta_0 + int_0^t rhs(theta_m) runs on
     T = mu / (4 R), R = 2 ||theta_0||_s, discretized by composite Simpson
     with at least 33 nodes; node counts double until the answer stabilizes.
-    Certificate ratios above 0.55 raise NoContraction.
+    Certificate ratios above PICARD_RATIO_LIMIT raise NoContraction.
     """
     if p.model != "regularized":
         raise ValidationError("picard_solve requires the regularized model")
@@ -323,14 +318,15 @@ def picard_solve(
         raise ValidationError("zero initial data needs an explicit t_max horizon")
 
     c0 = theta0.coeffs
+    nonlinear = RhsSplit(grid, p).nonlinear
     times, traj, ratios, converged, iters = _picard_iterate(
-        grid, p, c0, T, nodes, s, tol, max_iter, _t_offset
+        grid, nonlinear, c0, T, nodes, s, tol, max_iter, _t_offset
     )
     level_nodes = nodes
     for _ in range(max_refine):
         finer = 2 * (level_nodes - 1) + 1
         times2, traj2, ratios2, converged2, iters2 = _picard_iterate(
-            grid, p, c0, T, finer, s, tol, max_iter, _t_offset
+            grid, nonlinear, c0, T, finer, s, tol, max_iter, _t_offset
         )
         gap = _sup_hs_distance(grid, traj2[::2], traj, s)
         times, traj, ratios, converged, iters = times2, traj2, ratios2, converged2, iters2

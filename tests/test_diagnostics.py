@@ -10,6 +10,7 @@ from qglab.diagnostics import (
     critical_monitor,
     dyadic_shell,
     energy_balance_residual,
+    gn_constant,
     gn_residual,
     ladder_bracket,
     log_bound_ratio,
@@ -264,6 +265,25 @@ def test_gn_residual_property(grid32, seed):
     resid = gn_residual(f, s, alpha, beta)
     rhs = sobolev_norm(f, s + alpha) ** (beta / alpha) * sobolev_norm(f, s) ** (1 - beta / alpha)
     assert resid <= 1e-12 * rhs
+
+
+def test_gn_constant_reproducible_and_nonpositive():
+    a = gn_constant(40, mode_cap=12, seed=5)
+    assert a == gn_constant(40, mode_cap=12, seed=5)
+    assert a <= 1e-12
+    assert gn_constant(0) == -np.inf
+
+
+def test_gn_constant_draw_order():
+    # one trial by hand: gamma, the field, then s, alpha and beta / alpha
+    rng = np.random.default_rng(3)
+    grid = qglab.Grid(32)
+    gamma = rng.uniform(1.0, 3.0)
+    f = qglab.random_shell_field(grid, 8, gamma, rng)
+    s, alpha = rng.uniform(0.0, 2.0), rng.uniform(0.2, 1.5)
+    beta = alpha * rng.uniform(0.1, 0.9)
+    rhs = sobolev_norm(f, s + alpha) ** (beta / alpha) * sobolev_norm(f, s) ** (1 - beta / alpha)
+    assert gn_constant(1, mode_cap=8, seed=3) == gn_residual(f, s, alpha, beta) / rhs
 
 
 # -- ladder bracket -------------------------------------------------------------

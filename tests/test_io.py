@@ -66,6 +66,25 @@ def test_config_missing_model_invariants(tmp_path):
         load_config(write(tmp_path, "model=dissipative\n"))  # kappa defaults to 0
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dt=nan\n",
+        "t_end=inf\n",
+        "model=dissipative\nkappa=inf\n",
+        "model=regularized\nmu=nan\n",
+        "sigma=nan\n",
+        "c0=nan\n",
+        "dt=0.3\nt_end=1.0\n",  # not a whole number of steps
+        "scheme=euler\n",
+        "diag_every=0\n",
+    ],
+)
+def test_config_rejects_invalid_values(tmp_path, text):
+    with pytest.raises(ValidationError):
+        load_config(write(tmp_path, text))
+
+
 def test_config_initial_field_presets(tmp_path):
     cfg = load_config(write(tmp_path, "model=inviscid\nn=16\ninit=single:1,0\n"))
     theta = cfg.initial_field()

@@ -21,6 +21,10 @@ from conftest import random_field
         dict(model="regularized", mu=1.0, alpha=0.4),
         dict(model="regularized", mu=1.0, kappa=0.1),
         dict(model="inviscid", alpha=1.5),
+        dict(model="dissipative", kappa=np.nan),
+        dict(model="dissipative", kappa=np.inf),
+        dict(model="regularized", mu=np.nan),
+        dict(model="regularized", mu=np.inf),
     ],
 )
 def test_model_params_rejects_invalid(kwargs):

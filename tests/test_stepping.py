@@ -4,8 +4,8 @@ import pytest
 import qglab
 from qglab import ModelParams, StepperConfig, picard_solve, run, step
 from qglab.errors import NoContraction, UnstableStep, ValidationError
-from qglab.models import dissipation_symbol
-from qglab.stepping import cumulative_simpson, continue_solution, etd_rk4_step
+from qglab.models import dissipation_symbol, rhs
+from qglab.stepping import BLOWUP_SENTINEL, continue_solution, cumulative_simpson, etd_rk4_step, rk4_step
 
 from conftest import random_field
 
@@ -17,6 +17,30 @@ def test_config_validation():
         StepperConfig(dt=1e-3, t_end=1.0, scheme="euler")
     with pytest.raises(ValidationError):
         StepperConfig(dt=1e-3, t_end=1.0, diag_every=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            StepperConfig(dt=bad, t_end=1.0)
+        with pytest.raises(ValidationError):
+            StepperConfig(dt=1e-3, t_end=bad)
+        with pytest.raises(ValidationError):
+            StepperConfig(dt=1e-3, t_end=1.0, s=bad)
+        with pytest.raises(ValidationError):
+            StepperConfig(dt=1e-3, t_end=1.0, sigma=bad)
+
+
+def test_config_requires_whole_number_of_steps():
+    # t_end = 1.0 is 3.33 steps of 0.3: rejected rather than stopping at t = 0.9
+    with pytest.raises(ValidationError):
+        StepperConfig(dt=0.3, t_end=1.0)
+    with pytest.raises(ValidationError):
+        StepperConfig(dt=1e-2, t_end=0.005)
+    # quotients a few ulps off an integer are whole
+    assert StepperConfig(dt=0.01, t_end=0.3).nsteps == 30
+    assert StepperConfig(dt=0.001, t_end=0.05).nsteps == 50
+    assert StepperConfig(dt=0.1, t_end=0.7).nsteps == 7
+    rng = np.random.default_rng(0)
+    for T, n in zip(10.0 ** rng.uniform(-4, 3, 200), rng.integers(1, 100000, 200)):
+        assert StepperConfig(dt=T / n, t_end=T).nsteps == n
 
 
 def test_step_dissipative_single_mode_exact(grid32):
@@ -35,6 +59,45 @@ def test_step_steady_states(grid32):
     assert np.max(np.abs(out.coeffs - theta.coeffs)) < 1e-14
     out = step(theta, ModelParams("regularized", alpha=0.5, mu=1.0), 0.01)
     assert np.max(np.abs(out.coeffs - theta.coeffs)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "model, kwargs, forced",
+    [
+        ("inviscid", {}, False),
+        ("dissipative", {"kappa": 0.1}, False),
+        ("regularized", {"alpha": 0.75, "mu": 0.3}, False),
+        ("dissipative", {"alpha": 0.7, "kappa": 0.05}, True),
+    ],
+)
+def test_step_rk4_is_rk4_of_model_rhs(grid32, model, kwargs, forced):
+    # the integrator and models.rhs evaluate the same right-hand side
+    forcing = random_field(grid32, 6, 2.0, 9) if forced else None
+    p = ModelParams(model, forcing=forcing, **kwargs)
+    theta = random_field(grid32, 10, 2.0, 4)
+    dt = 1e-2
+    got = step(theta, p, dt, scheme="rk4").coeffs
+    want = rk4_step(theta.coeffs, lambda c: rhs(qglab.SpectralField(grid32, c), p).coeffs, dt)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "p", [ModelParams("inviscid"), ModelParams("regularized", alpha=0.5, mu=1.0)]
+)
+def test_schemes_coincide_without_linear_part(grid32, p):
+    theta = random_field(grid32, 10, 2.0, 6)
+    a = step(theta, p, 1e-2, scheme="etd-rk4")
+    b = step(theta, p, 1e-2, scheme="rk4")
+    assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_step_unstable_past_sentinel(grid16):
+    # a steady single mode whose coefficients already exceed the sentinel
+    theta = 1e13 * qglab.single_mode(grid16, 1, 0)
+    with pytest.raises(UnstableStep) as info:
+        step(theta, ModelParams("inviscid"), 0.01)
+    assert info.value.t == 0.01
+    assert info.value.max_coeff > BLOWUP_SENTINEL
 
 
 def test_etd_linear_exactness(grid32):
