@@ -375,11 +375,6 @@ class FluxEstimate:
     dr_field: PhysicalField | None = None
 
 
-def _normalized_product_coeffs(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n2 = grid.n * grid.n
-    return np.fft.fft2(a * b) / n2
-
-
 def coarse_grained_flux(
     theta: SpectralField,
     eps: float,
@@ -391,41 +386,43 @@ def coarse_grained_flux(
     """Mollified-flux diagnostics at scale eps.
 
     sigma_eps = u_eps theta_eps - (u theta)_eps is computed spectrally on a
-    doubled grid so the quadratic products are alias free.  When
-    `with_remainder` is set, r_eps(u, theta) is evaluated independently by
-    a 21 x 21 stencil quadrature against the mollifier kernel and the
-    identity sigma_eps = (u - u_eps)(theta - theta_eps) - r_eps is checked;
-    the L1 defect of that identity is reported.  The optional dissipation
-    field is G''(theta_eps) grad theta_eps . ((u theta)_eps - u_eps theta_eps).
+    doubled grid N = 2n so the quadratic products are alias free.  The
+    fields come from the half spectrum of that grid through real
+    transforms of at most three stacked fields each.
+
+    When `with_remainder` is set, r_eps(u, theta) = integral of
+    rho_eps(y) (u(x - y) - u(x)) (theta(x - y) - theta(x)) dy is evaluated
+    independently of the spectral identity, by the 21 x 21 stencil
+    quadrature of `Mollifier.stencil` (the same nodes and weights, zero
+    weights skipped) over physical-space translations of (u1, u2, theta).
+    The translation phase is separable in the two offsets, so each field
+    stack is shifted along x2 once per row offset and then along x1 once
+    per node by one-dimensional real transforms; the empty Nyquist lines
+    of the doubled grid make the shifts exact.  The L1 defect of the
+    identity sigma_eps = (u - u_eps)(theta - theta_eps) - r_eps is
+    reported.  The optional dissipation field is
+    G''(theta_eps) grad theta_eps . ((u theta)_eps - u_eps theta_eps).
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     grid = theta.grid
     fine = pad_spectrum(theta, 2 * grid.n)
     gf = fine.grid
-    n2 = gf.n * gf.n
+    half = slice(0, gf.n // 2 + 1)  # rfft2 layout: k1 = 0..N/2 along the last axis
     mol = Mollifier(eps, profile)
-    m = mol.multiplier(gf)
+    m = mol.multiplier(gf)[:, half]
 
     m1, m2 = gf.velocity_multipliers
-    th_hat = fine.coeffs
-    u1_hat = m1 * th_hat
-    u2_hat = m2 * th_hat
+    th_hat = fine.coeffs[:, half] * (gf.n * gf.n)
+    fields_hat = np.stack([th_hat, m1[:, half] * th_hat, m2[:, half] * th_hat])
+    th, u1, u2 = np.fft.irfft2(fields_hat)
+    th_eps, u1_eps, u2_eps = np.fft.irfft2(m * fields_hat)
+    grad_hat = 1j * np.stack([gf.k1[:, half], gf.k2[:, half]]) * (m * gf.riesz_mask[:, half] * th_hat)
+    dth1_eps, dth2_eps = np.fft.irfft2(grad_hat)
+    uth1_eps, uth2_eps = np.fft.irfft2(m * np.fft.rfft2(np.stack([u1 * th, u2 * th])))
 
-    th = np.fft.ifft2(th_hat).real * n2
-    u1 = np.fft.ifft2(u1_hat).real * n2
-    u2 = np.fft.ifft2(u2_hat).real * n2
-    th_eps = np.fft.ifft2(m * th_hat).real * n2
-    u1_eps = np.fft.ifft2(m * u1_hat).real * n2
-    u2_eps = np.fft.ifft2(m * u2_hat).real * n2
-
-    uth1_eps = np.fft.ifft2(m * _normalized_product_coeffs(gf, u1, th)).real * n2
-    uth2_eps = np.fft.ifft2(m * _normalized_product_coeffs(gf, u2, th)).real * n2
     sigma1 = u1_eps * th_eps - uth1_eps
     sigma2 = u2_eps * th_eps - uth2_eps
-
-    dth1_eps = np.fft.ifft2(1j * gf.k1 * m * th_hat * gf.riesz_mask).real * n2
-    dth2_eps = np.fft.ifft2(1j * gf.k2 * m * th_hat * gf.riesz_mask).real * n2
 
     flux = float(np.mean(sigma1 * dth1_eps + sigma2 * dth2_eps)) * CELL_AREA_FACTOR
     sigma_l1 = float(np.mean(np.hypot(sigma1, sigma2))) * CELL_AREA_FACTOR
@@ -434,20 +431,22 @@ def coarse_grained_flux(
 
     if with_remainder:
         offsets, weights = mol.stencil(gf)
-        ph = np.exp(-1j * np.outer(gf.wavenumbers, offsets))  # (2n, points)
+        ph = np.exp(-1j * np.outer(gf.wavenumbers[half], offsets))  # (N/2 + 1, points)
+        base = np.stack([u1, u2, th])
+        along_x2 = np.fft.rfft(base, axis=-2)
         r1 = np.zeros_like(th)
         r2 = np.zeros_like(th)
         for b in range(len(offsets)):
+            shifted_x2 = np.fft.irfft(along_x2 * ph[:, b][:, None], axis=-2)
+            along_x1 = np.fft.rfft(shifted_x2, axis=-1)
             for a in range(len(offsets)):
                 w = weights[b, a]
                 if w == 0.0:
                     continue
-                phase = ph[:, b][:, None] * ph[:, a][None, :]
-                du1 = np.fft.ifft2(u1_hat * phase).real * n2 - u1
-                du2 = np.fft.ifft2(u2_hat * phase).real * n2 - u2
-                dth = np.fft.ifft2(th_hat * phase).real * n2 - th
-                r1 += w * du1 * dth
-                r2 += w * du2 * dth
+                du1, du2, dth = np.fft.irfft(along_x1 * ph[:, a], axis=-1) - base
+                wdth = w * dth
+                r1 += du1 * wdth
+                r2 += du2 * wdth
         rmag = np.hypot(r1, r2)
         est.r_l32 = (float(np.mean(rmag**1.5)) * CELL_AREA_FACTOR) ** (2.0 / 3.0)
         d1 = (u1 - u1_eps) * (th - th_eps) - r1 - sigma1

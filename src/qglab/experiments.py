@@ -60,12 +60,18 @@ def compare_mu(
     bound vanishes.  The reference is integrated at half the sweep's dt and
     checked against the full-dt run: its self-convergence error must stay
     below 10% of the smallest mu-error, else ReferenceTooCoarse.
+
+    `t_end` must equal `cfg.t_end` (ValidationError otherwise).  Every run
+    uses rk4 whatever `cfg.scheme` says; neither model has a linear part,
+    so rk4 and etd-rk4 give bit-identical steps here.
     """
     mu_arr = np.asarray(sorted(mu_list, reverse=True), dtype=np.float64)
     if len(mu_arr) < 2 or np.any(np.diff(mu_arr) >= 0.0):
         raise ValidationError("mu_list must contain at least two distinct values")
+    if t_end != cfg.t_end:
+        raise ValidationError(f"t_end={t_end} differs from cfg.t_end={cfg.t_end}")
 
-    base = replace(cfg, t_end=t_end, scheme="rk4")  # validates t_end against dt
+    base = replace(cfg, scheme="rk4")
     steps = base.nsteps
     snap = cfg.snapshot_every if cfg.snapshot_every > 0 else max(1, steps // 10)
 

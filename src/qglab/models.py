@@ -34,7 +34,7 @@ MODEL_CODES = {"inviscid": 0, "dissipative": 1, "regularized": 2}
 MODEL_NAMES = {code: name for name, code in MODEL_CODES.items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
     """Model tag plus the coefficients alpha, kappa, mu and optional forcing."""
 

@@ -278,16 +278,17 @@ def pad_spectrum(f: SpectralField, m: int) -> SpectralField:
         raise ValueError(f"target size {m} smaller than source {n}")
     if m == n:
         return f.copy()
-    dest = Grid(m)
-    b = np.zeros((m, n))
-    w = f.grid.wavenumbers.astype(int)
-    for s, k in enumerate(w):
-        if abs(k) < n // 2:
-            b[k % m, s] = 1.0
-        else:  # source Nyquist: split between +- n/2
-            b[(n // 2) % m, s] = 0.5
-            b[(-(n // 2)) % m, s] = 0.5
-    return SpectralField(dest, b @ f.coeffs @ b.T)
+    half = n // 2
+    slots = f.grid.wavenumbers.astype(int) % m  # source Nyquist lands on +n/2
+    rows = np.zeros((m, n), dtype=np.complex128)
+    rows[slots] = f.coeffs
+    rows[half] *= 0.5
+    rows[m - half] = rows[half]
+    out = np.zeros((m, m), dtype=np.complex128)
+    out[:, slots] = rows
+    out[:, half] *= 0.5
+    out[:, m - half] = out[:, half]
+    return SpectralField(Grid(m), out)
 
 
 def hermitian_defect(f: SpectralField) -> float:

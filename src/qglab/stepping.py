@@ -36,7 +36,7 @@ BLOWUP_SENTINEL = 1e12
 STEP_COUNT_RTOL = 4.0 * np.finfo(np.float64).eps  # t_end / dt may miss an integer by this much
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepperConfig:
     """Marching controls; t_end must be a whole number of steps of dt."""
 

@@ -48,6 +48,12 @@ def test_compare_mu_requires_whole_number_of_steps(grid32):
         compare_mu(qglab.single_mode(grid32, 1, 0), 0.5, [1e-2, 1e-3], 0.105, cfg)
 
 
+def test_compare_mu_requires_t_end_of_cfg(grid32):
+    cfg = StepperConfig(dt=1e-2, t_end=0.1, scheme="rk4")
+    with pytest.raises(ValidationError):
+        compare_mu(qglab.single_mode(grid32, 1, 0), 0.5, [1e-2, 1e-3], 0.2, cfg)
+
+
 def test_compare_mu_cmt_slopes(grid64):
     cfg = StepperConfig(dt=2e-3, t_end=0.5, scheme="rk4")
     res = compare_mu(qglab.cmt(grid64), 0.5, [1e-1, 3e-2, 1e-2, 3e-3, 1e-3], 0.5, cfg)

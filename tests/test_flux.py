@@ -3,6 +3,7 @@ import pytest
 
 import qglab
 from qglab.diagnostics import CONVEX_PROFILES, HALF_SQUARE, SQRT1P, coarse_grained_flux
+from qglab.spectral import Mollifier, pad_spectrum
 from qglab.errors import DegenerateFit
 from qglab.experiments import flux_decay_exponent
 
@@ -33,6 +34,71 @@ def test_decomposition_consistency(grid64, eps):
     est = coarse_grained_flux(theta, eps, with_remainder=True)
     assert est.r_l32 is not None
     assert est.decomposition_l1_error <= 0.02 * est.sigma_l1
+
+
+def _reference_flux(theta, eps, profile):
+    """Full-spectrum complex transforms and one 2d inverse FFT per stencil node.
+
+    Returns (sigma_l1, flux_integral, r_l32, decomposition_l1_error, dr_field)
+    with G = x^2 / 2.
+    """
+    area = (2 * np.pi) ** 2
+    fine = pad_spectrum(theta, 2 * theta.grid.n)
+    gf = fine.grid
+    n2 = gf.n * gf.n
+    mol = Mollifier(eps, profile)
+    m = mol.multiplier(gf)
+    m1, m2 = gf.velocity_multipliers
+    th_hat = fine.coeffs
+    u1_hat, u2_hat = m1 * th_hat, m2 * th_hat
+
+    def phys(c):
+        return np.fft.ifft2(c).real * n2
+
+    th, u1, u2 = phys(th_hat), phys(u1_hat), phys(u2_hat)
+    th_eps, u1_eps, u2_eps = phys(m * th_hat), phys(m * u1_hat), phys(m * u2_hat)
+    sigma1 = u1_eps * th_eps - phys(m * np.fft.fft2(u1 * th) / n2)
+    sigma2 = u2_eps * th_eps - phys(m * np.fft.fft2(u2 * th) / n2)
+    dth1_eps = phys(1j * gf.k1 * m * th_hat * gf.riesz_mask)
+    dth2_eps = phys(1j * gf.k2 * m * th_hat * gf.riesz_mask)
+    flux = float(np.mean(sigma1 * dth1_eps + sigma2 * dth2_eps)) * area
+    sigma_l1 = float(np.mean(np.hypot(sigma1, sigma2))) * area
+
+    offsets, weights = mol.stencil(gf)
+    ph = np.exp(-1j * np.outer(gf.wavenumbers, offsets))
+    r1 = np.zeros_like(th)
+    r2 = np.zeros_like(th)
+    for b in range(len(offsets)):
+        for a in range(len(offsets)):
+            w = weights[b, a]
+            if w == 0.0:
+                continue
+            phase = ph[:, b][:, None] * ph[:, a][None, :]
+            dth = phys(th_hat * phase) - th
+            r1 += w * (phys(u1_hat * phase) - u1) * dth
+            r2 += w * (phys(u2_hat * phase) - u2) * dth
+    r_l32 = (float(np.mean(np.hypot(r1, r2) ** 1.5)) * area) ** (2.0 / 3.0)
+    d1 = (u1 - u1_eps) * (th - th_eps) - r1 - sigma1
+    d2 = (u2 - u2_eps) * (th - th_eps) - r2 - sigma2
+    decomposition = float(np.mean(np.hypot(d1, d2))) * area
+    dr = -(dth1_eps * sigma1 + dth2_eps * sigma2)
+    return sigma_l1, flux, r_l32, decomposition, dr[::2, ::2]
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("profile", ["gaussian", "raised-cosine"])
+@pytest.mark.parametrize("eps", [0.25, 0.0625])
+def test_flux_matches_reference(n, profile, eps):
+    # the real-transform route and the separable stencil agree with the
+    # complex full-spectrum route to round-off
+    theta = random_field(qglab.Grid(n), 8, 2.5, 7)
+    est = coarse_grained_flux(theta, eps, HALF_SQUARE, profile, with_dr_field=True)
+    sigma_l1, flux, r_l32, decomposition, dr = _reference_flux(theta, eps, profile)
+    assert est.sigma_l1 == pytest.approx(sigma_l1, rel=1e-12, abs=0.0)
+    assert est.flux_integral == pytest.approx(flux, rel=1e-12, abs=0.0)
+    assert est.r_l32 == pytest.approx(r_l32, rel=1e-12, abs=0.0)
+    assert est.decomposition_l1_error == pytest.approx(decomposition, rel=1e-12, abs=0.0)
+    assert np.max(np.abs(est.dr_field.values - dr)) <= 1e-12 * np.max(np.abs(dr))
 
 
 def test_remainder_skipped_when_disabled(grid32):

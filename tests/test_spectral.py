@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qglab
 from qglab import (
@@ -244,6 +246,37 @@ def test_pad_spectrum_handles_nyquist(grid16):
     fine = pad_spectrum(f, 32)
     assert hermitian_defect(fine) < 1e-13
     assert np.max(np.abs(inverse_transform(fine).values[::2, ::2] - values)) < 1e-12
+
+
+def _dense_pad(f, m):
+    # reference: the embedding as a dense (m, n) matrix applied on both sides
+    n = f.grid.n
+    b = np.zeros((m, n))
+    for s, k in enumerate(f.grid.wavenumbers.astype(int)):
+        if abs(k) < n // 2:
+            b[k % m, s] = 1.0
+        else:
+            b[(n // 2) % m, s] = 0.5
+            b[(-(n // 2)) % m, s] = 0.5
+    return b @ f.coeffs @ b.T
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    half_n=st.integers(4, 24),
+    extra=st.integers(0, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pad_spectrum_property(half_n, extra, seed):
+    n, m = 2 * half_n, 2 * (half_n + extra)
+    values = np.random.default_rng(seed).standard_normal((n, n))
+    f = forward_transform(PhysicalField(Grid(n), values))
+    fine = pad_spectrum(f, m)
+    assert np.array_equal(fine.coeffs, f.coeffs if m == n else _dense_pad(f, m))
+    assert np.max(np.abs(np.fft.ifft2(fine.coeffs).imag)) * m * m <= 1e-12
+    # the fine trigonometric polynomial evaluated at the coarse nodes
+    e = np.exp(1j * np.outer(Grid(n).nodes, fine.grid.wavenumbers))
+    assert np.max(np.abs((e @ fine.coeffs @ e.T).real - values)) <= 1e-12
 
 
 def test_translate_matches_roll(grid32):

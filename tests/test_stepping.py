@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,21 @@ def test_config_requires_whole_number_of_steps():
     rng = np.random.default_rng(0)
     for T, n in zip(10.0 ** rng.uniform(-4, 3, 200), rng.integers(1, 100000, 200)):
         assert StepperConfig(dt=T / n, t_end=T).nsteps == n
+
+
+def test_configs_are_frozen():
+    # a field changed after validation would bypass the whole-step check
+    cfg = StepperConfig(dt=0.1, t_end=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.dt = 0.3
+    p = ModelParams("dissipative", kappa=0.1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.kappa = 0.0
+    assert dataclasses.replace(cfg, dt=0.05).nsteps == 20
+    with pytest.raises(ValidationError):
+        dataclasses.replace(cfg, dt=0.3)
+    with pytest.raises(ValidationError):
+        dataclasses.replace(p, kappa=0.0)
 
 
 def test_step_dissipative_single_mode_exact(grid32):
