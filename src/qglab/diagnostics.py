@@ -403,23 +403,40 @@ def coarse_grained_flux(
     reported.  The optional dissipation field is
     G''(theta_eps) grad theta_eps . ((u theta)_eps - u_eps theta_eps).
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    grid = theta.grid
-    fine = pad_spectrum(theta, 2 * grid.n)
+    return _flux_at_scale(theta.grid, _padded_fields(theta), eps, g, profile, with_remainder, with_dr_field)
+
+
+def _padded_fields(theta: SpectralField):
+    """The eps-independent front end of `coarse_grained_flux`.
+
+    Returns the doubled grid, the half-spectrum stack (theta, u1, u2)
+    scaled by N^2, those fields on the doubled grid, and the half-spectrum
+    transforms of the products (u1 theta, u2 theta).
+    """
+    fine = pad_spectrum(theta, 2 * theta.grid.n)
     gf = fine.grid
     half = slice(0, gf.n // 2 + 1)  # rfft2 layout: k1 = 0..N/2 along the last axis
-    mol = Mollifier(eps, profile)
-    m = mol.multiplier(gf)[:, half]
-
     m1, m2 = gf.velocity_multipliers
     th_hat = fine.coeffs[:, half] * (gf.n * gf.n)
     fields_hat = np.stack([th_hat, m1[:, half] * th_hat, m2[:, half] * th_hat])
     th, u1, u2 = np.fft.irfft2(fields_hat)
+    uth_hat = np.fft.rfft2(np.stack([u1 * th, u2 * th]))
+    return gf, fields_hat, (th, u1, u2), uth_hat
+
+
+def _flux_at_scale(grid, padded, eps, g, profile, with_remainder, with_dr_field) -> FluxEstimate:
+    """`coarse_grained_flux` at one eps, from the `_padded_fields` of its state."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    gf, fields_hat, (th, u1, u2), uth_hat = padded
+    half = slice(0, gf.n // 2 + 1)
+    mol = Mollifier(eps, profile)
+    m = mol.multiplier(gf)[:, half]
+
     th_eps, u1_eps, u2_eps = np.fft.irfft2(m * fields_hat)
-    grad_hat = 1j * np.stack([gf.k1[:, half], gf.k2[:, half]]) * (m * gf.riesz_mask[:, half] * th_hat)
+    grad_hat = 1j * np.stack([gf.k1[:, half], gf.k2[:, half]]) * (m * gf.riesz_mask[:, half] * fields_hat[0])
     dth1_eps, dth2_eps = np.fft.irfft2(grad_hat)
-    uth1_eps, uth2_eps = np.fft.irfft2(m * np.fft.rfft2(np.stack([u1 * th, u2 * th])))
+    uth1_eps, uth2_eps = np.fft.irfft2(m * uth_hat)
 
     sigma1 = u1_eps * th_eps - uth1_eps
     sigma2 = u2_eps * th_eps - uth2_eps

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import HALF_SQUARE, ConvexProfile, NormRecord, coarse_grained_flux
+from .diagnostics import HALF_SQUARE, ConvexProfile, NormRecord, _flux_at_scale, _padded_fields
 from .errors import DegenerateFit, ReferenceTooCoarse, ValidationError
 from .models import ModelParams
 from .spectral import SpectralField
@@ -205,12 +205,15 @@ def flux_decay_exponent(
     For a field of Besov regularity s the theory bounds the flux by
     eps^(3s-1); smooth fields decay at least quadratically.  Raises
     DegenerateFit when the flux sits at the round-off floor (the field is
-    too smooth, or steady, to carry a measurable transfer).
+    too smooth, or steady, to carry a measurable transfer).  Each value is
+    `coarse_grained_flux(theta, eps, g, profile, with_remainder=False)`;
+    the padding and the eps-independent transforms are done once.
     """
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=np.float64)
+    padded = _padded_fields(theta)
     vals = np.array(
         [
-            abs(coarse_grained_flux(theta, float(e), g, profile, with_remainder=False).flux_integral)
+            abs(_flux_at_scale(theta.grid, padded, float(e), g, profile, False, False).flux_integral)
             for e in eps_arr
         ]
     )

@@ -8,9 +8,15 @@ velocity u = (-R2 theta, R1 theta):
 * regularized:  theta_t + u . grad theta + mu (-Lap)^alpha theta_t = 0
 
 The advection term is evaluated in divergence form div(u theta) with the
-product formed in physical space and dealiased by the 2/3 rule.  The
-regularized model inverts (1 + mu Lambda^(2 alpha)) diagonally; signs are
-fixed so that it reduces to the inviscid model as mu -> 0.
+product formed in physical space and dealiased by the 2/3 rule.  Every
+field here is real, so `advection_coeffs` works on the rfft2 half
+spectrum: one stacked real inverse transform for (u1, u2, theta) and one
+stacked real forward transform for the two flux products per call, with
+the other half of the spectrum filled in by Hermitian symmetry.  A
+forcing must therefore be the spectrum of a real field (and, with
+dealiased products, lie inside the 2/3 band); `ModelParams` checks both.
+The regularized model inverts (1 + mu Lambda^(2 alpha)) diagonally; signs
+are fixed so that it reduces to the inviscid model as mu -> 0.
 
 `RhsSplit` is the one place a model's right-hand side is written down, as
 a stiff diagonal linear part plus a nonlinear part; the `rhs*` functions
@@ -27,11 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import Grid, SpectralField
+from .spectral import Grid, SpectralField, hermitian_defect
 
 MODELS = ("inviscid", "dissipative", "regularized")
 MODEL_CODES = {"inviscid": 0, "dissipative": 1, "regularized": 2}
 MODEL_NAMES = {code: name for name, code in MODEL_CODES.items()}
+
+FORCING_REL_TOL = 1e-12  # forcing defects relative to its largest coefficient
 
 
 @dataclass(frozen=True)
@@ -69,26 +77,48 @@ class ModelParams:
                 raise ValidationError(
                     f"regularized model requires alpha >= 1/2, got {self.alpha}"
                 )
-        if self.forcing is not None and self.model != "dissipative":
-            raise ValidationError("forcing is supported for the dissipative model only")
+        if self.forcing is not None:
+            if self.model != "dissipative":
+                raise ValidationError("forcing is supported for the dissipative model only")
+            _check_forcing(self.forcing, self.dealias_products)
+
+
+def _check_forcing(f: SpectralField, dealias_products: bool) -> None:
+    """Reject a forcing that is not real, or that leaves the 2/3 band."""
+    tol = FORCING_REL_TOL * float(np.max(np.abs(f.coeffs)))
+    if hermitian_defect(f) > tol:
+        raise ValidationError("forcing is not the spectrum of a real field")
+    if dealias_products and np.max(np.abs(f.coeffs[~f.grid.dealias_mask])) > tol:
+        raise ValidationError("forcing has modes outside the 2/3 dealias band")
 
 
 def advection_coeffs(grid: Grid, coeffs: np.ndarray, dealias_products: bool = True) -> np.ndarray:
-    """Normalized coefficients of div(u theta); array-level hot path."""
-    m1, m2 = grid.velocity_multipliers
-    u1 = np.fft.ifft2(m1 * coeffs).real
-    u2 = np.fft.ifft2(m2 * coeffs).real
-    th = np.fft.ifft2(coeffs).real
-    n2 = grid.n * grid.n
-    f1 = np.fft.fft2(u1 * th) * n2
-    f2 = np.fft.fft2(u2 * th) * n2
-    adv = 1j * (grid.k1 * f1 + grid.k2 * f2)
-    if dealias_products:
-        adv = np.where(grid.dealias_mask, adv, 0.0)
-    else:
-        adv = np.where(grid.riesz_mask, adv, 0.0)  # gradient still needs real output
+    """Normalized coefficients of div(u theta); array-level hot path.
+
+    Reads only the rfft2 half spectrum k1 = 0..n/2 of `coeffs`, which
+    holds all of a real field, so `coeffs` must be the spectrum of a real
+    field.  One stacked irfft2 gives (u1, u2, theta) on the grid, one
+    stacked rfft2 gives the products (u1 theta, u2 theta), and
+    i (k1 f1 + k2 f2) is formed under the dealias (or Riesz) mask with the
+    mean zeroed.  The k1 < 0 columns and the k2 < 0 end of the k1 = 0
+    column are filled by Hermitian completion, so the output is the
+    spectrum of a real field by construction.
+    """
+    n = grid.n
+    h = n // 2 + 1
+    vel, div = grid.advection_symbols[dealias_products]
+    fields = np.fft.irfft2(vel * coeffs[:, :h])  # u1, u2, theta
+    flux = np.fft.rfft2(fields[:2] * fields[2])
+    out = np.empty((n, n), dtype=np.complex128)
+    adv = out[:, :h]
+    np.sum(div * flux, axis=0, out=adv)
     adv[0, 0] = 0.0
-    return adv
+    # rfft2 leaves the k1 = 0 column Hermitian only to round-off: mirror k2 > 0 onto k2 < 0
+    np.conjugate(adv[h - 2 : 0 : -1, 0], out=adv[h:, 0])
+    # out[k2, -k1] = conj(adv[-k2, k1]) for k1 = 1..n/2-1: row 0 mirrors row 0, row r row n - r
+    np.conjugate(adv[0, h - 2 : 0 : -1], out=out[0, h:])
+    np.conjugate(adv[:0:-1, h - 2 : 0 : -1], out=out[1:, h:])
+    return out
 
 
 def advection_term(theta: SpectralField, dealias_products: bool = True) -> SpectralField:
@@ -135,7 +165,13 @@ class RhsSplit:
         self.dealias_products = p.dealias_products
         self.linear = -dissipation_symbol(grid, p.kappa, p.alpha) if p.model == "dissipative" else None
         self.inverse = inverse_symbol(grid, p.mu, p.alpha) if p.model == "regularized" else None
-        self.forcing = None if p.forcing is None else p.forcing.coeffs
+        self.forcing = None
+        if p.forcing is not None:
+            if p.forcing.grid.n != grid.n:
+                raise ValidationError(
+                    f"forcing lives on an n={p.forcing.grid.n} grid, the state on n={grid.n}"
+                )
+            self.forcing = p.forcing.coeffs
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
         out = -advection_coeffs(self.grid, c, self.dealias_products)

@@ -109,6 +109,28 @@ class Grid:
         m2[~self.riesz_mask] = 0.0
         return m1, m2
 
+    @cached_property
+    def advection_symbols(self) -> dict[bool, tuple[np.ndarray, np.ndarray]]:
+        """Half-spectrum symbols of `models.advection_coeffs` by `dealias_products`.
+
+        Each value is (vel, div) on the rfft2 columns k1 = 0..n/2.  vel
+        stacks (m1, m2, 1) of `velocity_multipliers`, taking theta_hat to
+        the coefficients of (u1, u2, theta).  div stacks n^2 i k1 and
+        n^2 i k2, zero outside the dealias mask (True) or the Riesz mask
+        (False).  irfft2 of normalized coefficients gives grid values over
+        n^2, so the rfft2 of their products (u1 theta, u2 theta) is the
+        normalized product spectrum over n^2, and div takes it to the
+        normalized coefficients of div(u theta).
+        """
+        h = self.n // 2 + 1
+        m1, m2 = self.velocity_multipliers
+        vel = np.stack([m1[:, :h], m2[:, :h], np.ones((self.n, h))])
+        ik = 1j * float(self.n * self.n) * np.stack([self.k1[:, :h], self.k2[:, :h]])
+        return {
+            dealias: (vel, ik * mask[:, :h])
+            for dealias, mask in ((True, self.dealias_mask), (False, self.riesz_mask))
+        }
+
 
 @dataclass
 class PhysicalField:

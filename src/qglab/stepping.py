@@ -266,8 +266,10 @@ def _picard_iterate(grid, nonlinear, c0, T, nodes, s, tol, max_iter, t_offset):
     prev_diff = None
     converged = False
     iterations = 0
+    rhs_vals = np.empty_like(traj)
     for iterations in range(1, max_iter + 1):
-        rhs_vals = np.stack([nonlinear(traj[i]) for i in range(nodes)])
+        for i in range(nodes):
+            rhs_vals[i] = nonlinear(traj[i])
         new = c0[None, :, :] + cumulative_simpson(rhs_vals, h)
         diff = _sup_hs_distance(grid, new, traj, s)
         traj = new

@@ -5,7 +5,7 @@ import qglab
 from qglab.diagnostics import CONVEX_PROFILES, HALF_SQUARE, SQRT1P, coarse_grained_flux
 from qglab.spectral import Mollifier, pad_spectrum
 from qglab.errors import DegenerateFit
-from qglab.experiments import flux_decay_exponent
+from qglab.experiments import fit_loglog_slope, flux_decay_exponent
 
 from conftest import random_field
 
@@ -152,6 +152,17 @@ def test_onsager_critical_field_scaling():
     slope = flux_decay_exponent(theta, s, [2.0**-k for k in range(2, 7)])
     assert slope >= 3.0 * s - 1.0 - 0.3
     assert slope <= 1.0
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "raised-cosine"])
+def test_flux_decay_exponent_is_fit_of_per_eps_flux(grid64, profile):
+    theta = random_field(grid64, 20, 1.5, 3)
+    eps_list = [2.0**-k for k in range(2, 7)]
+    vals = [
+        abs(coarse_grained_flux(theta, e, profile=profile, with_remainder=False).flux_integral)
+        for e in eps_list
+    ]
+    assert flux_decay_exponent(theta, 0.5, eps_list, profile=profile) == fit_loglog_slope(eps_list, vals)
 
 
 def test_flux_decay_degenerate_for_steady_mode(grid32):

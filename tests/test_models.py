@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qglab
 from qglab import ModelParams, advection_term, inverse_transform, regularized_gradient_kernel
 from qglab.errors import ValidationError
-from qglab.models import inverse_symbol, rhs_dissipative, rhs_inviscid, rhs_regularized
+from qglab.models import (
+    RhsSplit,
+    advection_coeffs,
+    inverse_symbol,
+    rhs_dissipative,
+    rhs_inviscid,
+    rhs_regularized,
+)
 
 from conftest import random_field
 
@@ -37,6 +46,59 @@ def test_forcing_only_for_dissipative(grid16):
     with pytest.raises(ValidationError):
         ModelParams("inviscid", forcing=f)
     ModelParams("dissipative", kappa=0.1, forcing=f)
+
+
+def test_forcing_must_be_real(grid16):
+    f = qglab.single_mode(grid16, 0, 1)
+    f.coeffs[1, 0] += 1e-6j  # breaks c(-k) = conj(c(k)) at k = (0, +-1)
+    with pytest.raises(ValidationError, match="real"):
+        ModelParams("dissipative", kappa=0.1, forcing=f)
+
+
+def test_forcing_must_lie_in_dealias_band(grid16):
+    f = qglab.single_mode(grid16, 6, 0)  # 6 > 16/3
+    with pytest.raises(ValidationError, match="band"):
+        ModelParams("dissipative", kappa=0.1, forcing=f)
+    ModelParams("dissipative", kappa=0.1, forcing=f, dealias_products=False)
+
+
+def test_forcing_grid_must_match_state(grid16, grid32):
+    p = ModelParams("dissipative", kappa=0.1, forcing=qglab.single_mode(grid16, 0, 1))
+    with pytest.raises(ValidationError, match="grid"):
+        RhsSplit(grid32, p)
+
+
+def _complex_advection_coeffs(grid, coeffs, dealias_products=True):
+    """Reference kernel: three complex inverse and two complex forward transforms."""
+    m1, m2 = grid.velocity_multipliers
+    u1 = np.fft.ifft2(m1 * coeffs).real
+    u2 = np.fft.ifft2(m2 * coeffs).real
+    th = np.fft.ifft2(coeffs).real
+    n2 = grid.n * grid.n
+    f1 = np.fft.fft2(u1 * th) * n2
+    f2 = np.fft.fft2(u2 * th) * n2
+    adv = 1j * (grid.k1 * f1 + grid.k2 * f2)
+    adv = np.where(grid.dealias_mask if dealias_products else grid.riesz_mask, adv, 0.0)
+    adv[0, 0] = 0.0
+    return adv
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    half_n=st.integers(4, 48),
+    dealias_products=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_advection_matches_complex_kernel(half_n, dealias_products, seed):
+    # real fields with content up to and including the Nyquist lines
+    grid = qglab.Grid(2 * half_n)
+    values = np.random.default_rng(seed).standard_normal((grid.n, grid.n))
+    c = qglab.forward_transform(qglab.PhysicalField(grid, values)).coeffs
+    out = advection_coeffs(grid, c, dealias_products)
+    ref = _complex_advection_coeffs(grid, c, dealias_products)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert qglab.hermitian_defect(qglab.SpectralField(grid, out)) == 0.0
+    assert out[0, 0] == 0
 
 
 def test_advection_single_mode_is_steady(grid32):
