@@ -37,10 +37,11 @@ direct = qglab.apply_sqrt_laplacian(f, 0.4)
 print("Lambda^a Lambda^b vs Lambda^(a+b):", np.max(np.abs(compose.coeffs - direct.coeffs)))
 
 # Parseval with the package normalization: integral of f^2 over the box
-# equals (2 pi)^2 times the coefficient power sum.
+# equals (2 pi)^2 times the coefficient power sum.  The stored rfft2 half
+# spectrum counts its k1 = 0 and k1 = n/2 columns once and the others twice.
 phys = qglab.inverse_transform(f)
 lhs = (2 * np.pi) ** 2 * np.mean(phys.values**2)
-rhs = (2 * np.pi) ** 2 * np.sum(np.abs(f.coeffs) ** 2)
+rhs = (2 * np.pi) ** 2 * np.sum(grid.parseval_weights * np.abs(f.coeffs) ** 2)
 print("Parseval defect:", abs(lhs - rhs) / rhs)
 
 # Mollification is a spectral low-pass with unit mass; the approximation

@@ -3,7 +3,8 @@
 Everything here is a pure function of its inputs and safe to evaluate
 concurrently across snapshots.  Norm conventions follow the physical
 integral: |f|_q = (integral |f|^q dx)^(1/q) by exact grid quadrature and
-||f||_s = |Lambda^s f|_2 = 2 pi sqrt(sum |k|^(2s) |f_hat|^2).
+||f||_s = |Lambda^s f|_2 = 2 pi sqrt(sum |k|^(2s) |f_hat|^2), the sum over
+all k taken on the stored half spectrum with `Grid.parseval_weights`.
 """
 
 from __future__ import annotations
@@ -47,15 +48,15 @@ def lp_norm(f: PhysicalField, q) -> float:
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm |Lambda^s f|_2; the mean participates only at s = 0."""
     c2 = np.abs(f.coeffs) ** 2
+    w = f.grid.parseval_weights
     if s == 0.0:
-        total = float(np.sum(c2))
+        total = float(np.sum(w * c2))
     else:
         if s < 0.0:
             scale = 1.0 + float(np.sqrt(np.max(c2)))
             if abs(f.coeffs[0, 0]) > 1e-13 * scale:
                 raise NegativePowerOnMean(f"H^{s} norm of field with nonzero mean")
-        w = f.grid.kabs_safe ** (2.0 * s)
-        total = float(np.sum(w * c2)) - float(c2[0, 0])
+        total = float(np.sum(w * f.grid.kabs_safe ** (2.0 * s) * c2)) - float(c2[0, 0])
     return TWO_PI * math.sqrt(max(total, 0.0))
 
 
@@ -146,7 +147,7 @@ def make_record(
 
     forcing_power = 0.0
     if p.forcing is not None:
-        inner = np.sum(theta.coeffs * np.conj(p.forcing.coeffs)).real
+        inner = np.sum(theta.grid.parseval_weights * theta.coeffs * np.conj(p.forcing.coeffs)).real
         forcing_power = 2.0 * CELL_AREA_FACTOR * float(inner)
 
     diss_integral = 0.0
@@ -409,16 +410,15 @@ def coarse_grained_flux(
 def _padded_fields(theta: SpectralField):
     """The eps-independent front end of `coarse_grained_flux`.
 
-    Returns the doubled grid, the half-spectrum stack (theta, u1, u2)
-    scaled by N^2, those fields on the doubled grid, and the half-spectrum
-    transforms of the products (u1 theta, u2 theta).
+    Returns the doubled grid, the spectra of (theta, u1, u2) scaled by N^2,
+    those fields on the doubled grid, and the transforms of the products
+    (u1 theta, u2 theta).
     """
     fine = pad_spectrum(theta, 2 * theta.grid.n)
     gf = fine.grid
-    half = slice(0, gf.n // 2 + 1)  # rfft2 layout: k1 = 0..N/2 along the last axis
     m1, m2 = gf.velocity_multipliers
-    th_hat = fine.coeffs[:, half] * (gf.n * gf.n)
-    fields_hat = np.stack([th_hat, m1[:, half] * th_hat, m2[:, half] * th_hat])
+    th_hat = fine.coeffs * (gf.n * gf.n)
+    fields_hat = np.stack([th_hat, m1 * th_hat, m2 * th_hat])
     th, u1, u2 = np.fft.irfft2(fields_hat)
     uth_hat = np.fft.rfft2(np.stack([u1 * th, u2 * th]))
     return gf, fields_hat, (th, u1, u2), uth_hat
@@ -429,12 +429,11 @@ def _flux_at_scale(grid, padded, eps, g, profile, with_remainder, with_dr_field)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     gf, fields_hat, (th, u1, u2), uth_hat = padded
-    half = slice(0, gf.n // 2 + 1)
     mol = Mollifier(eps, profile)
-    m = mol.multiplier(gf)[:, half]
+    m = mol.multiplier(gf)
 
     th_eps, u1_eps, u2_eps = np.fft.irfft2(m * fields_hat)
-    grad_hat = 1j * np.stack([gf.k1[:, half], gf.k2[:, half]]) * (m * gf.riesz_mask[:, half] * fields_hat[0])
+    grad_hat = 1j * np.stack([gf.k1, gf.k2]) * (m * gf.riesz_mask * fields_hat[0])
     dth1_eps, dth2_eps = np.fft.irfft2(grad_hat)
     uth1_eps, uth2_eps = np.fft.irfft2(m * uth_hat)
 
@@ -448,7 +447,7 @@ def _flux_at_scale(grid, padded, eps, g, profile, with_remainder, with_dr_field)
 
     if with_remainder:
         offsets, weights = mol.stencil(gf)
-        ph = np.exp(-1j * np.outer(gf.wavenumbers[half], offsets))  # (N/2 + 1, points)
+        ph = np.exp(-1j * np.outer(gf.wavenumbers[: gf.n // 2 + 1], offsets))  # (N/2 + 1, points)
         base = np.stack([u1, u2, th])
         along_x2 = np.fft.rfft(base, axis=-2)
         r1 = np.zeros_like(th)

@@ -203,7 +203,9 @@ def flux_decay_exponent(
     """Fitted decay exponent of |flux_integral(eps)| as eps -> 0.
 
     For a field of Besov regularity s the theory bounds the flux by
-    eps^(3s-1); smooth fields decay at least quadratically.  Raises
+    eps^(3s-1); smooth fields decay at least quadratically.  `s` does not
+    enter the fit: it only names the regularity a caller compares the
+    returned exponent with (3s - 1).  Raises
     DegenerateFit when the flux sits at the round-off floor (the field is
     too smooth, or steady, to carry a measurable transfer).  Each value is
     `coarse_grained_flux(theta, eps, g, profile, with_remainder=False)`;

@@ -8,13 +8,13 @@ velocity u = (-R2 theta, R1 theta):
 * regularized:  theta_t + u . grad theta + mu (-Lap)^alpha theta_t = 0
 
 The advection term is evaluated in divergence form div(u theta) with the
-product formed in physical space and dealiased by the 2/3 rule.  Every
-field here is real, so `advection_coeffs` works on the rfft2 half
-spectrum: one stacked real inverse transform for (u1, u2, theta) and one
-stacked real forward transform for the two flux products per call, with
-the other half of the spectrum filled in by Hermitian symmetry.  A
-forcing must therefore be the spectrum of a real field (and, with
-dealiased products, lie inside the 2/3 band); `ModelParams` checks both.
+product formed in physical space and dealiased by the 2/3 rule.  On the
+rfft2 half spectrum that every `SpectralField` stores, `advection_coeffs`
+does one stacked real inverse transform for (u1, u2, theta) and one
+stacked real forward transform for the two flux products per call.  A
+forcing must be the spectrum of a real field (and, with dealiased
+products, lie inside the 2/3 band); `ModelParams` checks both on its own
+read-only copy of the forcing.
 The regularized model inverts (1 + mu Lambda^(2 alpha)) diagonally; signs
 are fixed so that it reduces to the inviscid model as mu -> 0.
 
@@ -80,6 +80,9 @@ class ModelParams:
         if self.forcing is not None:
             if self.model != "dissipative":
                 raise ValidationError("forcing is supported for the dissipative model only")
+            # a private read-only copy: later edits of the caller's field cannot reach a run
+            object.__setattr__(self, "forcing", self.forcing.copy())
+            self.forcing.coeffs.flags.writeable = False
             _check_forcing(self.forcing, self.dealias_products)
 
 
@@ -93,32 +96,20 @@ def _check_forcing(f: SpectralField, dealias_products: bool) -> None:
 
 
 def advection_coeffs(grid: Grid, coeffs: np.ndarray, dealias_products: bool = True) -> np.ndarray:
-    """Normalized coefficients of div(u theta); array-level hot path.
+    """Normalized half-spectrum coefficients of div(u theta); array-level hot path.
 
-    Reads only the rfft2 half spectrum k1 = 0..n/2 of `coeffs`, which
-    holds all of a real field, so `coeffs` must be the spectrum of a real
-    field.  One stacked irfft2 gives (u1, u2, theta) on the grid, one
-    stacked rfft2 gives the products (u1 theta, u2 theta), and
-    i (k1 f1 + k2 f2) is formed under the dealias (or Riesz) mask with the
-    mean zeroed.  The k1 < 0 columns and the k2 < 0 end of the k1 = 0
-    column are filled by Hermitian completion, so the output is the
-    spectrum of a real field by construction.
+    One stacked irfft2 gives (u1, u2, theta) on the grid, one stacked
+    rfft2 gives the products (u1 theta, u2 theta), and i (k1 f1 + k2 f2)
+    is formed under the dealias (or Riesz) mask with the mean zeroed.
     """
-    n = grid.n
-    h = n // 2 + 1
+    h = grid.n // 2 + 1
     vel, div = grid.advection_symbols[dealias_products]
-    fields = np.fft.irfft2(vel * coeffs[:, :h])  # u1, u2, theta
-    flux = np.fft.rfft2(fields[:2] * fields[2])
-    out = np.empty((n, n), dtype=np.complex128)
-    adv = out[:, :h]
-    np.sum(div * flux, axis=0, out=adv)
+    fields = np.fft.irfft2(vel * coeffs)  # u1, u2, theta
+    adv = np.sum(div * np.fft.rfft2(fields[:2] * fields[2]), axis=0)
     adv[0, 0] = 0.0
     # rfft2 leaves the k1 = 0 column Hermitian only to round-off: mirror k2 > 0 onto k2 < 0
     np.conjugate(adv[h - 2 : 0 : -1, 0], out=adv[h:, 0])
-    # out[k2, -k1] = conj(adv[-k2, k1]) for k1 = 1..n/2-1: row 0 mirrors row 0, row r row n - r
-    np.conjugate(adv[0, h - 2 : 0 : -1], out=out[0, h:])
-    np.conjugate(adv[:0:-1, h - 2 : 0 : -1], out=out[1:, h:])
-    return out
+    return adv
 
 
 def advection_term(theta: SpectralField, dealias_products: bool = True) -> SpectralField:

@@ -23,9 +23,10 @@ def single_mode(grid: Grid, k1: int, k2: int) -> SpectralField:
         raise ValidationError(f"mode ({k1}, {k2}) does not fit below Nyquist on n={grid.n}")
     if k1 == 0 and k2 == 0:
         raise ValidationError("single mode must be nonzero")
-    c = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    c[k2 % grid.n, k1 % grid.n] = 0.5
-    c[(-k2) % grid.n, (-k1) % grid.n] = 0.5
+    c = np.zeros(grid.shape, dtype=np.complex128)
+    for j1, j2 in ((k1, k2), (-k1, -k2)):
+        if j1 >= 0:  # a stored half-spectrum slot (both are when k1 = 0)
+            c[j2 % grid.n, j1] = 0.5
     return SpectralField(grid, c)
 
 
@@ -47,14 +48,15 @@ def random_shell_field(grid: Grid, kmax: float, gamma: float, rng) -> SpectralFi
     half = grid.n // 2
     if kmax >= half:
         raise ValidationError(f"kmax={kmax} does not fit below Nyquist on n={grid.n}")
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(grid.n, grid.n))
-    k1, k2, kabs = grid.k1, grid.k2, grid.kabs_safe
+    # One phase per wavenumber of the full (n, n) spectrum; a mode in the
+    # upper half plane (k2 > 0, or k2 = 0 < k1) takes its own phase and a
+    # mode below it the conjugate of its partner's, so the field is real.
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(grid.n, grid.n)))
+    partner = np.conj(np.roll(phases[::-1, ::-1], 1, axis=(0, 1)))  # conj phase at -k
+    h = grid.n // 2 + 1
     in_band = (grid.kabs > 0) & (grid.kabs <= kmax)
-    upper = (k2 > 0) | ((k2 == 0) & (k1 > 0))
-    amp = np.where(in_band & upper, kabs**-gamma, 0.0)
-    c = amp * np.exp(1j * phases)
-    mirrored = np.roll(np.conj(c[::-1, ::-1]), 1, axis=(0, 1))
-    return SpectralField(grid, c + mirrored)
+    amp = np.where(in_band, grid.kabs_safe**-gamma, 0.0)
+    return SpectralField(grid, amp * np.where(grid.k2 >= 0, phases[:, :h], partner[:, :h]))
 
 
 def from_init_string(grid: Grid, init: str, seed: int = 0) -> SpectralField:

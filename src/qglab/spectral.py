@@ -5,10 +5,17 @@ The domain is fixed to [0, 2pi]^2.  Conventions used throughout:
 * Physical fields are sampled on the n x n uniform grid, node (i, j) at
   x = (2 pi i / n, 2 pi j / n).  Arrays are indexed ``values[j, i]`` with
   the x2 index j as the slow (row) axis.
-* Spectral coefficients are normalized so the k = 0 entry equals the mean
-  of the field.  With this choice Parseval reads
-  ``integral |f|^2 dx = (2 pi)^2 sum_k |f_hat(k)|^2``.
-* Wavenumbers run over {-n/2+1, ..., n/2}^2; the Nyquist line is stored
+* Every field is real, so its spectrum is stored as the rfft2 half
+  spectrum: ``coeffs[j, i]`` holds the coefficient of k = (k1, k2) with
+  k1 = i in 0..n/2 (columns) and k2 the j-th entry of `Grid.wavenumbers`
+  (rows).  The k1 < 0 half is implied by c(-k) = conj(c(k)).
+* Coefficients are normalized so the k = 0 entry equals the mean of the
+  field.  With this choice Parseval reads
+  ``integral |f|^2 dx = (2 pi)^2 sum_k |f_hat(k)|^2``; over the stored
+  half the k1 = 0 and k1 = n/2 columns count once and every other column
+  twice (`Grid.parseval_weights`), which is the one place that sum rule
+  is written down.
+* Wavenumbers run over {-n/2+1, ..., n/2}; the Nyquist line is stored
   with the positive sign.
 * Odd multipliers (the Riesz transforms) zero the unmatched Nyquist lines
   so real fields stay real.  Fields evolved by the solvers live inside
@@ -50,13 +57,13 @@ class Grid:
 
     @cached_property
     def x1(self) -> np.ndarray:
-        """x1 coordinate per node, shape (n, n)."""
-        return np.broadcast_to(self.nodes[None, :], (self.n, self.n)).copy()
+        """x1 coordinate per node, shape (n, n), read-only."""
+        return np.broadcast_to(self.nodes[None, :], (self.n, self.n))
 
     @cached_property
     def x2(self) -> np.ndarray:
-        """x2 coordinate per node, shape (n, n)."""
-        return np.broadcast_to(self.nodes[:, None], (self.n, self.n)).copy()
+        """x2 coordinate per node, shape (n, n), read-only."""
+        return np.broadcast_to(self.nodes[:, None], (self.n, self.n))
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
@@ -65,15 +72,27 @@ class Grid:
         w[self.n // 2] = self.n // 2
         return w
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape (n, n/2 + 1) of the half-spectrum coefficient arrays."""
+        return (self.n, self.n // 2 + 1)
+
     @cached_property
     def k1(self) -> np.ndarray:
-        """k1 per coefficient slot, shape (n, n)."""
-        return np.broadcast_to(self.wavenumbers[None, :], (self.n, self.n)).copy()
+        """k1 = 0..n/2 per coefficient slot, read-only."""
+        return np.broadcast_to(self.wavenumbers[None, : self.n // 2 + 1], self.shape)
 
     @cached_property
     def k2(self) -> np.ndarray:
-        """k2 per coefficient slot, shape (n, n)."""
-        return np.broadcast_to(self.wavenumbers[:, None], (self.n, self.n)).copy()
+        """k2 per coefficient slot, read-only."""
+        return np.broadcast_to(self.wavenumbers[:, None], self.shape)
+
+    @cached_property
+    def parseval_weights(self) -> np.ndarray:
+        """Multiplicity of each stored column in a sum over all k: 1 at k1 = 0, n/2, else 2."""
+        w = np.full(self.n // 2 + 1, 2.0)
+        w[[0, -1]] = 1.0
+        return w
 
     @cached_property
     def kabs(self) -> np.ndarray:
@@ -111,23 +130,21 @@ class Grid:
 
     @cached_property
     def advection_symbols(self) -> dict[bool, tuple[np.ndarray, np.ndarray]]:
-        """Half-spectrum symbols of `models.advection_coeffs` by `dealias_products`.
+        """Symbols of `models.advection_coeffs` by `dealias_products`.
 
-        Each value is (vel, div) on the rfft2 columns k1 = 0..n/2.  vel
-        stacks (m1, m2, 1) of `velocity_multipliers`, taking theta_hat to
-        the coefficients of (u1, u2, theta).  div stacks n^2 i k1 and
-        n^2 i k2, zero outside the dealias mask (True) or the Riesz mask
-        (False).  irfft2 of normalized coefficients gives grid values over
+        Each value is (vel, div).  vel stacks (m1, m2, 1) of
+        `velocity_multipliers`, taking theta_hat to the coefficients of
+        (u1, u2, theta).  div stacks n^2 i k1 and n^2 i k2, zero outside
+        the dealias mask (True) or the Riesz mask (False).  irfft2 of normalized coefficients gives grid values over
         n^2, so the rfft2 of their products (u1 theta, u2 theta) is the
         normalized product spectrum over n^2, and div takes it to the
         normalized coefficients of div(u theta).
         """
-        h = self.n // 2 + 1
         m1, m2 = self.velocity_multipliers
-        vel = np.stack([m1[:, :h], m2[:, :h], np.ones((self.n, h))])
-        ik = 1j * float(self.n * self.n) * np.stack([self.k1[:, :h], self.k2[:, :h]])
+        vel = np.stack([m1, m2, np.ones(self.shape)])
+        ik = 1j * float(self.n * self.n) * np.stack([self.k1, self.k2])
         return {
-            dealias: (vel, ik * mask[:, :h])
+            dealias: (vel, ik * mask)
             for dealias, mask in ((True, self.dealias_mask), (False, self.riesz_mask))
         }
 
@@ -153,15 +170,20 @@ class PhysicalField:
 
 @dataclass
 class SpectralField:
-    """Fourier coefficients of a real scalar, one complex value per wavenumber."""
+    """Fourier coefficients of a real scalar as its rfft2 half spectrum.
+
+    `coeffs` has shape (n, n/2 + 1): row j is k2 = grid.wavenumbers[j],
+    column i is k1 = i, and c(-k) = conj(c(k)) supplies the k1 < 0 half.
+    The k = 0 slot holds the mean.
+    """
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.grid.n, self.grid.n):
-            raise ValueError(f"expected shape {(self.grid.n,) * 2}, got {c.shape}")
+        if c.shape != self.grid.shape:
+            raise ValueError(f"expected shape {self.grid.shape}, got {c.shape}")
         self.coeffs = c
 
     @property
@@ -186,13 +208,13 @@ class SpectralField:
 def forward_transform(p: PhysicalField) -> SpectralField:
     """Grid samples to normalized coefficients (k = 0 slot holds the mean)."""
     n = p.grid.n
-    return SpectralField(p.grid, np.fft.fft2(p.values) / (n * n))
+    return SpectralField(p.grid, np.fft.rfft2(p.values) / (n * n))
 
 
 def inverse_transform(f: SpectralField) -> PhysicalField:
     """Coefficients back to real grid samples."""
     n = f.grid.n
-    return PhysicalField(f.grid, np.fft.ifft2(f.coeffs).real * (n * n))
+    return PhysicalField(f.grid, np.fft.irfft2(f.coeffs, s=(n, n)) * (n * n))
 
 
 def apply_sqrt_laplacian(f: SpectralField, power: float) -> SpectralField:
@@ -266,9 +288,9 @@ class Mollifier:
         weights[b, a] belongs to the offset (offsets[a], offsets[b]).
         """
         d = self.eps * np.linspace(-half_width, half_width, points)
-        m = self.multiplier(grid)
+        m = self.multiplier(grid) * grid.parseval_weights
         e = np.exp(1j * np.outer(grid.wavenumbers, d))  # (n, points)
-        w = (e.T @ m @ e).real  # periodized kernel at the offsets
+        w = (e.T @ m @ e[: grid.n // 2 + 1]).real  # periodized kernel at the offsets
         return d, w / w.sum()
 
 
@@ -292,8 +314,9 @@ def pad_spectrum(f: SpectralField, m: int) -> SpectralField:
     """Embed the coefficients into a finer m x m grid (m >= n, m even).
 
     Nyquist lines of the source are split half-and-half between +n/2 and
-    -n/2 on the destination, which keeps the embedded field real and
-    reproduces the original samples on the coarse nodes.
+    -n/2 on the destination (the -n/2 column is the implied conjugate of
+    the +n/2 one), which keeps the embedded field real and reproduces the
+    original samples on the coarse nodes.
     """
     n = f.grid.n
     if m < n:
@@ -302,19 +325,22 @@ def pad_spectrum(f: SpectralField, m: int) -> SpectralField:
         return f.copy()
     half = n // 2
     slots = f.grid.wavenumbers.astype(int) % m  # source Nyquist lands on +n/2
-    rows = np.zeros((m, n), dtype=np.complex128)
-    rows[slots] = f.coeffs
-    rows[half] *= 0.5
-    rows[m - half] = rows[half]
-    out = np.zeros((m, m), dtype=np.complex128)
-    out[:, slots] = rows
-    out[:, half] *= 0.5
-    out[:, m - half] = out[:, half]
-    return SpectralField(Grid(m), out)
+    fine = Grid(m)
+    out = np.zeros(fine.shape, dtype=np.complex128)
+    cols = out[:, : half + 1]  # the source columns k1 = 0..n/2
+    cols[slots] = f.coeffs
+    cols[half] *= 0.5
+    cols[m - half] = cols[half]
+    cols[:, half] *= 0.5
+    return SpectralField(fine, out)
 
 
 def hermitian_defect(f: SpectralField) -> float:
-    """Max |c(k) - conj(c(-k))|; zero for coefficients of a real field."""
-    c = f.coeffs
-    mirrored = np.roll(c[::-1, ::-1], 1, axis=(0, 1))
+    """Max |c(k) - conj(c(-k))|; zero for coefficients of a real field.
+
+    Only the self-conjugate columns k1 = 0 and k1 = n/2 hold both k and -k;
+    the other columns carry c(-k) implicitly.
+    """
+    c = f.coeffs[:, [0, f.grid.n // 2]]
+    mirrored = np.roll(c[::-1], 1, axis=0)
     return float(np.max(np.abs(c - np.conj(mirrored))))

@@ -251,11 +251,10 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
 
 def _sup_hs_distance(grid: Grid, a: np.ndarray, b: np.ndarray, s: float) -> float:
     """sup over nodes of ||a - b||_s for stacked coefficient arrays."""
-    w = grid.kabs_safe ** (2.0 * s)
-    w0 = w.copy()
-    w0[0, 0] = 0.0
+    w = grid.parseval_weights * grid.kabs_safe ** (2.0 * s)
+    w[0, 0] = 0.0
     d2 = np.abs(a - b) ** 2
-    return 2.0 * np.pi * float(np.sqrt(np.max(np.sum(d2 * w0, axis=(1, 2)))))
+    return 2.0 * np.pi * float(np.sqrt(np.max(np.sum(d2 * w, axis=(1, 2)))))
 
 
 def _picard_iterate(grid, nonlinear, c0, T, nodes, s, tol, max_iter, t_offset):

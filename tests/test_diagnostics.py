@@ -51,7 +51,7 @@ def test_sobolev_norm_single_modes(grid32):
 
 
 def test_sobolev_norm_zero_field(grid16):
-    zero = qglab.SpectralField(grid16, np.zeros((16, 16), dtype=complex))
+    zero = qglab.SpectralField(grid16, np.zeros((16, 9), dtype=complex))
     assert sobolev_norm(zero, 1.5) == 0.0
 
 
@@ -173,7 +173,7 @@ def test_inviscid_balance_reduces_to_drift(grid32):
 
 
 def test_critical_monitor_zero_field(grid16):
-    zero = qglab.SpectralField(grid16, np.zeros((16, 16), dtype=complex))
+    zero = qglab.SpectralField(grid16, np.zeros((16, 9), dtype=complex))
     p = ModelParams("dissipative", alpha=0.5, kappa=1.0)
     rep = critical_monitor(zero, p, c0=1.0, sigma=2.0)
     assert rep.q_inf == 0.0
@@ -290,5 +290,5 @@ def test_gn_constant_draw_order():
 
 
 def test_ladder_bracket_zero_field(grid16):
-    zero = qglab.SpectralField(grid16, np.zeros((16, 16), dtype=complex))
+    zero = qglab.SpectralField(grid16, np.zeros((16, 9), dtype=complex))
     assert ladder_bracket(zero, 2.0) == 1.0

@@ -7,7 +7,7 @@ from qglab.spectral import Mollifier, pad_spectrum
 from qglab.errors import DegenerateFit
 from qglab.experiments import fit_loglog_slope, flux_decay_exponent
 
-from conftest import random_field
+from conftest import full_spectrum, random_field
 
 
 def test_convex_profiles():
@@ -47,9 +47,11 @@ def _reference_flux(theta, eps, profile):
     gf = fine.grid
     n2 = gf.n * gf.n
     mol = Mollifier(eps, profile)
-    m = mol.multiplier(gf)
-    m1, m2 = gf.velocity_multipliers
-    th_hat = fine.coeffs
+    # every multiplier here is the symbol of a real operator, so its full
+    # layout is the Hermitian completion of its half
+    m = full_spectrum(mol.multiplier(gf))
+    m1, m2 = (full_spectrum(v) for v in gf.velocity_multipliers)
+    th_hat = full_spectrum(fine.coeffs)
     u1_hat, u2_hat = m1 * th_hat, m2 * th_hat
 
     def phys(c):
@@ -59,8 +61,8 @@ def _reference_flux(theta, eps, profile):
     th_eps, u1_eps, u2_eps = phys(m * th_hat), phys(m * u1_hat), phys(m * u2_hat)
     sigma1 = u1_eps * th_eps - phys(m * np.fft.fft2(u1 * th) / n2)
     sigma2 = u2_eps * th_eps - phys(m * np.fft.fft2(u2 * th) / n2)
-    dth1_eps = phys(1j * gf.k1 * m * th_hat * gf.riesz_mask)
-    dth2_eps = phys(1j * gf.k2 * m * th_hat * gf.riesz_mask)
+    dth1_eps = phys(full_spectrum(1j * gf.k1 * gf.riesz_mask) * m * th_hat)
+    dth2_eps = phys(full_spectrum(1j * gf.k2 * gf.riesz_mask) * m * th_hat)
     flux = float(np.mean(sigma1 * dth1_eps + sigma2 * dth2_eps)) * area
     sigma_l1 = float(np.mean(np.hypot(sigma1, sigma2))) * area
 

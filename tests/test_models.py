@@ -15,7 +15,7 @@ from qglab.models import (
     rhs_regularized,
 )
 
-from conftest import random_field
+from conftest import full_spectrum, full_wavenumbers, random_field
 
 
 @pytest.mark.parametrize(
@@ -55,6 +55,23 @@ def test_forcing_must_be_real(grid16):
         ModelParams("dissipative", kappa=0.1, forcing=f)
 
 
+def test_forcing_edit_after_validation_does_not_reach_run(grid16):
+    f = qglab.single_mode(grid16, 0, 1)
+    p = ModelParams("dissipative", kappa=0.1, forcing=f)
+    f.coeffs[1, 0] += 1e-3j  # the caller's field is no longer real
+    cfg = qglab.StepperConfig(dt=0.01, t_end=0.05)
+    theta = qglab.single_mode(grid16, 1, 0)
+    clean = ModelParams("dissipative", kappa=0.1, forcing=qglab.single_mode(grid16, 0, 1))
+    assert qglab.hermitian_defect(p.forcing) == 0.0
+    assert np.array_equal(qglab.run(theta, p, cfg).final.coeffs, qglab.run(theta, clean, cfg).final.coeffs)
+
+
+def test_forcing_held_by_params_is_read_only(grid16):
+    p = ModelParams("dissipative", kappa=0.1, forcing=qglab.single_mode(grid16, 0, 1))
+    with pytest.raises(ValueError):
+        p.forcing.coeffs[1, 0] += 1e-3j
+
+
 def test_forcing_must_lie_in_dealias_band(grid16):
     f = qglab.single_mode(grid16, 6, 0)  # 6 > 16/3
     with pytest.raises(ValidationError, match="band"):
@@ -69,18 +86,30 @@ def test_forcing_grid_must_match_state(grid16, grid32):
 
 
 def _complex_advection_coeffs(grid, coeffs, dealias_products=True):
-    """Reference kernel: three complex inverse and two complex forward transforms."""
-    m1, m2 = grid.velocity_multipliers
+    """Reference kernel: three complex inverse and two complex forward transforms.
+
+    Works on the full (n, n) spectrum with its own wavenumbers, masks and
+    multipliers, and returns the half spectrum.
+    """
+    k1, k2 = full_wavenumbers(grid)
+    kabs = np.hypot(k1, k2)
+    kabs[0, 0] = 1.0
+    riesz = (np.abs(k1) < grid.n // 2) & (np.abs(k2) < grid.n // 2)
+    riesz[0, 0] = False
+    dealias = (np.abs(k1) <= grid.n / 3.0) & (np.abs(k2) <= grid.n / 3.0)
+    m1 = np.where(riesz, 1j * k2 / kabs, 0.0)
+    m2 = np.where(riesz, -1j * k1 / kabs, 0.0)
+    coeffs = full_spectrum(coeffs)
     u1 = np.fft.ifft2(m1 * coeffs).real
     u2 = np.fft.ifft2(m2 * coeffs).real
     th = np.fft.ifft2(coeffs).real
     n2 = grid.n * grid.n
     f1 = np.fft.fft2(u1 * th) * n2
     f2 = np.fft.fft2(u2 * th) * n2
-    adv = 1j * (grid.k1 * f1 + grid.k2 * f2)
-    adv = np.where(grid.dealias_mask if dealias_products else grid.riesz_mask, adv, 0.0)
+    adv = 1j * (k1 * f1 + k2 * f2)
+    adv = np.where(dealias if dealias_products else riesz, adv, 0.0)
     adv[0, 0] = 0.0
-    return adv
+    return adv[:, : grid.n // 2 + 1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -153,7 +182,7 @@ def test_rhs_dissipative_single_mode_decay(grid32):
 def test_rhs_dissipative_forcing_passthrough(grid32):
     forcing = qglab.single_mode(grid32, 0, 1)
     p = ModelParams("dissipative", alpha=0.5, kappa=0.1, forcing=forcing)
-    zero = qglab.SpectralField(grid32, np.zeros((32, 32), dtype=complex))
+    zero = qglab.SpectralField(grid32, np.zeros((32, 17), dtype=complex))
     out = rhs_dissipative(zero, p)
     assert np.max(np.abs(out.coeffs - forcing.coeffs)) < 1e-15
 
@@ -226,7 +255,9 @@ def test_advection_skew_symmetry(grid64, seed):
     # integral div(u theta) theta dx = 0 for dealiased products
     theta = qglab.dealias(random_field(grid64, 20, 1.5, seed))
     adv = advection_term(theta)
-    inner = (2 * np.pi) ** 2 * float(np.sum(adv.coeffs * np.conj(theta.coeffs)).real)
+    inner = (2 * np.pi) ** 2 * float(
+        np.sum(full_spectrum(adv.coeffs) * np.conj(full_spectrum(theta.coeffs))).real
+    )
     l2sq = qglab.sobolev_norm(theta, 0.0) ** 2
     assert abs(inner) <= 1e-10 * l2sq
 

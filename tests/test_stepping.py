@@ -30,6 +30,28 @@ def test_config_validation():
             StepperConfig(dt=1e-3, t_end=1.0, sigma=bad)
 
 
+@pytest.mark.parametrize(
+    "model, kwargs, scheme, t_end, dts",
+    [
+        ("inviscid", {}, "rk4", 0.4, (0.04, 0.02, 0.01, 0.005)),
+        ("dissipative", dict(kappa=0.1, alpha=0.5), "etd-rk4", 0.2, (0.02, 0.01, 0.005, 0.0025)),
+    ],
+)
+def test_rk4_observed_order(model, kwargs, scheme, t_end, dts):
+    # log2(e(dt) / e(dt/2)) with e the L2 distance from the finest run
+    theta = qglab.cmt(qglab.Grid(32))
+    p = ModelParams(model, **kwargs)
+
+    def final(dt):
+        cfg = StepperConfig(dt=dt, t_end=t_end, scheme=scheme, diag_every=round(t_end / dt))
+        return run(theta, p, cfg).final
+
+    *coarse, reference = (final(dt) for dt in dts)
+    errors = [qglab.sobolev_norm(f - reference, 0.0) for f in coarse]
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all((orders >= 3.7) & (orders <= 4.3)), orders
+
+
 def test_config_requires_whole_number_of_steps():
     # t_end = 1.0 is 3.33 steps of 0.3: rejected rather than stopping at t = 0.9
     with pytest.raises(ValidationError):
