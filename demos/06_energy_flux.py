@@ -18,9 +18,8 @@ eps_list = [2.0**-k for k in range(2, 7)]
 # Smooth band-limited field: quadratic (or faster) decay.
 smooth = qglab.random_shell_field(qglab.Grid(64), 6, 1.5, 1)
 print("smooth field, |k| <= 6:")
-for eps in eps_list:
-    est = coarse_grained_flux(smooth, eps, with_remainder=False)
-    print(f"  eps={eps:<8g} flux = {est.flux_integral: .3e}   |sigma|_1 = {est.sigma_l1:.3e}")
+for est in qglab.flux_scan(smooth, eps_list, with_remainder=False):
+    print(f"  eps={est.eps:<8g} flux = {est.flux_integral: .3e}   |sigma|_1 = {est.sigma_l1:.3e}")
 print("  fitted exponent:", f"{qglab.flux_decay_exponent(smooth, 2.0, eps_list):.3f}")
 
 # Rough field at s = 1/2: decay near 3s - 1 = 1/2.

@@ -17,6 +17,7 @@ from .diagnostics import (
     coarse_grained_flux,
     critical_monitor,
     energy_balance_residual,
+    flux_scan,
     gn_constant,
     gn_residual,
     ladder_bracket,

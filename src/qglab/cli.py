@@ -163,25 +163,22 @@ def _cmd_flux(args) -> int:
     else:
         raise ValidationError("flux needs --snapshot or --init")
     eps_list = [float(e) for e in args.eps.split(",") if e.strip()]
-    if not eps_list:
-        raise ValidationError("empty --eps list")
-    g = CONVEX_PROFILES[args.g]
-    values = []
-    for eps in sorted(eps_list, reverse=True):
-        est = diagnostics.coarse_grained_flux(
-            theta, eps, g, profile=args.profile, with_remainder=not args.no_remainder
-        )
-        values.append((eps, abs(est.flux_integral)))
+    estimates = diagnostics.flux_scan(
+        theta, eps_list, CONVEX_PROFILES[args.g], args.profile, with_remainder=not args.no_remainder
+    )
+    for est in estimates:
         extra = ""
         if est.r_l32 is not None:
             extra = f"  |r|_3/2 = {est.r_l32:.6g}  decomp_l1_err = {est.decomposition_l1_error:.3e}"
         print(
-            f"eps = {eps:<10g} profile = {est.profile}  |sigma|_1 = {est.sigma_l1:.6g}  "
+            f"eps = {est.eps:<10g} profile = {est.profile}  |sigma|_1 = {est.sigma_l1:.6g}  "
             f"flux = {est.flux_integral: .6e}{extra}"
         )
-    if len(values) >= 2:
+    if len(estimates) >= 2:
         try:
-            slope = experiments.fit_loglog_slope(*zip(*values))
+            slope = experiments.fit_loglog_slope(
+                [est.eps for est in estimates], [abs(est.flux_integral) for est in estimates]
+            )
             line = f"fitted decay exponent: {slope:.4f}"
             if args.s is not None:
                 line += f"   (criticality bound 3s-1 = {3 * args.s - 1:.4f})"

@@ -394,27 +394,53 @@ def coarse_grained_flux(
     When `with_remainder` is set, r_eps(u, theta) = integral of
     rho_eps(y) (u(x - y) - u(x)) (theta(x - y) - theta(x)) dy is evaluated
     independently of the spectral identity, by the 21 x 21 stencil
-    quadrature of `Mollifier.stencil` (the same nodes and weights, zero
-    weights skipped) over physical-space translations of (u1, u2, theta).
-    The translation phase is separable in the two offsets, so each field
-    stack is shifted along x2 once per row offset and then along x1 once
-    per node by one-dimensional real transforms; the empty Nyquist lines
-    of the doubled grid make the shifts exact.  The L1 defect of the
-    identity sigma_eps = (u - u_eps)(theta - theta_eps) - r_eps is
-    reported.  The optional dissipation field is
+    quadrature of `Mollifier.stencil` (its nodes y_ab and weights w_ab,
+    never the mollifier multiplier).  With the difference operator
+    D f = sum_ab w_ab (f(x - y_ab) - f(x)), whose symbol
+    D(k) = sum_ab w_ab (exp(-i k . y_ab) - 1) is separable in the two
+    offsets, the quadrature is exactly r_eps = D(u theta) - u D theta -
+    theta D u.  D theta and D u come from one stacked inverse transform on
+    the doubled grid.  The products u theta reach |k| = n, the doubled
+    grid's Nyquist lines, when theta has content on its own Nyquist lines,
+    and a shift would alias there; so D(u theta) is taken from their
+    spectrum on a 4n grid, padded once per state, and sampled back on
+    every second node.
+    The L1 defect of the identity sigma_eps = (u - u_eps)(theta -
+    theta_eps) - r_eps is reported.  The optional dissipation field is
     G''(theta_eps) grad theta_eps . ((u theta)_eps - u_eps theta_eps).
     """
-    return _flux_at_scale(theta.grid, _padded_fields(theta), eps, g, profile, with_remainder, with_dr_field)
+    return flux_scan(theta, [eps], g, profile, with_remainder, with_dr_field)[0]
 
 
-def _padded_fields(theta: SpectralField):
-    """The eps-independent front end of `coarse_grained_flux`.
+def flux_scan(
+    theta: SpectralField,
+    eps_list,
+    g: ConvexProfile = HALF_SQUARE,
+    profile: str = "gaussian",
+    with_remainder: bool = True,
+    with_dr_field: bool = False,
+) -> list[FluxEstimate]:
+    """`coarse_grained_flux` at every eps of `eps_list`, largest eps first.
 
-    Returns the doubled grid, the spectra of (theta, u1, u2) scaled by N^2,
-    those fields on the doubled grid, and the transforms of the products
+    Every eps is validated before the state is padded, and the padding and
+    the eps-independent transforms are done once for the whole list.
+    """
+    mollifiers = [Mollifier(eps, profile) for eps in sorted(eps_list, reverse=True)]
+    if not mollifiers:
+        raise ValueError("empty eps list")
+    padded = _padded_fields(theta, 2 * theta.grid.n)
+    fine = _padded_fields(theta, 4 * theta.grid.n) if with_remainder else None
+    return [_flux_at_scale(theta.grid, padded, fine, mol, g, with_dr_field) for mol in mollifiers]
+
+
+def _padded_fields(theta: SpectralField, m: int):
+    """The eps-independent front end of `coarse_grained_flux` on an m x m grid.
+
+    Returns the grid, the spectra of (theta, u1, u2) scaled by m^2, those
+    fields on the grid, and the transforms of the products
     (u1 theta, u2 theta).
     """
-    fine = pad_spectrum(theta, 2 * theta.grid.n)
+    fine = pad_spectrum(theta, m)
     gf = fine.grid
     m1, m2 = gf.velocity_multipliers
     th_hat = fine.coeffs * (gf.n * gf.n)
@@ -424,12 +450,24 @@ def _padded_fields(theta: SpectralField):
     return gf, fields_hat, (th, u1, u2), uth_hat
 
 
-def _flux_at_scale(grid, padded, eps, g, profile, with_remainder, with_dr_field) -> FluxEstimate:
-    """`coarse_grained_flux` at one eps, from the `_padded_fields` of its state."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+def _difference_symbol(grid: Grid, offsets, weights) -> np.ndarray:
+    """sum_ab w_ab (exp(-i k . y_ab) - 1) on the half spectrum, weights[b, a] at (offsets[a], offsets[b]).
+
+    With E = exp(-i k y) - 1 per axis, each term is E1 E2 + E1 + E2; expm1
+    keeps the small-|k| values accurate, where r_eps cancels.
+    """
+    e = np.expm1(-1j * np.outer(grid.wavenumbers, offsets))  # rows: k2
+    e_half = e[: grid.n // 2 + 1]  # columns: k1 = 0..n/2
+    return e @ weights @ e_half.T + (e @ weights.sum(1))[:, None] + (e_half @ weights.sum(0))[None, :]
+
+
+def _flux_at_scale(grid, padded, fine, mol, g, with_dr_field) -> FluxEstimate:
+    """`coarse_grained_flux` at one scale from the padded fields of its state.
+
+    `padded` and `fine` are `_padded_fields` on the 2n and 4n grids; the
+    remainder is skipped when `fine` is None.
+    """
     gf, fields_hat, (th, u1, u2), uth_hat = padded
-    mol = Mollifier(eps, profile)
     m = mol.multiplier(gf)
 
     th_eps, u1_eps, u2_eps = np.fft.irfft2(m * fields_hat)
@@ -443,26 +481,15 @@ def _flux_at_scale(grid, padded, eps, g, profile, with_remainder, with_dr_field)
     flux = float(np.mean(sigma1 * dth1_eps + sigma2 * dth2_eps)) * CELL_AREA_FACTOR
     sigma_l1 = float(np.mean(np.hypot(sigma1, sigma2))) * CELL_AREA_FACTOR
 
-    est = FluxEstimate(eps=eps, profile=profile, sigma_l1=sigma_l1, flux_integral=flux)
+    est = FluxEstimate(eps=mol.eps, profile=mol.profile, sigma_l1=sigma_l1, flux_integral=flux)
 
-    if with_remainder:
+    if fine is not None:
         offsets, weights = mol.stencil(gf)
-        ph = np.exp(-1j * np.outer(gf.wavenumbers[: gf.n // 2 + 1], offsets))  # (N/2 + 1, points)
-        base = np.stack([u1, u2, th])
-        along_x2 = np.fft.rfft(base, axis=-2)
-        r1 = np.zeros_like(th)
-        r2 = np.zeros_like(th)
-        for b in range(len(offsets)):
-            shifted_x2 = np.fft.irfft(along_x2 * ph[:, b][:, None], axis=-2)
-            along_x1 = np.fft.rfft(shifted_x2, axis=-1)
-            for a in range(len(offsets)):
-                w = weights[b, a]
-                if w == 0.0:
-                    continue
-                du1, du2, dth = np.fft.irfft(along_x1 * ph[:, a], axis=-1) - base
-                wdth = w * dth
-                r1 += du1 * wdth
-                r2 += du2 * wdth
+        dth, du1, du2 = np.fft.irfft2(_difference_symbol(gf, offsets, weights) * fields_hat)
+        g4, _, _, uth4_hat = fine
+        duth1, duth2 = np.fft.irfft2(_difference_symbol(g4, offsets, weights) * uth4_hat)[:, ::2, ::2]
+        r1 = duth1 - u1 * dth - th * du1
+        r2 = duth2 - u2 * dth - th * du2
         rmag = np.hypot(r1, r2)
         est.r_l32 = (float(np.mean(rmag**1.5)) * CELL_AREA_FACTOR) ** (2.0 / 3.0)
         d1 = (u1 - u1_eps) * (th - th_eps) - r1 - sigma1

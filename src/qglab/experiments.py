@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import HALF_SQUARE, ConvexProfile, NormRecord, _flux_at_scale, _padded_fields
+from .diagnostics import HALF_SQUARE, ConvexProfile, NormRecord, flux_scan
 from .errors import DegenerateFit, ReferenceTooCoarse, ValidationError
 from .models import ModelParams
 from .spectral import SpectralField
@@ -208,15 +208,8 @@ def flux_decay_exponent(
     returned exponent with (3s - 1).  Raises
     DegenerateFit when the flux sits at the round-off floor (the field is
     too smooth, or steady, to carry a measurable transfer).  Each value is
-    `coarse_grained_flux(theta, eps, g, profile, with_remainder=False)`;
-    the padding and the eps-independent transforms are done once.
+    `coarse_grained_flux(theta, eps, g, profile, with_remainder=False)`,
+    all of them from one `flux_scan`.
     """
-    eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=np.float64)
-    padded = _padded_fields(theta)
-    vals = np.array(
-        [
-            abs(_flux_at_scale(theta.grid, padded, float(e), g, profile, False, False).flux_integral)
-            for e in eps_arr
-        ]
-    )
-    return fit_loglog_slope(eps_arr, vals)
+    estimates = flux_scan(theta, eps_list, g, profile, with_remainder=False)
+    return fit_loglog_slope([e.eps for e in estimates], [abs(e.flux_integral) for e in estimates])

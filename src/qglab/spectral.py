@@ -28,6 +28,7 @@ arrays, so fields and grids are safe to share read-only across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -268,8 +269,8 @@ class Mollifier:
     profile: str = "gaussian"
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError(f"mollifier scale must be positive, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"mollifier scale must be positive and finite, got {self.eps}")
         if self.profile not in MOLLIFIER_PROFILES:
             raise ValueError(f"unknown mollifier profile {self.profile!r}")
 

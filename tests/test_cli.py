@@ -105,6 +105,12 @@ def test_flux_needs_input(capsys):
     assert cli_main(["flux", "--eps", "0.25"]) == 1
 
 
+def test_flux_rejects_non_finite_eps(capsys):
+    code = cli_main(["flux", "--init", "random:8,1.5", "--n", "32", "--eps", "0.25,nan"])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_compare_mu_subcommand(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "model=inviscid\nn=32\ndt=0.01\nt_end=0.2\ninit=cmt\nalpha=0.5\n")
     assert cli_main(["compare-mu", "--config", cfg, "--mu-list", "1e-1,1e-2,1e-3"]) == 0

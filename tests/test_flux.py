@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import qglab
-from qglab.diagnostics import CONVEX_PROFILES, HALF_SQUARE, SQRT1P, coarse_grained_flux
-from qglab.spectral import Mollifier, pad_spectrum
+from qglab.diagnostics import CONVEX_PROFILES, HALF_SQUARE, SQRT1P, coarse_grained_flux, flux_scan
+from qglab.spectral import Mollifier, PhysicalField, forward_transform, pad_spectrum
 from qglab.errors import DegenerateFit
 from qglab.experiments import fit_loglog_slope, flux_decay_exponent
 
@@ -89,18 +89,51 @@ def _reference_flux(theta, eps, profile):
 
 @pytest.mark.parametrize("n", [32, 64])
 @pytest.mark.parametrize("profile", ["gaussian", "raised-cosine"])
-@pytest.mark.parametrize("eps", [0.25, 0.0625])
+@pytest.mark.parametrize("eps", [0.25, 0.0625, 0.03125, 0.015625])
 def test_flux_matches_reference(n, profile, eps):
-    # the real-transform route and the separable stencil agree with the
-    # complex full-spectrum route to round-off
+    # the real-transform route and the difference-symbol remainder agree
+    # with the complex full-spectrum route and its node loop to round-off
     theta = random_field(qglab.Grid(n), 8, 2.5, 7)
     est = coarse_grained_flux(theta, eps, HALF_SQUARE, profile, with_dr_field=True)
     sigma_l1, flux, r_l32, decomposition, dr = _reference_flux(theta, eps, profile)
     assert est.sigma_l1 == pytest.approx(sigma_l1, rel=1e-12, abs=0.0)
-    assert est.flux_integral == pytest.approx(flux, rel=1e-12, abs=0.0)
     assert est.r_l32 == pytest.approx(r_l32, rel=1e-12, abs=0.0)
     assert est.decomposition_l1_error == pytest.approx(decomposition, rel=1e-12, abs=0.0)
-    assert np.max(np.abs(est.dr_field.values - dr)) <= 1e-12 * np.max(np.abs(dr))
+    if eps >= 0.0625:
+        # below, sigma . grad theta_eps cancels: the two sigma routes differ
+        # by up to 2.1e-12 in the flux integral and the dr field
+        assert est.flux_integral == pytest.approx(flux, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(est.dr_field.values - dr)) <= 1e-12 * np.max(np.abs(dr))
+
+
+def _white_field(n, seed):
+    """Standard-normal samples: every line of the spectrum is populated, the Nyquist lines too."""
+    grid = qglab.Grid(n)
+    return forward_transform(PhysicalField(grid, np.random.default_rng(seed).standard_normal((n, n))))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("profile", ["gaussian", "raised-cosine"])
+@pytest.mark.parametrize("eps", [0.25, 0.0625])
+def test_remainder_matches_reference_with_nyquist_content(n, profile, eps):
+    # coarse Nyquist content puts the products u theta on the doubled
+    # grid's Nyquist lines, where a shift of their spectrum would alias
+    theta = _white_field(n, 11)
+    est = coarse_grained_flux(theta, eps, HALF_SQUARE, profile)
+    _, _, r_l32, decomposition, _ = _reference_flux(theta, eps, profile)
+    assert est.r_l32 == pytest.approx(r_l32, rel=1e-12, abs=0.0)
+    assert est.decomposition_l1_error == pytest.approx(decomposition, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("with_remainder", [True, False])
+def test_flux_scan_matches_per_eps_flux(grid32, with_remainder):
+    theta = random_field(grid32, 8, 2.0, 5)
+    eps_list = [0.0625, 0.25, 0.125]
+    scan = flux_scan(theta, eps_list, SQRT1P, "raised-cosine", with_remainder)
+    assert [est.eps for est in scan] == [0.25, 0.125, 0.0625]
+    for est in scan:
+        one = coarse_grained_flux(theta, est.eps, SQRT1P, "raised-cosine", with_remainder)
+        assert est == one
 
 
 def test_remainder_skipped_when_disabled(grid32):
@@ -175,3 +208,25 @@ def test_flux_decay_degenerate_for_steady_mode(grid32):
 def test_eps_must_be_positive(grid32):
     with pytest.raises(ValueError):
         coarse_grained_flux(qglab.single_mode(grid32, 1, 0), 0.0)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_eps_must_be_finite(grid32, eps):
+    theta = random_field(grid32, 8, 2.0, 5)
+    with pytest.raises(ValueError):
+        Mollifier(eps)
+    with pytest.raises(ValueError):
+        coarse_grained_flux(theta, eps)
+    with pytest.raises(ValueError):
+        flux_decay_exponent(theta, 0.5, [0.25, eps, 0.0625])
+
+
+def test_flux_scan_validates_before_padding(grid32, monkeypatch):
+    def no_padding(*args):
+        raise AssertionError("padded before validating eps")
+
+    monkeypatch.setattr(qglab.diagnostics, "pad_spectrum", no_padding)
+    with pytest.raises(ValueError):
+        flux_scan(random_field(grid32, 8, 2.0, 5), [0.25, 0.125, np.nan])
+    with pytest.raises(ValueError):
+        flux_scan(random_field(grid32, 8, 2.0, 5), [])
