@@ -139,18 +139,17 @@ def _cmd_picard(args) -> int:
 def _cmd_norms(args) -> int:
     snap = io.load_snapshot(args.snapshot)
     theta = snap.to_field()
-    phys = diagnostics.inverse_transform(theta)
+    fields = diagnostics._state_fields(theta)
     qs = args.q if args.q else ["2", "3", "4", "inf"]
     ss = args.s if args.s else [1.0, 2.0]
     print(f"snapshot t={snap.t:g} model={snap.model} n={snap.n}")
     for q in qs:
         qv = np.inf if str(q).lower() in ("inf", "infinity") else float(q)
-        print(f"|theta|_{q} = {diagnostics.lp_norm(phys, qv):.12g}")
+        print(f"|theta|_{q} = {diagnostics._lp(fields[2], qv):.12g}")
     for s in ss:
         print(f"||theta||_{s:g} = {diagnostics.sobolev_norm(theta, s):.12g}")
-    energy = diagnostics.lp_norm(phys, 2.0) ** 2
-    print(f"energy = {energy:.12g}")
-    print(f"q_inf = {diagnostics.lp_norm(phys, np.inf) + diagnostics.velocity_sup(theta):.12g}")
+    print(f"energy = {diagnostics._lp(fields[2], 2.0) ** 2:.12g}")
+    print(f"q_inf = {diagnostics._q_inf(*fields):.12g}")
     print(f"ladder(sigma={args.sigma:g}) = {diagnostics.ladder_bracket(theta, args.sigma):.12g}")
     return 0
 

@@ -25,7 +25,6 @@ from .spectral import (
     SpectralField,
     inverse_transform,
     pad_spectrum,
-    riesz_velocity,
 )
 
 CELL_AREA_FACTOR = TWO_PI * TWO_PI  # integral f dx = (2 pi)^2 * mean of samples
@@ -37,12 +36,33 @@ CELL_AREA_FACTOR = TWO_PI * TWO_PI  # integral f dx = (2 pi)^2 * mean of samples
 
 def lp_norm(f: PhysicalField, q) -> float:
     """(integral |f|^q dx)^(1/q); q = inf gives the max over nodes."""
+    return _lp(f.values, q)
+
+
+def _lp(values: np.ndarray, q) -> float:
+    """`lp_norm` of grid samples."""
     if q == np.inf or q == math.inf:
-        return float(np.max(np.abs(f.values)))
+        return float(np.max(np.abs(values)))
     if q < 1.0:
         raise ValueError(f"lp_norm requires q >= 1, got {q}")
-    moment = float(np.mean(np.abs(f.values) ** q))
+    moment = float(np.mean(np.abs(values) ** q))
     return (CELL_AREA_FACTOR * moment) ** (1.0 / q)
+
+
+def _state_fields(theta: SpectralField) -> np.ndarray:
+    """Grid values of (u1, u2, theta), stacked, from one irfft2.
+
+    The stack (m1, m2, 1) of `Grid.advection_symbols` takes theta_hat to
+    the coefficients of (u1, u2, theta); each slice is bit-identical to the
+    separate `inverse_transform`, without building a `PhysicalField`.
+    """
+    n = theta.grid.n
+    return np.fft.irfft2(theta.grid.advection_symbols[True][0] * theta.coeffs) * (n * n)
+
+
+def _q_inf(u1: np.ndarray, u2: np.ndarray, th: np.ndarray) -> float:
+    """|theta|_inf + |u|_inf from the grid values of `_state_fields`."""
+    return _lp(th, np.inf) + float(np.max(np.hypot(u1, u2)))
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -73,16 +93,11 @@ def besov_norm(f: SpectralField, s: float) -> float:
     Sharp dyadic cutoffs; the j = 0 shell covers 1 <= |k| < 2 and the mean
     belongs to no shell.
     """
-    kmax = float(np.max(f.grid.kabs))
-    best = 0.0
-    j = 0
-    while 2.0**j <= kmax:
-        shell = dyadic_shell(f, j)
-        if np.any(shell.coeffs):
-            val = 2.0 ** (j * s) * lp_norm(inverse_transform(shell), 3.0)
-            best = max(best, val)
-        j += 1
-    return best
+    n = f.grid.n
+    # the j with 2^j <= max |k| = n / sqrt(2), which is never a power of 2
+    js = range(int(math.log2(np.max(f.grid.kabs))) + 1)
+    values = np.fft.irfft2(np.stack([dyadic_shell(f, j).coeffs for j in js])) * (n * n)
+    return max(2.0 ** (j * s) * _lp(v, 3.0) for j, v in zip(js, values))  # empty shells give 0
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +131,8 @@ def ladder_bracket(theta: SpectralField, sigma: float) -> float:
 
 def velocity_sup(theta: SpectralField) -> float:
     """Pointwise-Euclidean sup of the Riesz velocity."""
-    u1, u2 = riesz_velocity(theta)
-    v1 = inverse_transform(u1).values
-    v2 = inverse_transform(u2).values
-    return float(np.max(np.hypot(v1, v2)))
+    u1, u2, _ = _state_fields(theta)
+    return float(np.max(np.hypot(u1, u2)))
 
 
 def make_record(
@@ -133,9 +146,8 @@ def make_record(
     besov_s: float | None = None,
 ) -> NormRecord:
     """Assemble a NormRecord; running integrals continue from `prev` by trapezoid."""
-    phys = inverse_transform(theta)
-    lp = {q: lp_norm(phys, q) for q in (2.0, 3.0, 4.0)}
-    lp[np.inf] = float(np.max(np.abs(phys.values)))
+    fields = _state_fields(theta)
+    lp = {q: _lp(fields[2], q) for q in (2.0, 3.0, 4.0, np.inf)}
     hs = {1.0: sobolev_norm(theta, 1.0)}
     if s not in hs:
         hs[s] = sobolev_norm(theta, s)
@@ -167,7 +179,7 @@ def make_record(
         energy=energy,
         mod_energy=mod_energy,
         diss_integral=diss_integral,
-        q_inf=lp[np.inf] + velocity_sup(theta),
+        q_inf=_q_inf(*fields),
         ladder=ladder_bracket(theta, sigma),
         forcing_power=forcing_power,
         work_integral=work_integral,
@@ -255,8 +267,7 @@ def critical_monitor(
     """
     if c_ladder is None:
         c_ladder = c0
-    phys = inverse_transform(theta)
-    q = float(np.max(np.abs(phys.values))) + velocity_sup(theta)
+    q = _q_inf(*_state_fields(theta))
     lad = ladder_bracket(theta, sigma)
     return CriticalReport(
         q_inf=q,
@@ -400,11 +411,11 @@ def coarse_grained_flux(
     D(k) = sum_ab w_ab (exp(-i k . y_ab) - 1) is separable in the two
     offsets, the quadrature is exactly r_eps = D(u theta) - u D theta -
     theta D u.  D theta and D u come from one stacked inverse transform on
-    the doubled grid.  The products u theta reach |k| = n, the doubled
-    grid's Nyquist lines, when theta has content on its own Nyquist lines,
-    and a shift would alias there; so D(u theta) is taken from their
-    spectrum on a 4n grid, padded once per state, and sampled back on
-    every second node.
+    the doubled grid, in the same stacked transform as D(u theta).  The
+    products u theta reach |k| = n, the doubled grid's Nyquist lines, when
+    theta has content on its own Nyquist lines; the stencil weights are
+    mirror symmetric in each axis, so D takes one value on k and its
+    mirror image across those lines, and no shift of the products aliases.
     The L1 defect of the identity sigma_eps = (u - u_eps)(theta -
     theta_eps) - r_eps is reported.  The optional dissipation field is
     G''(theta_eps) grad theta_eps . ((u theta)_eps - u_eps theta_eps).
@@ -428,19 +439,18 @@ def flux_scan(
     mollifiers = [Mollifier(eps, profile) for eps in sorted(eps_list, reverse=True)]
     if not mollifiers:
         raise ValueError("empty eps list")
-    padded = _padded_fields(theta, 2 * theta.grid.n)
-    fine = _padded_fields(theta, 4 * theta.grid.n) if with_remainder else None
-    return [_flux_at_scale(theta.grid, padded, fine, mol, g, with_dr_field) for mol in mollifiers]
+    padded = _padded_fields(theta)
+    return [_flux_at_scale(theta.grid, padded, mol, g, with_remainder, with_dr_field) for mol in mollifiers]
 
 
-def _padded_fields(theta: SpectralField, m: int):
-    """The eps-independent front end of `coarse_grained_flux` on an m x m grid.
+def _padded_fields(theta: SpectralField):
+    """The eps-independent front end of `coarse_grained_flux` on the doubled grid.
 
-    Returns the grid, the spectra of (theta, u1, u2) scaled by m^2, those
-    fields on the grid, and the transforms of the products
+    Returns the grid, the spectra of (theta, u1, u2) scaled by (2n)^2,
+    those fields on the grid, and the transforms of the products
     (u1 theta, u2 theta).
     """
-    fine = pad_spectrum(theta, m)
+    fine = pad_spectrum(theta, 2 * theta.grid.n)
     gf = fine.grid
     m1, m2 = gf.velocity_multipliers
     th_hat = fine.coeffs * (gf.n * gf.n)
@@ -461,12 +471,8 @@ def _difference_symbol(grid: Grid, offsets, weights) -> np.ndarray:
     return e @ weights @ e_half.T + (e @ weights.sum(1))[:, None] + (e_half @ weights.sum(0))[None, :]
 
 
-def _flux_at_scale(grid, padded, fine, mol, g, with_dr_field) -> FluxEstimate:
-    """`coarse_grained_flux` at one scale from the padded fields of its state.
-
-    `padded` and `fine` are `_padded_fields` on the 2n and 4n grids; the
-    remainder is skipped when `fine` is None.
-    """
+def _flux_at_scale(grid, padded, mol, g, with_remainder, with_dr_field) -> FluxEstimate:
+    """`coarse_grained_flux` at one scale from the `_padded_fields` of its state."""
     gf, fields_hat, (th, u1, u2), uth_hat = padded
     m = mol.multiplier(gf)
 
@@ -483,11 +489,10 @@ def _flux_at_scale(grid, padded, fine, mol, g, with_dr_field) -> FluxEstimate:
 
     est = FluxEstimate(eps=mol.eps, profile=mol.profile, sigma_l1=sigma_l1, flux_integral=flux)
 
-    if fine is not None:
+    if with_remainder:
         offsets, weights = mol.stencil(gf)
-        dth, du1, du2 = np.fft.irfft2(_difference_symbol(gf, offsets, weights) * fields_hat)
-        g4, _, _, uth4_hat = fine
-        duth1, duth2 = np.fft.irfft2(_difference_symbol(g4, offsets, weights) * uth4_hat)[:, ::2, ::2]
+        diff = _difference_symbol(gf, offsets, weights)
+        dth, du1, du2, duth1, duth2 = np.fft.irfft2(diff * np.concatenate([fields_hat, uth_hat]))
         r1 = duth1 - u1 * dth - th * du1
         r2 = duth2 - u2 * dth - th * du2
         rmag = np.hypot(r1, r2)
@@ -499,6 +504,6 @@ def _flux_at_scale(grid, padded, fine, mol, g, with_dr_field) -> FluxEstimate:
     if with_dr_field:
         # (u theta)_eps - u_eps theta_eps = -sigma_eps
         dr = g.g2(th_eps) * (dth1_eps * (-sigma1) + dth2_eps * (-sigma2))
-        est.dr_field = PhysicalField(grid, dr[::2, ::2].copy())
+        est.dr_field = PhysicalField(grid, dr[::2, ::2])
 
     return est

@@ -61,8 +61,8 @@ class RunConfig:
             raise ValidationError(f"n must be even and >= 8, got {self.n}")
         if self.sigma <= 1.0:
             raise ValidationError(f"sigma must exceed 1, got {self.sigma}")
-        if not (self.c0 > 0.0 and self.m > 0.0):  # also rejects NaN
-            raise ValidationError("c0 and m thresholds must be positive")
+        if not (0.0 < self.c0 < np.inf and 0.0 < self.m < np.inf):  # also rejects NaN
+            raise ValidationError("c0 and m thresholds must be positive and finite")
         if self.mollifier not in MOLLIFIER_PROFILES:
             raise ValidationError(f"unknown mollifier profile {self.mollifier!r}")
         self.model_params()  # model-specific invariants
@@ -127,14 +127,18 @@ _CASTERS = {
 def load_config(path: str) -> RunConfig:
     """Parse and validate a key=value config file.
 
-    Unknown keys, duplicate keys and uncastable values are ParseErrors with
-    the offending line number; cross-field invariants raise ValidationError.
+    Bytes that are not UTF-8, unknown keys, duplicate keys and uncastable
+    values are ParseErrors with the offending line number; cross-field
+    invariants raise ValidationError.
     """
     cfg = RunConfig()
     types = {f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)}
     seen = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
+            # surrogateescape decodes each byte that is not UTF-8 to U+DC80..U+DCFF
+            if any("\udc80" <= ch <= "\udcff" for ch in raw):
+                raise ParseError(line_no, "not UTF-8 text")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -183,9 +187,6 @@ class Snapshot:
 
     def to_field(self) -> SpectralField:
         return forward_transform(PhysicalField(Grid(self.n), self.values))
-
-    def model_params(self) -> ModelParams:
-        return ModelParams(model=self.model, alpha=self.alpha, kappa=self.kappa, mu=self.mu)
 
 
 def save_snapshot(snap: Snapshot, path: str):

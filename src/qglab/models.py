@@ -12,9 +12,9 @@ product formed in physical space and dealiased by the 2/3 rule.  On the
 rfft2 half spectrum that every `SpectralField` stores, `advection_coeffs`
 does one stacked real inverse transform for (u1, u2, theta) and one
 stacked real forward transform for the two flux products per call.  A
-forcing must be the spectrum of a real field (and, with dealiased
-products, lie inside the 2/3 band); `ModelParams` checks both on its own
-read-only copy of the forcing.
+forcing is an immutable `SpectralField`, so it is the spectrum of a real
+field by construction; with dealiased products `ModelParams` also checks
+that it lies inside the 2/3 band.
 The regularized model inverts (1 + mu Lambda^(2 alpha)) diagonally; signs
 are fixed so that it reduces to the inviscid model as mu -> 0.
 
@@ -33,13 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import Grid, SpectralField, hermitian_defect
+from .spectral import DEFECT_REL_TOL, Grid, SpectralField
 
 MODELS = ("inviscid", "dissipative", "regularized")
 MODEL_CODES = {"inviscid": 0, "dissipative": 1, "regularized": 2}
 MODEL_NAMES = {code: name for name, code in MODEL_CODES.items()}
-
-FORCING_REL_TOL = 1e-12  # forcing defects relative to its largest coefficient
 
 
 @dataclass(frozen=True)
@@ -80,19 +78,9 @@ class ModelParams:
         if self.forcing is not None:
             if self.model != "dissipative":
                 raise ValidationError("forcing is supported for the dissipative model only")
-            # a private read-only copy: later edits of the caller's field cannot reach a run
-            object.__setattr__(self, "forcing", self.forcing.copy())
-            self.forcing.coeffs.flags.writeable = False
-            _check_forcing(self.forcing, self.dealias_products)
-
-
-def _check_forcing(f: SpectralField, dealias_products: bool) -> None:
-    """Reject a forcing that is not real, or that leaves the 2/3 band."""
-    tol = FORCING_REL_TOL * float(np.max(np.abs(f.coeffs)))
-    if hermitian_defect(f) > tol:
-        raise ValidationError("forcing is not the spectrum of a real field")
-    if dealias_products and np.max(np.abs(f.coeffs[~f.grid.dealias_mask])) > tol:
-        raise ValidationError("forcing has modes outside the 2/3 dealias band")
+            c, band = self.forcing.coeffs, self.forcing.grid.dealias_mask
+            if self.dealias_products and np.max(np.abs(c[~band])) > DEFECT_REL_TOL * np.max(np.abs(c)):
+                raise ValidationError("forcing has modes outside the 2/3 dealias band")
 
 
 def advection_coeffs(grid: Grid, coeffs: np.ndarray, dealias_products: bool = True) -> np.ndarray:

@@ -22,8 +22,11 @@ The domain is fixed to [0, 2pi]^2.  Conventions used throughout:
   the 2/3 dealias band, where those lines are empty and the identity
   R1^2 + R2^2 = -I holds exactly.
 
-All operations are pure: inputs are never modified and outputs are fresh
-arrays, so fields and grids are safe to share read-only across threads.
+Grids and fields are immutable: a field keeps its own read-only copy of
+the array it was built from, and a `SpectralField` is the spectrum of a
+real field by construction (finite, Hermitian on its self-conjugate
+columns).  Operations return new fields, so fields and grids are safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NegativePowerOnMean
+from .errors import NegativePowerOnMean, ValidationError
 
 TWO_PI = 2.0 * np.pi
+DEFECT_REL_TOL = 1e-12  # defects of a spectrum relative to its largest coefficient
 
 MOLLIFIER_PROFILES = ("gaussian", "raised-cosine")
 
@@ -150,60 +154,77 @@ class Grid:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhysicalField:
-    """Real samples of a scalar on the grid, indexed values[j, i]."""
+    """Real samples of a scalar on the grid, indexed values[j, i].
+
+    `values` is the field's own read-only float64 copy of the input.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64)
         if v.shape != (self.grid.n, self.grid.n):
             raise ValueError(f"expected shape {(self.grid.n,) * 2}, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("physical field contains non-finite values")
-        self.values = v
-
-    def copy(self) -> "PhysicalField":
-        return PhysicalField(self.grid, self.values.copy())
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralField:
     """Fourier coefficients of a real scalar as its rfft2 half spectrum.
 
     `coeffs` has shape (n, n/2 + 1): row j is k2 = grid.wavenumbers[j],
     column i is k1 = i, and c(-k) = conj(c(k)) supplies the k1 < 0 half.
-    The k = 0 slot holds the mean.
+    The k = 0 slot holds the mean.  `coeffs` is the field's own read-only
+    complex128 copy of the input, which must be finite and Hermitian on
+    the self-conjugate columns k1 = 0 and k1 = n/2 to within
+    DEFECT_REL_TOL of its largest coefficient (ValidationError otherwise).
     """
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        c = np.array(self.coeffs, dtype=np.complex128)
         if c.shape != self.grid.shape:
             raise ValueError(f"expected shape {self.grid.shape}, got {c.shape}")
-        self.coeffs = c
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
+        if not np.all(np.isfinite(c)) or hermitian_defect(self) > DEFECT_REL_TOL * np.max(np.abs(c)):
+            raise ValidationError("coefficients are not the spectrum of a real field")
 
     @property
     def mean(self) -> float:
         return float(self.coeffs[0, 0].real)
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
+        return _combination(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
+        return _combination(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
+
+
+def _combination(grid: Grid, coeffs: np.ndarray) -> SpectralField:
+    """The sum or difference of two fields, which is real to their round-off.
+
+    Not re-checked: when the operands nearly cancel, that round-off can
+    exceed DEFECT_REL_TOL of the result's own largest coefficient.
+    """
+    coeffs.flags.writeable = False
+    f = object.__new__(SpectralField)
+    object.__setattr__(f, "grid", grid)
+    object.__setattr__(f, "coeffs", coeffs)
+    return f
 
 
 def forward_transform(p: PhysicalField) -> SpectralField:
@@ -225,7 +246,7 @@ def apply_sqrt_laplacian(f: SpectralField, power: float) -> SpectralField:
     a field with nonzero mean is ill posed and raises NegativePowerOnMean.
     """
     if power == 0.0:
-        return f.copy()
+        return f
     if power < 0.0:
         scale = 1.0 + float(np.max(np.abs(f.coeffs)))
         if abs(f.coeffs[0, 0]) > 1e-13 * scale:
@@ -290,7 +311,7 @@ class Mollifier:
         """
         d = self.eps * np.linspace(-half_width, half_width, points)
         m = self.multiplier(grid) * grid.parseval_weights
-        e = np.exp(1j * np.outer(grid.wavenumbers, d))  # (n, points)
+        e = _phases(grid, d)  # (n, points)
         w = (e.T @ m @ e[: grid.n // 2 + 1]).real  # periodized kernel at the offsets
         return d, w / w.sum()
 
@@ -300,15 +321,28 @@ def mollify(f: SpectralField, m: Mollifier) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * m.multiplier(f.grid))
 
 
-def translate(f: SpectralField, a1: float, a2: float) -> SpectralField:
-    """Field of x -> f(x1 - a1, x2 - a2) via the phase multiplier.
+def _phases(grid: Grid, a) -> np.ndarray:
+    """exp(i k a) per wavenumber k (rows) and shift a (columns).
 
-    Exact for fields with empty Nyquist lines (the phase is an odd
-    multiplier there); any Nyquist residue is discarded on inverse
-    transform.
+    The stored Nyquist entry stands for both k = +n/2 and k = -n/2, so it
+    takes the mean of their phases, cos(n a / 2).  Being real, it keeps the
+    self-conjugate columns of a shifted spectrum Hermitian and the stencil
+    weights mirror symmetric.
     """
-    phase = np.exp(-1j * (f.grid.k1 * a1 + f.grid.k2 * a2))
-    return SpectralField(f.grid, f.coeffs * phase)
+    e = np.exp(1j * np.outer(grid.wavenumbers, a))
+    e[grid.n // 2] = e[grid.n // 2].real
+    return e
+
+
+def translate(f: SpectralField, a1: float, a2: float) -> SpectralField:
+    """Field of x -> f(x1 - a1, x2 - a2) via the per-axis phase multiplier.
+
+    Exact for grid shifts and for fields with empty Nyquist lines.  On the
+    Nyquist lines the phase is cos(n a / 2), so the result equals padding
+    to 2n, shifting there exactly and sampling every second node.
+    """
+    p1, p2 = _phases(f.grid, [-a1, -a2]).T
+    return SpectralField(f.grid, f.coeffs * p2[:, None] * p1[: f.grid.n // 2 + 1])
 
 
 def pad_spectrum(f: SpectralField, m: int) -> SpectralField:
@@ -323,7 +357,7 @@ def pad_spectrum(f: SpectralField, m: int) -> SpectralField:
     if m < n:
         raise ValueError(f"target size {m} smaller than source {n}")
     if m == n:
-        return f.copy()
+        return f
     half = n // 2
     slots = f.grid.wavenumbers.astype(int) % m  # source Nyquist lands on +n/2
     fine = Grid(m)

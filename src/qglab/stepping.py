@@ -12,8 +12,8 @@ theta -> theta_0 + int_0^t rhs(theta) with the same split, on the horizon T = mu
 R = 2 ||theta_0||_s, and certifies the observed contraction ratios; the
 theory guarantees a factor of 1/2 on that horizon.
 
-A trajectory is advanced by a single logical writer; diagnostics are
-computed from read-only copies of the state.
+A trajectory is advanced on bare coefficient arrays that no step writes
+to; the states handed to diagnostics and callers are immutable fields.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class StepperConfig:
         if self.t_end <= 0.0:
             raise ValidationError(f"t_end must be positive, got {self.t_end}")
         ratio = self.t_end / self.dt
-        if abs(ratio - round(ratio)) > STEP_COUNT_RTOL * ratio:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > STEP_COUNT_RTOL * ratio:
             raise ValidationError(
                 f"t_end={self.t_end} is not a whole number of steps of dt={self.dt}"
             )
@@ -165,24 +165,24 @@ def run(theta0: SpectralField, p: ModelParams, cfg: StepperConfig) -> RunResult:
     if cfg.dt > limit:
         log.warning("dt=%g exceeds advisory CFL bound %g", cfg.dt, limit)
 
-    c = theta0.coeffs.copy()
+    c = theta0.coeffs
     first = diagnostics.make_record(theta0, 0.0, p, s=cfg.s, sigma=cfg.sigma)
     records = [first]
-    samples = [(0.0, theta0.copy())] if cfg.snapshot_every > 0 else []
+    samples = [(0.0, theta0)] if cfg.snapshot_every > 0 else []
 
     prev = first
     for i in range(1, nsteps + 1):
         t = i * cfg.dt
         c = integrator.advance(c, t)
         if i % cfg.diag_every == 0 or i == nsteps:
-            state = SpectralField(grid, c.copy())
+            state = SpectralField(grid, c)
             rec = diagnostics.make_record(
                 state, t, p, s=cfg.s, sigma=cfg.sigma, prev=prev, initial=first
             )
             records.append(rec)
             prev = rec
         if cfg.snapshot_every > 0 and (i % cfg.snapshot_every == 0 or i == nsteps):
-            samples.append((t, SpectralField(grid, c.copy())))
+            samples.append((t, SpectralField(grid, c)))
 
     return RunResult(
         params=p,
@@ -338,7 +338,7 @@ def picard_solve(
     cert = PicardCertificate(
         R=R, T=T, s=s, nodes=level_nodes, iterations=iters, ratios=ratios, converged=converged
     )
-    states = [SpectralField(grid, traj[i].copy()) for i in range(level_nodes)]
+    states = [SpectralField(grid, c) for c in traj]
     return PicardTrajectory(times=times, states=states), cert
 
 
@@ -366,7 +366,7 @@ def continue_solution(
     reached so far.
     """
     times = [0.0]
-    states = [theta0.copy()]
+    states = [theta0]
     certificates = []
     t_reached = 0.0
     current = theta0

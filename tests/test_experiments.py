@@ -29,6 +29,22 @@ def test_fit_loglog_slope_drops_floor_points():
         fit_loglog_slope(x, np.full_like(y, 1e-15))
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([0.25, 0.125, 0.0625], [1.0, np.nan, 0.1]),
+        ([0.25, 0.125, 0.0625], [1.0, np.inf, 0.1]),
+        ([0.25, 0.0, 0.0625], [1.0, 0.5, 0.1]),
+        ([0.25, -0.125, 0.0625], [1.0, 0.5, 0.1]),
+        ([0.25, np.inf, 0.0625], [1.0, 0.5, 0.1]),
+        ([0.25, np.nan, 0.0625], [1.0, 0.5, 0.1]),
+    ],
+)
+def test_fit_loglog_slope_rejects_bad_points(x, y):
+    with pytest.raises(ValueError):
+        fit_loglog_slope(x, y)
+
+
 def test_compare_mu_steady_datum(grid32):
     cfg = StepperConfig(dt=1e-2, t_end=0.5, scheme="rk4")
     res = compare_mu(qglab.single_mode(grid32, 1, 0), 0.5, [1e-1, 1e-2, 1e-3], 0.5, cfg)

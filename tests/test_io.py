@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qglab
 from qglab import ModelParams, Snapshot, load_config, load_snapshot, save_snapshot, write_series
@@ -78,11 +80,49 @@ def test_config_missing_model_invariants(tmp_path):
         "dt=0.3\nt_end=1.0\n",  # not a whole number of steps
         "scheme=euler\n",
         "diag_every=0\n",
+        "c0=1e999\n",
+        "m=inf\n",
+        "dt=1e-320\n",  # t_end / dt overflows
     ],
 )
 def test_config_rejects_invalid_values(tmp_path, text):
     with pytest.raises(ValidationError):
         load_config(write(tmp_path, text))
+
+
+def test_config_non_utf8_is_parse_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"model=inviscid\n# caf\xe9\nn=32\n")
+    with pytest.raises(ParseError) as info:
+        load_config(str(path))
+    assert info.value.line_no == 2
+
+
+_KEYS = ["model", "alpha", "kappa", "mu", "n", "dt", "t_end", "scheme", "dealias", "init", "seed",
+         "diag_every", "snapshot_every", "sigma", "s", "c0", "m", "mollifier", "bogus", ""]
+_VALUES = st.one_of(
+    st.sampled_from(["inviscid", "dissipative", "regularized", "rk4", "etd-rk4", "gaussian", "yes",
+                     "nan", "inf", "-inf", "1e999", "1e-320", "0", "-1", "0.5", "32", "1_000", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.text(max_size=12),
+)
+_LINES = st.lists(
+    st.one_of(st.tuples(st.sampled_from(_KEYS), _VALUES).map(lambda kv: f"{kv[0]}={kv[1]}"),
+              st.text(max_size=20)),
+    max_size=8,
+).map(lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(blob=st.one_of(_LINES, st.binary(max_size=64)))
+def test_config_fuzz_raises_only_typed_errors(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("fuzz") / "run.cfg"
+    path.write_bytes(blob)
+    try:
+        load_config(str(path))
+    except (ParseError, ValidationError):
+        pass
 
 
 def test_config_initial_field_presets(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,16 +51,16 @@ def test_forcing_only_for_dissipative(grid16):
 
 
 def test_forcing_must_be_real(grid16):
-    f = qglab.single_mode(grid16, 0, 1)
-    f.coeffs[1, 0] += 1e-6j  # breaks c(-k) = conj(c(k)) at k = (0, +-1)
+    c = qglab.single_mode(grid16, 0, 1).coeffs.copy()
+    c[1, 0] += 1e-6j  # breaks c(-k) = conj(c(k)) at k = (0, +-1)
     with pytest.raises(ValidationError, match="real"):
-        ModelParams("dissipative", kappa=0.1, forcing=f)
+        ModelParams("dissipative", kappa=0.1, forcing=qglab.SpectralField(grid16, c))
 
 
 def test_forcing_edit_after_validation_does_not_reach_run(grid16):
-    f = qglab.single_mode(grid16, 0, 1)
-    p = ModelParams("dissipative", kappa=0.1, forcing=f)
-    f.coeffs[1, 0] += 1e-3j  # the caller's field is no longer real
+    c = qglab.single_mode(grid16, 0, 1).coeffs.copy()
+    p = ModelParams("dissipative", kappa=0.1, forcing=qglab.SpectralField(grid16, c))
+    c[1, 0] += 1e-3j  # the caller's array is no longer real
     cfg = qglab.StepperConfig(dt=0.01, t_end=0.05)
     theta = qglab.single_mode(grid16, 1, 0)
     clean = ModelParams("dissipative", kappa=0.1, forcing=qglab.single_mode(grid16, 0, 1))
@@ -70,6 +72,15 @@ def test_forcing_held_by_params_is_read_only(grid16):
     p = ModelParams("dissipative", kappa=0.1, forcing=qglab.single_mode(grid16, 0, 1))
     with pytest.raises(ValueError):
         p.forcing.coeffs[1, 0] += 1e-3j
+
+
+def test_forcing_cannot_be_replaced(grid16):
+    p = ModelParams("dissipative", kappa=0.1, forcing=qglab.single_mode(grid16, 0, 1))
+    c = p.forcing.coeffs.copy()
+    c[1, 0] += 1e-3j
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.forcing.coeffs = c
+    assert qglab.hermitian_defect(p.forcing) == 0.0
 
 
 def test_forcing_must_lie_in_dealias_band(grid16):
@@ -152,8 +163,9 @@ def test_advection_closed_form(grid32):
 
 def test_advection_ignores_mean(grid32):
     theta = qglab.single_mode(grid32, 1, 0) + qglab.single_mode(grid32, 0, 2)
-    shifted = theta.copy()
-    shifted.coeffs[0, 0] = 3.0  # add a constant background
+    c = theta.coeffs.copy()
+    c[0, 0] = 3.0  # add a constant background
+    shifted = qglab.SpectralField(grid32, c)
     a = advection_term(theta)
     b = advection_term(shifted)
     assert b.coeffs[0, 0] == 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from qglab import (
     riesz_velocity,
     translate,
 )
-from qglab.errors import NegativePowerOnMean
+from qglab.errors import NegativePowerOnMean, ValidationError
 
 from conftest import full_spectrum, random_field
 
@@ -43,6 +45,38 @@ def test_physical_field_rejects_nonfinite(grid16):
     values[3, 4] = np.nan
     with pytest.raises(ValueError):
         PhysicalField(grid16, values)
+
+
+def test_fields_hold_frozen_private_copies(grid16):
+    c = qglab.single_mode(grid16, 1, 2).coeffs.copy()
+    values = np.cos(grid16.x1)
+    f, p = SpectralField(grid16, c), PhysicalField(grid16, values)
+    c[2, 1] += 1.0
+    values[0, 0] += 1.0
+    assert f.coeffs[2, 1] == 0.5 and p.values[0, 0] == 1.0  # later edits do not reach the fields
+    assert c.flags.writeable and values.flags.writeable  # the caller's arrays keep their flags
+    assert not f.coeffs.flags.writeable and not p.values.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.coeffs = c
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.values = values
+
+
+@pytest.mark.parametrize("slot", [(1, 0), (3, 8), (8, 0)])
+def test_spectral_field_must_be_real(grid16, slot):
+    # k1 = 0 and k1 = n/2 hold both k and -k: an unmatched entry is not real
+    c = np.zeros(grid16.shape, dtype=complex)
+    c[slot] = 1j
+    with pytest.raises(ValidationError, match="real"):
+        SpectralField(grid16, c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectral_field_must_be_finite(grid16, bad):
+    c = qglab.single_mode(grid16, 1, 2).coeffs.copy()
+    c[2, 3] = bad
+    with pytest.raises(ValidationError, match="real"):
+        SpectralField(grid16, c)
 
 
 def test_forward_constant_field(grid16):
@@ -293,3 +327,54 @@ def test_translate_matches_roll(grid32):
     shifted = inverse_transform(translate(f, 3 * h, 5 * h)).values
     rolled = np.roll(inverse_transform(f).values, (5, 3), axis=(0, 1))
     assert np.max(np.abs(shifted - rolled)) < 1e-12
+
+
+def _white(n, seed):
+    """Standard-normal samples: every spectral line is populated, the Nyquist lines too."""
+    values = np.random.default_rng(seed).standard_normal((n, n))
+    return forward_transform(PhysicalField(Grid(n), values))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_translate_with_nyquist_content(n):
+    f = _white(n, n)
+    # off-grid shift: exact on the doubled grid, sampled back on every second node
+    a1, a2 = 0.3, 0.7
+    fine = inverse_transform(translate(pad_spectrum(f, 2 * n), a1, a2)).values[::2, ::2]
+    assert np.max(np.abs(inverse_transform(translate(f, a1, a2)).values - fine)) <= 1e-12
+    # grid shift: a roll of the samples
+    h = 2 * np.pi / n
+    rolled = np.roll(inverse_transform(f).values, (5, 3), axis=(0, 1))
+    assert np.max(np.abs(inverse_transform(translate(f, 3 * h, 5 * h)).values - rolled)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("eps", [0.25, 0.0625])
+@pytest.mark.parametrize("profile", ["gaussian", "raised-cosine"])
+def test_stencil_weights_mirror_symmetric(n, eps, profile):
+    # the kernel is even in each coordinate, so its sampled weights are too
+    _, w = Mollifier(eps, profile).stencil(Grid(n))
+    assert np.max(np.abs(w - w[::-1])) <= 1e-14 * np.max(w)
+    assert np.max(np.abs(w - w[:, ::-1])) <= 1e-14 * np.max(w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    half_n=st.integers(4, 48),
+    kfrac=st.floats(0.05, 0.95),
+    a=st.floats(-1.5, 1.5),
+    b=st.floats(-1.5, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operator_identities(half_n, kfrac, a, b, seed):
+    # zero-mean fields strictly below the Nyquist lines, on random even n
+    grid = Grid(2 * half_n)
+    theta = qglab.random_shell_field(grid, max(1.0, kfrac * (half_n - 1)), 2.0, seed)
+    scale = np.max(np.abs(theta.coeffs))
+    total = _riesz(_riesz(theta, 1), 1) + _riesz(_riesz(theta, 2), 2)  # R1^2 + R2^2 = -I
+    assert np.max(np.abs(total.coeffs + theta.coeffs)) <= 1e-12 * scale
+    left = apply_sqrt_laplacian(apply_sqrt_laplacian(theta, a), b)  # Lambda^a Lambda^b
+    right = apply_sqrt_laplacian(theta, a + b)
+    assert np.max(np.abs(left.coeffs - right.coeffs)) <= 1e-12 * np.max(np.abs(right.coeffs))
+    u1, u2 = riesz_velocity(theta)  # k . u_hat = 0
+    assert np.max(np.abs(grid.k1 * u1.coeffs + grid.k2 * u2.coeffs)) <= 1e-13 * scale

@@ -52,12 +52,27 @@ def test_rk4_observed_order(model, kwargs, scheme, t_end, dts):
     assert np.all((orders >= 3.7) & (orders <= 4.3)), orders
 
 
+def test_spectral_convergence_under_n_doubling():
+    # inviscid cmt at one dt: the L2 distance from an n = 128 run, padded,
+    # falls by at least 1e3 per doubling of n until it reaches round-off
+    def final(n):
+        cfg = StepperConfig(dt=2.5e-3, t_end=0.5, scheme="rk4", diag_every=200)
+        return run(qglab.cmt(qglab.Grid(n)), ModelParams("inviscid"), cfg).final
+
+    reference = final(128)
+    errors = [qglab.sobolev_norm(qglab.pad_spectrum(final(n), 128) - reference, 0.0) for n in (16, 32, 64)]
+    gains = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all(gains >= 1e3), errors
+
+
 def test_config_requires_whole_number_of_steps():
     # t_end = 1.0 is 3.33 steps of 0.3: rejected rather than stopping at t = 0.9
     with pytest.raises(ValidationError):
         StepperConfig(dt=0.3, t_end=1.0)
     with pytest.raises(ValidationError):
         StepperConfig(dt=1e-2, t_end=0.005)
+    with pytest.raises(ValidationError):  # t_end / dt overflows to inf
+        StepperConfig(dt=1e-320, t_end=1.0)
     # quotients a few ulps off an integer are whole
     assert StepperConfig(dt=0.01, t_end=0.3).nsteps == 30
     assert StepperConfig(dt=0.001, t_end=0.05).nsteps == 50
