@@ -36,7 +36,7 @@ print("  fitted exponent:", f"{qglab.flux_decay_exponent(critical, 1/3, eps_list
 
 # The decomposition sigma_eps = (u - u_eps)(theta - theta_eps) - r_eps is
 # checked by evaluating r_eps independently on a 21x21 stencil quadrature.
-est = coarse_grained_flux(smooth, 0.125, HALF_SQUARE, with_remainder=True, with_dr_field=True)
+est = coarse_grained_flux(smooth, 0.125, with_remainder=True, dr_profile=HALF_SQUARE)
 print(f"\ndecomposition check at eps = 0.125:")
 print(f"  |sigma|_1 = {est.sigma_l1:.4e}, |r|_3/2 = {est.r_l32:.4e}")
 print(f"  identity defect (L1, relative): {est.decomposition_l1_error / est.sigma_l1:.4f}")

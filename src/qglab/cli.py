@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import diagnostics, experiments, io, presets, stepping
-from .diagnostics import CONVEX_PROFILES
 from .errors import (
     CorruptSnapshot,
     DegenerateFit,
@@ -26,7 +25,7 @@ from .errors import (
     ValidationError,
     Violation,
 )
-from .spectral import Grid
+from .spectral import Grid, inverse_transform
 
 _VALIDATION_ERRORS = (ValidationError, ParseError, CorruptSnapshot, ValueError, OSError)
 _RUNTIME_ERRORS = (UnstableStep, NoContraction, Violation, ReferenceTooCoarse, DegenerateFit)
@@ -67,7 +66,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", required=True, help="comma-separated scale list")
-    p.add_argument("--g", choices=sorted(CONVEX_PROFILES), default="half-square")
     p.add_argument("--s", type=float, default=None, help="assumed regularity, reported against 3s-1")
     p.add_argument("--profile", choices=("gaussian", "raised-cosine"), default="gaussian")
     p.add_argument("--no-remainder", action="store_true", help="skip the stencil quadrature of r_eps")
@@ -132,24 +130,26 @@ def _cmd_picard(args) -> int:
     print(f"R = {cert.R:.12g}   T = {cert.T:.12g}   s = {cert.s:g}   nodes = {cert.nodes}")
     print(f"iterations = {cert.iterations}   converged = {cert.converged}")
     ratios = " ".join(f"{r:.4f}" for r in cert.ratios)
-    print(f"contraction ratios: {ratios if ratios else '(converged in one sweep)'}")
+    if not ratios:  # one sweep ran
+        ratios = "(converged in one sweep)" if cert.converged else "(one sweep, not converged)"
+    print(f"contraction ratios: {ratios}")
     return 0
 
 
 def _cmd_norms(args) -> int:
     snap = io.load_snapshot(args.snapshot)
     theta = snap.to_field()
-    fields = diagnostics._state_fields(theta)
+    physical = inverse_transform(theta)
     qs = args.q if args.q else ["2", "3", "4", "inf"]
     ss = args.s if args.s else [1.0, 2.0]
     print(f"snapshot t={snap.t:g} model={snap.model} n={snap.n}")
     for q in qs:
         qv = np.inf if str(q).lower() in ("inf", "infinity") else float(q)
-        print(f"|theta|_{q} = {diagnostics._lp(fields[2], qv):.12g}")
+        print(f"|theta|_{q} = {diagnostics.lp_norm(physical, qv):.12g}")
     for s in ss:
         print(f"||theta||_{s:g} = {diagnostics.sobolev_norm(theta, s):.12g}")
-    print(f"energy = {diagnostics._lp(fields[2], 2.0) ** 2:.12g}")
-    print(f"q_inf = {diagnostics._q_inf(*fields):.12g}")
+    print(f"energy = {diagnostics.lp_norm(physical, 2.0) ** 2:.12g}")
+    print(f"q_inf = {diagnostics.lp_norm(physical, np.inf) + diagnostics.velocity_sup(theta):.12g}")
     print(f"ladder(sigma={args.sigma:g}) = {diagnostics.ladder_bracket(theta, args.sigma):.12g}")
     return 0
 
@@ -162,9 +162,7 @@ def _cmd_flux(args) -> int:
     else:
         raise ValidationError("flux needs --snapshot or --init")
     eps_list = [float(e) for e in args.eps.split(",") if e.strip()]
-    estimates = diagnostics.flux_scan(
-        theta, eps_list, CONVEX_PROFILES[args.g], args.profile, with_remainder=not args.no_remainder
-    )
+    estimates = diagnostics.flux_scan(theta, eps_list, args.profile, with_remainder=not args.no_remainder)
     for est in estimates:
         extra = ""
         if est.r_l32 is not None:

@@ -119,7 +119,6 @@ class NormRecord:
     balance_residual: float = 0.0
     forcing_power: float = 0.0  # instantaneous 2 (theta, f)
     work_integral: float = 0.0  # running 2 int_0^t (theta, f)
-    besov: tuple | None = None  # (s, value) when requested
 
 
 def ladder_bracket(theta: SpectralField, sigma: float) -> float:
@@ -143,7 +142,6 @@ def make_record(
     sigma: float = 2.0,
     prev: NormRecord | None = None,
     initial: NormRecord | None = None,
-    besov_s: float | None = None,
 ) -> NormRecord:
     """Assemble a NormRecord; running integrals continue from `prev` by trapezoid."""
     fields = _state_fields(theta)
@@ -184,8 +182,6 @@ def make_record(
         forcing_power=forcing_power,
         work_integral=work_integral,
     )
-    if besov_s is not None:
-        record.besov = (besov_s, besov_norm(theta, besov_s))
     if initial is not None:
         if p.model == "regularized":
             record.balance_residual = abs(record.mod_energy - initial.mod_energy) / initial.mod_energy
@@ -250,30 +246,22 @@ class CriticalReport:
     q_inf: float
     ladder: float
     q_small: bool  # q_inf < kappa / c0
-    ladder_small: bool  # ladder <= c_ladder * kappa
+    ladder_small: bool  # ladder <= c0 * kappa
 
 
-def critical_monitor(
-    theta: SpectralField,
-    p: ModelParams,
-    c0: float,
-    sigma: float = 2.0,
-    c_ladder: float | None = None,
-) -> CriticalReport:
-    """Evaluate the critical-case smallness monitors with user-supplied constants.
+def critical_monitor(theta: SpectralField, p: ModelParams, c0: float, sigma: float = 2.0) -> CriticalReport:
+    """Evaluate the critical-case smallness monitors with a user-supplied constant c0.
 
-    The constants are configuration inputs, not derived quantities; the
-    flags simply compare against them.
+    c0 is an input, not a derived quantity; the flags simply compare
+    against kappa / c0 and c0 kappa.
     """
-    if c_ladder is None:
-        c_ladder = c0
     q = _q_inf(*_state_fields(theta))
     lad = ladder_bracket(theta, sigma)
     return CriticalReport(
         q_inf=q,
         ladder=lad,
         q_small=bool(q < p.kappa / c0),
-        ladder_small=bool(lad <= c_ladder * p.kappa),
+        ladder_small=bool(lad <= c0 * p.kappa),
     )
 
 
@@ -283,19 +271,17 @@ def log_bound_ratio(theta: SpectralField, sigma: float) -> float:
     return sup / ladder_bracket(theta, sigma)
 
 
-def log_interpolation_constant(
-    trials: int, sigma: float = 2.0, mode_cap: int = 32, seed: int = 0, grid_n: int | None = None
-) -> float:
+def log_interpolation_constant(trials: int, sigma: float = 2.0, mode_cap: int = 32, seed: int = 0) -> float:
     """Empirical constant for the L-infinity log-interpolation bound.
 
     Draws `trials` zero-mean fields with random phases and |k|^(-gamma)
-    magnitudes (gamma uniform in [1, 3], modes up to `mode_cap`) and
-    returns the largest observed ratio |F|_inf / bracket.
+    magnitudes (gamma uniform in [1, 3], modes up to `mode_cap`) on the
+    grid n = max(8, 4 mode_cap) and returns the largest observed ratio
+    |F|_inf / bracket.
     """
     if sigma <= 1.0:
         raise ValueError("sigma must exceed 1")
-    n = grid_n if grid_n is not None else max(8, 4 * mode_cap)
-    grid = Grid(n)
+    grid = Grid(max(8, 4 * mode_cap))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -349,19 +335,12 @@ def gn_residual(f: SpectralField, s: float, alpha: float, beta: float) -> float:
 
 @dataclass(frozen=True)
 class ConvexProfile:
-    """A C^2 strictly convex profile with evaluable derivatives."""
+    """A C^2 strictly convex profile G; the dr field needs only g2 = G''.
+
+    "half-square" is G = x^2 / 2 and "sqrt1p" is G = sqrt(1 + x^2).
+    """
 
     tag: str
-
-    def g(self, x):
-        if self.tag == "half-square":
-            return 0.5 * x * x
-        return np.sqrt(1.0 + x * x)
-
-    def g1(self, x):
-        if self.tag == "half-square":
-            return x
-        return x / np.sqrt(1.0 + x * x)
 
     def g2(self, x):
         if self.tag == "half-square":
@@ -371,7 +350,6 @@ class ConvexProfile:
 
 HALF_SQUARE = ConvexProfile("half-square")
 SQRT1P = ConvexProfile("sqrt1p")
-CONVEX_PROFILES = {"half-square": HALF_SQUARE, "sqrt1p": SQRT1P}
 
 
 @dataclass
@@ -390,10 +368,9 @@ class FluxEstimate:
 def coarse_grained_flux(
     theta: SpectralField,
     eps: float,
-    g: ConvexProfile = HALF_SQUARE,
     profile: str = "gaussian",
     with_remainder: bool = True,
-    with_dr_field: bool = False,
+    dr_profile: ConvexProfile | None = None,
 ) -> FluxEstimate:
     """Mollified-flux diagnostics at scale eps.
 
@@ -417,19 +394,21 @@ def coarse_grained_flux(
     mirror symmetric in each axis, so D takes one value on k and its
     mirror image across those lines, and no shift of the products aliases.
     The L1 defect of the identity sigma_eps = (u - u_eps)(theta -
-    theta_eps) - r_eps is reported.  The optional dissipation field is
-    G''(theta_eps) grad theta_eps . ((u theta)_eps - u_eps theta_eps).
+    theta_eps) - r_eps is reported.
+
+    The convex profile G enters only the Duchon-Robert dissipation field
+    G''(theta_eps) grad theta_eps . ((u theta)_eps - u_eps theta_eps),
+    which is computed, on the grid of `theta`, iff `dr_profile` is given.
     """
-    return flux_scan(theta, [eps], g, profile, with_remainder, with_dr_field)[0]
+    return flux_scan(theta, [eps], profile, with_remainder, dr_profile)[0]
 
 
 def flux_scan(
     theta: SpectralField,
     eps_list,
-    g: ConvexProfile = HALF_SQUARE,
     profile: str = "gaussian",
     with_remainder: bool = True,
-    with_dr_field: bool = False,
+    dr_profile: ConvexProfile | None = None,
 ) -> list[FluxEstimate]:
     """`coarse_grained_flux` at every eps of `eps_list`, largest eps first.
 
@@ -440,7 +419,7 @@ def flux_scan(
     if not mollifiers:
         raise ValueError("empty eps list")
     padded = _padded_fields(theta)
-    return [_flux_at_scale(theta.grid, padded, mol, g, with_remainder, with_dr_field) for mol in mollifiers]
+    return [_flux_at_scale(theta.grid, padded, mol, with_remainder, dr_profile) for mol in mollifiers]
 
 
 def _padded_fields(theta: SpectralField):
@@ -471,7 +450,7 @@ def _difference_symbol(grid: Grid, offsets, weights) -> np.ndarray:
     return e @ weights @ e_half.T + (e @ weights.sum(1))[:, None] + (e_half @ weights.sum(0))[None, :]
 
 
-def _flux_at_scale(grid, padded, mol, g, with_remainder, with_dr_field) -> FluxEstimate:
+def _flux_at_scale(grid, padded, mol, with_remainder, dr_profile) -> FluxEstimate:
     """`coarse_grained_flux` at one scale from the `_padded_fields` of its state."""
     gf, fields_hat, (th, u1, u2), uth_hat = padded
     m = mol.multiplier(gf)
@@ -501,9 +480,9 @@ def _flux_at_scale(grid, padded, mol, g, with_remainder, with_dr_field) -> FluxE
         d2 = (u2 - u2_eps) * (th - th_eps) - r2 - sigma2
         est.decomposition_l1_error = float(np.mean(np.hypot(d1, d2))) * CELL_AREA_FACTOR
 
-    if with_dr_field:
+    if dr_profile is not None:
         # (u theta)_eps - u_eps theta_eps = -sigma_eps
-        dr = g.g2(th_eps) * (dth1_eps * (-sigma1) + dth2_eps * (-sigma2))
+        dr = dr_profile.g2(th_eps) * (dth1_eps * (-sigma1) + dth2_eps * (-sigma2))
         est.dr_field = PhysicalField(grid, dr[::2, ::2])
 
     return est

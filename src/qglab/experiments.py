@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import HALF_SQUARE, ConvexProfile, NormRecord, flux_scan
+from .diagnostics import NormRecord, flux_scan
 from .errors import DegenerateFit, ReferenceTooCoarse, ValidationError
 from .models import ModelParams
 from .spectral import SpectralField
@@ -22,8 +22,8 @@ from .stepping import StepperConfig, run
 ROUNDOFF_FLOOR = 1e-14
 
 
-def fit_loglog_slope(x, y, floor: float = ROUNDOFF_FLOOR) -> float:
-    """Least-squares slope of log y against log x, ignoring near-zero y.
+def fit_loglog_slope(x, y) -> float:
+    """Least-squares slope of log y against log x, ignoring y within 10x of ROUNDOFF_FLOOR.
 
     Raises ValueError when an x is not positive and finite or a y is not
     finite.
@@ -32,7 +32,7 @@ def fit_loglog_slope(x, y, floor: float = ROUNDOFF_FLOOR) -> float:
     y = np.asarray(y, dtype=np.float64)
     if not (np.all(np.isfinite(y)) and np.all((x > 0.0) & (x < np.inf))):
         raise ValueError("fit needs finite ordinates and positive finite abscissae")
-    keep = y > 10.0 * floor
+    keep = y > 10.0 * ROUNDOFF_FLOOR
     if np.count_nonzero(keep) < 2:
         raise DegenerateFit("fewer than two points above the round-off floor")
     return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
@@ -203,7 +203,6 @@ def flux_decay_exponent(
     theta: SpectralField,
     s: float,
     eps_list,
-    g: ConvexProfile = HALF_SQUARE,
     profile: str = "gaussian",
 ) -> float:
     """Fitted decay exponent of |flux_integral(eps)| as eps -> 0.
@@ -214,8 +213,8 @@ def flux_decay_exponent(
     returned exponent with (3s - 1).  Raises
     DegenerateFit when the flux sits at the round-off floor (the field is
     too smooth, or steady, to carry a measurable transfer).  Each value is
-    `coarse_grained_flux(theta, eps, g, profile, with_remainder=False)`,
+    `coarse_grained_flux(theta, eps, profile, with_remainder=False)`,
     all of them from one `flux_scan`.
     """
-    estimates = flux_scan(theta, eps_list, g, profile, with_remainder=False)
+    estimates = flux_scan(theta, eps_list, profile, with_remainder=False)
     return fit_loglog_slope([e.eps for e in estimates], [abs(e.flux_integral) for e in estimates])

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CorruptSnapshot, ParseError, ValidationError
 from .models import MODEL_CODES, MODEL_NAMES, ModelParams
 from .presets import from_init_string
-from .spectral import MOLLIFIER_PROFILES, Grid, PhysicalField, SpectralField, forward_transform, inverse_transform
+from .spectral import Grid, PhysicalField, SpectralField, forward_transform, inverse_transform
 from .stepping import StepperConfig
 
 CSV_HEADER = "t,l2,l3,l4,linf,hs,h1,energy,mod_energy,diss_integral,balance_residual,q_inf,ladder"
@@ -52,19 +52,12 @@ class RunConfig:
     output_dir: str = "qglab-out"
     sigma: float = 2.0
     s: float = 2.0
-    c0: float = 1.0
-    m: float = 10.0
-    mollifier: str = "gaussian"
 
     def validate(self):
         if self.n % 2 != 0 or self.n < 8:
             raise ValidationError(f"n must be even and >= 8, got {self.n}")
         if self.sigma <= 1.0:
             raise ValidationError(f"sigma must exceed 1, got {self.sigma}")
-        if not (0.0 < self.c0 < np.inf and 0.0 < self.m < np.inf):  # also rejects NaN
-            raise ValidationError("c0 and m thresholds must be positive and finite")
-        if self.mollifier not in MOLLIFIER_PROFILES:
-            raise ValidationError(f"unknown mollifier profile {self.mollifier!r}")
         self.model_params()  # model-specific invariants
         self.stepper_config()  # dt, t_end, scheme and sampling invariants
         return self

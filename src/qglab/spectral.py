@@ -43,6 +43,8 @@ TWO_PI = 2.0 * np.pi
 DEFECT_REL_TOL = 1e-12  # defects of a spectrum relative to its largest coefficient
 
 MOLLIFIER_PROFILES = ("gaussian", "raised-cosine")
+STENCIL_HALF_WIDTH = 3.0  # the stencil covers [-3 eps, 3 eps] per axis
+STENCIL_POINTS = 21  # nodes per axis
 
 
 @dataclass(frozen=True)
@@ -301,17 +303,18 @@ class Mollifier:
             return np.exp(-0.5 * r * r)
         return np.cos(0.5 * np.pi * np.clip(r, 0.0, 1.0)) ** 2
 
-    def stencil(self, grid: Grid, half_width: float = 3.0, points: int = 21):
+    def stencil(self, grid: Grid):
         """Quadrature stencil for physical-space convolution with this kernel.
 
-        Returns (offsets, weights): a 1d array of per-axis offsets covering
-        [-half_width * eps, half_width * eps] and a (points, points) weight
-        array sampled from the periodized kernel, renormalized to sum to 1.
-        weights[b, a] belongs to the offset (offsets[a], offsets[b]).
+        Returns (offsets, weights): a 1d array of STENCIL_POINTS per-axis
+        offsets covering [-STENCIL_HALF_WIDTH eps, STENCIL_HALF_WIDTH eps]
+        and the square weight array sampled from the periodized kernel,
+        renormalized to sum to 1.  weights[b, a] belongs to the offset
+        (offsets[a], offsets[b]).
         """
-        d = self.eps * np.linspace(-half_width, half_width, points)
+        d = self.eps * np.linspace(-STENCIL_HALF_WIDTH, STENCIL_HALF_WIDTH, STENCIL_POINTS)
         m = self.multiplier(grid) * grid.parseval_weights
-        e = _phases(grid, d)  # (n, points)
+        e = _phases(grid, d)  # (n, STENCIL_POINTS)
         w = (e.T @ m @ e[: grid.n // 2 + 1]).real  # periodized kernel at the offsets
         return d, w / w.sum()
 

@@ -257,6 +257,12 @@ def _sup_hs_distance(grid: Grid, a: np.ndarray, b: np.ndarray, s: float) -> floa
     return 2.0 * np.pi * float(np.sqrt(np.max(np.sum(d2 * w, axis=(1, 2)))))
 
 
+def _positive_finite(name: str, value: float) -> float:
+    if not 0.0 < value < math.inf:  # also rejects NaN
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def _picard_iterate(grid, nonlinear, c0, T, nodes, s, tol, max_iter, t_offset):
     times = np.linspace(0.0, T, nodes)
     h = times[1] - times[0]
@@ -300,8 +306,12 @@ def picard_solve(
     The iteration theta_(m+1) = theta_0 + int_0^t rhs(theta_m) runs on
     T = mu / (4 R), R = 2 ||theta_0||_s, discretized by composite Simpson
     with at least 33 nodes; node counts double until the answer stabilizes.
-    Certificate ratios above PICARD_RATIO_LIMIT raise NoContraction.
+    Certificate ratios above PICARD_RATIO_LIMIT raise NoContraction;
+    `tol` and `t_max` must be positive and finite and `max_iter` at least 1.
     """
+    _positive_finite("tol", tol)
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     if p.model != "regularized":
         raise ValidationError("picard_solve requires the regularized model")
     if s <= 1.0:
@@ -314,7 +324,7 @@ def picard_solve(
     R = 2.0 * b
     T = p.mu / (4.0 * R) if R > 0.0 else np.inf
     if t_max is not None:
-        T = min(T, t_max)
+        T = min(T, _positive_finite("t_max", t_max))
     if not np.isfinite(T):
         raise ValidationError("zero initial data needs an explicit t_max horizon")
 
@@ -363,14 +373,15 @@ def continue_solution(
 
     Each segment recomputes R and T from its own initial data, which is
     exactly the extension argument; NoContraction propagates with the time
-    reached so far.
+    reached so far.  `horizon` must be positive and finite.
     """
+    _positive_finite("horizon", horizon)
     times = [0.0]
     states = [theta0]
     certificates = []
     t_reached = 0.0
     current = theta0
-    while t_reached < horizon - 1e-12:
+    while not certificates or t_reached < horizon - 1e-12:  # at least one segment
         traj, cert = picard_solve(
             current,
             p,

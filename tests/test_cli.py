@@ -1,8 +1,15 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import qglab
+from qglab import cli
 from qglab.cli import cli_main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -74,6 +81,27 @@ def test_picard_horizon_chains_segments(tmp_path, capsys):
     assert "reached t=0.5" in out
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--horizon", "nan"], ["--horizon", "0"], ["--horizon", "inf"], ["--tol", "nan"], ["--max-iter", "0"]],
+    ids=" ".join,
+)
+def test_picard_bad_controls_exit_1(tmp_path, capsys, extra):
+    cfg = write_cfg(tmp_path, "model=regularized\nmu=1.0\nalpha=0.5\nn=16\ninit=single:1,0\n")
+    assert cli_main(["picard", "--config", cfg, *extra]) == 1
+    captured = capsys.readouterr()
+    assert "positive and finite" in captured.err or ">= 1" in captured.err
+    assert captured.out == ""
+
+
+def test_picard_single_sweep_not_reported_converged(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "model=regularized\nmu=1.0\nalpha=0.5\nn=32\ninit=cmt\n")
+    assert cli_main(["picard", "--config", cfg, "--max-iter", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "converged = False" in out
+    assert "converged in one sweep" not in out
+
+
 def test_norms_subcommand(tmp_path, capsys):
     grid = qglab.Grid(16)
     theta = qglab.single_mode(grid, 1, 0)
@@ -93,7 +121,7 @@ def test_norms_corrupt_snapshot_exits_1(tmp_path, capsys):
 def test_flux_subcommand_synthetic(capsys):
     code = cli_main(
         ["flux", "--init", "random:8,1.5", "--n", "32", "--seed", "3",
-         "--eps", "0.25,0.125,0.0625", "--g", "half-square", "--s", "0.5", "--no-remainder"]
+         "--eps", "0.25,0.125,0.0625", "--s", "0.5", "--no-remainder"]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -129,3 +157,23 @@ def test_check_inequality_log(capsys):
                      "--mode-cap", "16"]) == 0
     out = capsys.readouterr().out
     assert "max |F|_inf" in out
+
+
+def _readme_block(heading):
+    """The first fenced block after `heading` in README.md."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(heading):]
+    return re.search(r"```[a-z]*\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_matches_code(tmp_path):
+    # the documented config loads and every documented command line parses
+    config = tmp_path / "readme.cfg"
+    config.write_text(_readme_block("### Config format"))
+    qglab.load_config(str(config))
+    commands = [line for line in _readme_block("## Command line").splitlines() if line.startswith("qglab ")]
+    assert len(commands) >= 6
+    parser = cli._build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert args.command in line

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import qglab
-from qglab.diagnostics import CONVEX_PROFILES, HALF_SQUARE, SQRT1P, coarse_grained_flux, flux_scan
-from qglab.spectral import Mollifier, PhysicalField, forward_transform, pad_spectrum
+from qglab.diagnostics import HALF_SQUARE, SQRT1P, coarse_grained_flux, flux_scan
+from qglab.spectral import Mollifier, PhysicalField, forward_transform, inverse_transform, mollify, pad_spectrum
 from qglab.errors import DegenerateFit
 from qglab.experiments import fit_loglog_slope, flux_decay_exponent
 
@@ -12,11 +12,8 @@ from conftest import full_spectrum, random_field
 
 def test_convex_profiles():
     x = np.linspace(-30.0, 30.0, 301)
-    for profile in CONVEX_PROFILES.values():
+    for profile in (HALF_SQUARE, SQRT1P):
         assert np.all(profile.g2(x) > 0.0)
-    assert np.all(np.abs(SQRT1P.g1(x)) <= 1.0)
-    assert np.allclose(HALF_SQUARE.g(x), 0.5 * x * x)
-    assert np.allclose(SQRT1P.g(x), np.sqrt(1.0 + x * x))
 
 
 def test_single_mode_flux_vanishes(grid32):
@@ -94,7 +91,7 @@ def test_flux_matches_reference(n, profile, eps):
     # the real-transform route and the difference-symbol remainder agree
     # with the complex full-spectrum route and its node loop to round-off
     theta = random_field(qglab.Grid(n), 8, 2.5, 7)
-    est = coarse_grained_flux(theta, eps, HALF_SQUARE, profile, with_dr_field=True)
+    est = coarse_grained_flux(theta, eps, profile, dr_profile=HALF_SQUARE)
     sigma_l1, flux, r_l32, decomposition, dr = _reference_flux(theta, eps, profile)
     assert est.sigma_l1 == pytest.approx(sigma_l1, rel=1e-12, abs=0.0)
     assert est.r_l32 == pytest.approx(r_l32, rel=1e-12, abs=0.0)
@@ -119,7 +116,7 @@ def test_remainder_matches_reference_with_nyquist_content(n, profile, eps):
     # coarse Nyquist content puts the products u theta on the doubled
     # grid's Nyquist lines, where a shift of their spectrum would alias
     theta = _white_field(n, 11)
-    est = coarse_grained_flux(theta, eps, HALF_SQUARE, profile)
+    est = coarse_grained_flux(theta, eps, profile)
     _, _, r_l32, decomposition, _ = _reference_flux(theta, eps, profile)
     assert est.r_l32 == pytest.approx(r_l32, rel=1e-12, abs=0.0)
     assert est.decomposition_l1_error == pytest.approx(decomposition, rel=1e-12, abs=0.0)
@@ -129,10 +126,10 @@ def test_remainder_matches_reference_with_nyquist_content(n, profile, eps):
 def test_flux_scan_matches_per_eps_flux(grid32, with_remainder):
     theta = random_field(grid32, 8, 2.0, 5)
     eps_list = [0.0625, 0.25, 0.125]
-    scan = flux_scan(theta, eps_list, SQRT1P, "raised-cosine", with_remainder)
+    scan = flux_scan(theta, eps_list, "raised-cosine", with_remainder)
     assert [est.eps for est in scan] == [0.25, 0.125, 0.0625]
     for est in scan:
-        one = coarse_grained_flux(theta, est.eps, SQRT1P, "raised-cosine", with_remainder)
+        one = coarse_grained_flux(theta, est.eps, "raised-cosine", with_remainder)
         assert est == one
 
 
@@ -140,12 +137,25 @@ def test_remainder_skipped_when_disabled(grid32):
     est = coarse_grained_flux(qglab.single_mode(grid32, 1, 0), 0.25, with_remainder=False)
     assert est.r_l32 is None
     assert est.decomposition_l1_error is None
+    assert est.dr_field is None  # no dr_profile given
+
+
+def test_dr_profile_enters_dr_field(grid32):
+    # G enters only through G''(theta_eps): the sqrt1p field is the
+    # half-square one (G'' = 1) times (1 + theta_eps^2)^(-3/2) pointwise
+    theta = random_field(grid32, 8, 2.0, 6)
+    half = coarse_grained_flux(theta, 0.2, with_remainder=False, dr_profile=HALF_SQUARE).dr_field.values
+    sqrt1p = coarse_grained_flux(theta, 0.2, with_remainder=False, dr_profile=SQRT1P).dr_field.values
+    th_eps = inverse_transform(mollify(theta, Mollifier(0.2))).values
+    expected = SQRT1P.g2(th_eps) * half
+    assert np.max(np.abs(sqrt1p - expected)) <= 1e-12 * np.max(np.abs(sqrt1p))
+    assert np.max(np.abs(sqrt1p - half)) > 1e-3 * np.max(np.abs(half))
 
 
 def test_dr_field_half_square_matches_flux(grid64):
     # with G = x^2/2 the dissipation field integrates to -flux_integral
     theta = random_field(grid64, 10, 2.0, 4)
-    est = coarse_grained_flux(theta, 0.2, HALF_SQUARE, with_remainder=False, with_dr_field=True)
+    est = coarse_grained_flux(theta, 0.2, with_remainder=False, dr_profile=HALF_SQUARE)
     integral = (2 * np.pi) ** 2 * float(np.mean(est.dr_field.values))
     # the dr field is subsampled back to the coarse grid; products live
     # below its Nyquist so the quadrature is still exact
@@ -154,9 +164,7 @@ def test_dr_field_half_square_matches_flux(grid64):
 
 def test_dr_field_shape_and_profile_tag(grid32):
     theta = random_field(grid32, 8, 2.0, 2)
-    est = coarse_grained_flux(
-        theta, 0.3, SQRT1P, profile="raised-cosine", with_remainder=False, with_dr_field=True
-    )
+    est = coarse_grained_flux(theta, 0.3, profile="raised-cosine", with_remainder=False, dr_profile=SQRT1P)
     assert est.profile == "raised-cosine"
     assert est.dr_field.values.shape == (32, 32)
 

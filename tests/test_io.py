@@ -76,18 +76,22 @@ def test_config_missing_model_invariants(tmp_path):
         "model=dissipative\nkappa=inf\n",
         "model=regularized\nmu=nan\n",
         "sigma=nan\n",
-        "c0=nan\n",
         "dt=0.3\nt_end=1.0\n",  # not a whole number of steps
         "scheme=euler\n",
         "diag_every=0\n",
-        "c0=1e999\n",
-        "m=inf\n",
         "dt=1e-320\n",  # t_end / dt overflows
     ],
 )
 def test_config_rejects_invalid_values(tmp_path, text):
     with pytest.raises(ValidationError):
         load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("text", ["c0=nan\n", "c0=1e999\n", "m=inf\n", "mollifier=gaussian\n"])
+def test_config_retired_keys_are_unknown(tmp_path, text):
+    with pytest.raises(ParseError, match="unknown key") as info:
+        load_config(write(tmp_path, "n=32\n" + text))
+    assert info.value.line_no == 2
 
 
 def test_config_non_utf8_is_parse_error(tmp_path):

@@ -237,6 +237,27 @@ def test_picard_requires_regularized_and_s(grid32):
         picard_solve(theta, p, s=2.0, nodes=11)
 
 
+_BAD_PICARD_CONTROLS = [dict(tol=np.nan), dict(tol=0.0), dict(tol=-1e-9), dict(tol=np.inf), dict(max_iter=0)]
+_BAD_TIMES = [np.nan, 0.0, -1.0, np.inf]
+
+
+@pytest.mark.parametrize(
+    "solver, kwargs",
+    [("picard_solve", kw) for kw in _BAD_PICARD_CONTROLS + [dict(t_max=t) for t in _BAD_TIMES]]
+    + [("continue_solution", kw) for kw in _BAD_PICARD_CONTROLS + [dict(horizon=t) for t in _BAD_TIMES]],
+    ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()),
+)
+def test_picard_rejects_bad_controls(grid16, solver, kwargs):
+    # an infinite horizon would never end on a steady datum
+    p = ModelParams("regularized", alpha=0.5, mu=1.0)
+    theta = qglab.single_mode(grid16, 1, 0)
+    with pytest.raises(ValidationError):
+        if solver == "picard_solve":
+            picard_solve(theta, p, s=2.0, **kwargs)
+        else:
+            continue_solution(theta, p, s=2.0, **{"horizon": 0.5, **kwargs})
+
+
 def test_picard_steady_datum_converges_immediately(grid32):
     p = ModelParams("regularized", alpha=0.5, mu=1.0)
     traj, cert = picard_solve(qglab.single_mode(grid32, 1, 0), p, s=2.0)
@@ -284,6 +305,14 @@ def test_continue_solution_single_segment_when_horizon_short(grid16):
     sol = continue_solution(theta, p, s=2.0, horizon=cert.T / 3.0)
     assert len(sol.certificates) == 1
     assert sol.times[-1] == pytest.approx(cert.T / 3.0)
+
+
+def test_continue_solution_tiny_horizon_runs_one_segment(grid16):
+    # a horizon below the chaining slack of 1e-12 still gets its segment
+    p = ModelParams("regularized", alpha=0.5, mu=1.0)
+    sol = continue_solution(qglab.single_mode(grid16, 1, 0), p, s=2.0, horizon=1e-13)
+    assert len(sol.certificates) == 1
+    assert sol.times[-1] == pytest.approx(1e-13, rel=1e-12)
 
 
 def test_continue_solution_matches_run(grid32):
