@@ -139,6 +139,7 @@ def _cmd_picard(args) -> int:
 def _cmd_norms(args) -> int:
     snap = io.load_snapshot(args.snapshot)
     theta = snap.to_field()
+    ladder = diagnostics.ladder_bracket(theta, args.sigma)  # rejects sigma <= 1 before any output
     physical = inverse_transform(theta)
     qs = args.q if args.q else ["2", "3", "4", "inf"]
     ss = args.s if args.s else [1.0, 2.0]
@@ -150,7 +151,7 @@ def _cmd_norms(args) -> int:
         print(f"||theta||_{s:g} = {diagnostics.sobolev_norm(theta, s):.12g}")
     print(f"energy = {diagnostics.lp_norm(physical, 2.0) ** 2:.12g}")
     print(f"q_inf = {diagnostics.lp_norm(physical, np.inf) + diagnostics.velocity_sup(theta):.12g}")
-    print(f"ladder(sigma={args.sigma:g}) = {diagnostics.ladder_bracket(theta, args.sigma):.12g}")
+    print(f"ladder(sigma={args.sigma:g}) = {ladder:.12g}")
     return 0
 
 

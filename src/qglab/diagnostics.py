@@ -23,8 +23,11 @@ from .spectral import (
     Mollifier,
     PhysicalField,
     SpectralField,
+    _irfft2,
+    _rfft2,
     inverse_transform,
     pad_spectrum,
+    state_fields,
 )
 
 CELL_AREA_FACTOR = TWO_PI * TWO_PI  # integral f dx = (2 pi)^2 * mean of samples
@@ -49,19 +52,8 @@ def _lp(values: np.ndarray, q) -> float:
     return (CELL_AREA_FACTOR * moment) ** (1.0 / q)
 
 
-def _state_fields(theta: SpectralField) -> np.ndarray:
-    """Grid values of (u1, u2, theta), stacked, from one irfft2.
-
-    The stack (m1, m2, 1) of `Grid.advection_symbols` takes theta_hat to
-    the coefficients of (u1, u2, theta); each slice is bit-identical to the
-    separate `inverse_transform`, without building a `PhysicalField`.
-    """
-    n = theta.grid.n
-    return np.fft.irfft2(theta.grid.advection_symbols[True][0] * theta.coeffs) * (n * n)
-
-
 def _q_inf(u1: np.ndarray, u2: np.ndarray, th: np.ndarray) -> float:
-    """|theta|_inf + |u|_inf from the grid values of `_state_fields`."""
+    """|theta|_inf + |u|_inf from the grid values of `state_fields`."""
     return _lp(th, np.inf) + float(np.max(np.hypot(u1, u2)))
 
 
@@ -93,10 +85,9 @@ def besov_norm(f: SpectralField, s: float) -> float:
     Sharp dyadic cutoffs; the j = 0 shell covers 1 <= |k| < 2 and the mean
     belongs to no shell.
     """
-    n = f.grid.n
     # the j with 2^j <= max |k| = n / sqrt(2), which is never a power of 2
     js = range(int(math.log2(np.max(f.grid.kabs))) + 1)
-    values = np.fft.irfft2(np.stack([dyadic_shell(f, j).coeffs for j in js])) * (n * n)
+    values = _irfft2(np.stack([dyadic_shell(f, j).coeffs for j in js]))
     return max(2.0 ** (j * s) * _lp(v, 3.0) for j, v in zip(js, values))  # empty shells give 0
 
 
@@ -122,7 +113,9 @@ class NormRecord:
 
 
 def ladder_bracket(theta: SpectralField, sigma: float) -> float:
-    """The log-interpolation bracket controlling |theta|_inf."""
+    """The log-interpolation bracket controlling |theta|_inf; needs sigma > 1 (ValueError otherwise)."""
+    if not sigma > 1.0:
+        raise ValueError(f"sigma must exceed 1, got {sigma}")
     h1 = sobolev_norm(theta, 1.0)
     hsig = sobolev_norm(theta, sigma)
     return 1.0 + h1 * math.sqrt(math.log1p(hsig ** (1.0 / (sigma - 1.0))))
@@ -130,7 +123,7 @@ def ladder_bracket(theta: SpectralField, sigma: float) -> float:
 
 def velocity_sup(theta: SpectralField) -> float:
     """Pointwise-Euclidean sup of the Riesz velocity."""
-    u1, u2, _ = _state_fields(theta)
+    u1, u2, _ = state_fields(theta.grid, theta.coeffs)
     return float(np.max(np.hypot(u1, u2)))
 
 
@@ -144,7 +137,7 @@ def make_record(
     initial: NormRecord | None = None,
 ) -> NormRecord:
     """Assemble a NormRecord; running integrals continue from `prev` by trapezoid."""
-    fields = _state_fields(theta)
+    fields = state_fields(theta.grid, theta.coeffs)
     lp = {q: _lp(fields[2], q) for q in (2.0, 3.0, 4.0, np.inf)}
     hs = {1.0: sobolev_norm(theta, 1.0)}
     if s not in hs:
@@ -252,10 +245,13 @@ class CriticalReport:
 def critical_monitor(theta: SpectralField, p: ModelParams, c0: float, sigma: float = 2.0) -> CriticalReport:
     """Evaluate the critical-case smallness monitors with a user-supplied constant c0.
 
-    c0 is an input, not a derived quantity; the flags simply compare
-    against kappa / c0 and c0 kappa.
+    c0 is an input, not a derived quantity, and must be positive and
+    finite (ValueError otherwise); the flags simply compare against
+    kappa / c0 and c0 kappa.
     """
-    q = _q_inf(*_state_fields(theta))
+    if not 0.0 < c0 < math.inf:
+        raise ValueError(f"c0 must be positive and finite, got {c0}")
+    q = _q_inf(*state_fields(theta.grid, theta.coeffs))
     lad = ladder_bracket(theta, sigma)
     return CriticalReport(
         q_inf=q,
@@ -277,10 +273,11 @@ def log_interpolation_constant(trials: int, sigma: float = 2.0, mode_cap: int = 
     Draws `trials` zero-mean fields with random phases and |k|^(-gamma)
     magnitudes (gamma uniform in [1, 3], modes up to `mode_cap`) on the
     grid n = max(8, 4 mode_cap) and returns the largest observed ratio
-    |F|_inf / bracket.
+    |F|_inf / bracket.  `trials` must be at least 1 and sigma above 1
+    (ValueError otherwise).
     """
-    if sigma <= 1.0:
-        raise ValueError("sigma must exceed 1")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     grid = Grid(max(8, 4 * mode_cap))
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -298,8 +295,10 @@ def gn_constant(trials: int, mode_cap: int = 32, seed: int = 0) -> float:
     shell field with modes up to `mode_cap`, then s in [0, 2], alpha in
     [0.2, 1.5] and beta = alpha * U[0.1, 0.9]; the trial's value is
     gn_residual over the right-hand side.  The result is nonpositive up to
-    round-off (-inf when trials = 0).
+    round-off.  `trials` must be at least 1 (ValueError otherwise).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     grid = Grid(max(32, 2 * mode_cap))
     worst = -np.inf
@@ -341,6 +340,10 @@ class ConvexProfile:
     """
 
     tag: str
+
+    def __post_init__(self):
+        if self.tag not in ("half-square", "sqrt1p"):
+            raise ValueError(f"unknown convex profile {self.tag!r}")
 
     def g2(self, x):
         if self.tag == "half-square":
@@ -425,18 +428,15 @@ def flux_scan(
 def _padded_fields(theta: SpectralField):
     """The eps-independent front end of `coarse_grained_flux` on the doubled grid.
 
-    Returns the grid, the spectra of (theta, u1, u2) scaled by (2n)^2,
-    those fields on the grid, and the transforms of the products
-    (u1 theta, u2 theta).
+    Returns the grid, the spectra of (u1, u2, theta), those fields on the
+    grid, and the spectra of the products (u1 theta, u2 theta).
     """
     fine = pad_spectrum(theta, 2 * theta.grid.n)
     gf = fine.grid
-    m1, m2 = gf.velocity_multipliers
-    th_hat = fine.coeffs * (gf.n * gf.n)
-    fields_hat = np.stack([th_hat, m1 * th_hat, m2 * th_hat])
-    th, u1, u2 = np.fft.irfft2(fields_hat)
-    uth_hat = np.fft.rfft2(np.stack([u1 * th, u2 * th]))
-    return gf, fields_hat, (th, u1, u2), uth_hat
+    fields_hat = gf.state_multipliers * fine.coeffs
+    fields = _irfft2(fields_hat)
+    uth_hat = _rfft2(fields[:2] * fields[2])
+    return gf, fields_hat, fields, uth_hat
 
 
 def _difference_symbol(grid: Grid, offsets, weights) -> np.ndarray:
@@ -452,13 +452,13 @@ def _difference_symbol(grid: Grid, offsets, weights) -> np.ndarray:
 
 def _flux_at_scale(grid, padded, mol, with_remainder, dr_profile) -> FluxEstimate:
     """`coarse_grained_flux` at one scale from the `_padded_fields` of its state."""
-    gf, fields_hat, (th, u1, u2), uth_hat = padded
+    gf, fields_hat, (u1, u2, th), uth_hat = padded
     m = mol.multiplier(gf)
 
-    th_eps, u1_eps, u2_eps = np.fft.irfft2(m * fields_hat)
-    grad_hat = 1j * np.stack([gf.k1, gf.k2]) * (m * gf.riesz_mask * fields_hat[0])
-    dth1_eps, dth2_eps = np.fft.irfft2(grad_hat)
-    uth1_eps, uth2_eps = np.fft.irfft2(m * uth_hat)
+    u1_eps, u2_eps, th_eps = _irfft2(m * fields_hat)
+    # theta_eps lives in |k_i| <= N/4, inside the dealias band of the doubled grid
+    dth1_eps, dth2_eps = _irfft2(gf.dealiased_gradient * (m * fields_hat[2]))
+    uth1_eps, uth2_eps = _irfft2(m * uth_hat)
 
     sigma1 = u1_eps * th_eps - uth1_eps
     sigma2 = u2_eps * th_eps - uth2_eps
@@ -471,7 +471,7 @@ def _flux_at_scale(grid, padded, mol, with_remainder, dr_profile) -> FluxEstimat
     if with_remainder:
         offsets, weights = mol.stencil(gf)
         diff = _difference_symbol(gf, offsets, weights)
-        dth, du1, du2, duth1, duth2 = np.fft.irfft2(diff * np.concatenate([fields_hat, uth_hat]))
+        du1, du2, dth, duth1, duth2 = _irfft2(diff * np.concatenate([fields_hat, uth_hat]))
         r1 = duth1 - u1 * dth - th * du1
         r2 = duth2 - u2 * dth - th * du2
         rmag = np.hypot(r1, r2)

@@ -44,7 +44,6 @@ class RunConfig:
     dt: float = 1e-3
     t_end: float = 1.0
     scheme: str = "etd-rk4"
-    dealias: bool = True
     init: str = "cmt"
     seed: int = 0
     diag_every: int = 10
@@ -56,10 +55,8 @@ class RunConfig:
     def validate(self):
         if self.n % 2 != 0 or self.n < 8:
             raise ValidationError(f"n must be even and >= 8, got {self.n}")
-        if self.sigma <= 1.0:
-            raise ValidationError(f"sigma must exceed 1, got {self.sigma}")
         self.model_params()  # model-specific invariants
-        self.stepper_config()  # dt, t_end, scheme and sampling invariants
+        self.stepper_config()  # dt, t_end, scheme, sigma and sampling invariants
         return self
 
     def grid(self) -> Grid:
@@ -71,7 +68,6 @@ class RunConfig:
             alpha=self.alpha,
             kappa=self.kappa,
             mu=self.mu,
-            dealias_products=self.dealias,
         )
 
     def stepper_config(self) -> StepperConfig:
@@ -99,21 +95,10 @@ class RunConfig:
         raise ValidationError(f"init {self.init!r} is neither a preset nor an existing file")
 
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOL_WORDS[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}")
-
-
 _CASTERS = {
     str: lambda v: v,
     float: float,
     int: int,
-    bool: _parse_bool,
 }
 
 

@@ -8,13 +8,12 @@ velocity u = (-R2 theta, R1 theta):
 * regularized:  theta_t + u . grad theta + mu (-Lap)^alpha theta_t = 0
 
 The advection term is evaluated in divergence form div(u theta) with the
-product formed in physical space and dealiased by the 2/3 rule.  On the
-rfft2 half spectrum that every `SpectralField` stores, `advection_coeffs`
-does one stacked real inverse transform for (u1, u2, theta) and one
-stacked real forward transform for the two flux products per call.  A
-forcing is an immutable `SpectralField`, so it is the spectrum of a real
-field by construction; with dealiased products `ModelParams` also checks
-that it lies inside the 2/3 band.
+product formed in physical space and always dealiased by the 2/3 rule.
+`advection_coeffs` takes (u1, u2, theta) from `spectral.state_fields`,
+one stacked real inverse transform, and does one stacked real forward
+transform for the two flux products per call.  A forcing is an immutable
+`SpectralField`, so it is the spectrum of a real field by construction;
+`ModelParams` also checks that it lies inside the 2/3 band.
 The regularized model inverts (1 + mu Lambda^(2 alpha)) diagonally; signs
 are fixed so that it reduces to the inviscid model as mu -> 0.
 
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import DEFECT_REL_TOL, Grid, SpectralField
+from .spectral import DEFECT_REL_TOL, Grid, SpectralField, _rfft2, state_fields
 
 MODELS = ("inviscid", "dissipative", "regularized")
 MODEL_CODES = {"inviscid": 0, "dissipative": 1, "regularized": 2}
@@ -49,7 +48,6 @@ class ModelParams:
     kappa: float = 0.0
     mu: float = 0.0
     forcing: SpectralField | None = None
-    dealias_products: bool = True
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -79,30 +77,30 @@ class ModelParams:
             if self.model != "dissipative":
                 raise ValidationError("forcing is supported for the dissipative model only")
             c, band = self.forcing.coeffs, self.forcing.grid.dealias_mask
-            if self.dealias_products and np.max(np.abs(c[~band])) > DEFECT_REL_TOL * np.max(np.abs(c)):
+            if np.max(np.abs(c[~band])) > DEFECT_REL_TOL * np.max(np.abs(c)):
                 raise ValidationError("forcing has modes outside the 2/3 dealias band")
 
 
-def advection_coeffs(grid: Grid, coeffs: np.ndarray, dealias_products: bool = True) -> np.ndarray:
+def advection_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Normalized half-spectrum coefficients of div(u theta); array-level hot path.
 
-    One stacked irfft2 gives (u1, u2, theta) on the grid, one stacked
-    rfft2 gives the products (u1 theta, u2 theta), and i (k1 f1 + k2 f2)
-    is formed under the dealias (or Riesz) mask with the mean zeroed.
+    `state_fields` gives (u1, u2, theta) on the grid, one stacked forward
+    transform gives the products (u1 theta, u2 theta), and
+    i (k1 f1 + k2 f2) is formed inside the 2/3 dealias band with the mean
+    zeroed.
     """
     h = grid.n // 2 + 1
-    vel, div = grid.advection_symbols[dealias_products]
-    fields = np.fft.irfft2(vel * coeffs)  # u1, u2, theta
-    adv = np.sum(div * np.fft.rfft2(fields[:2] * fields[2]), axis=0)
+    fields = state_fields(grid, coeffs)
+    adv = np.sum(grid.dealiased_gradient * _rfft2(fields[:2] * fields[2]), axis=0)
     adv[0, 0] = 0.0
     # rfft2 leaves the k1 = 0 column Hermitian only to round-off: mirror k2 > 0 onto k2 < 0
     np.conjugate(adv[h - 2 : 0 : -1, 0], out=adv[h:, 0])
     return adv
 
 
-def advection_term(theta: SpectralField, dealias_products: bool = True) -> SpectralField:
+def advection_term(theta: SpectralField) -> SpectralField:
     """div(u theta) with u = riesz_velocity(theta); mean advects nothing."""
-    return SpectralField(theta.grid, advection_coeffs(theta.grid, theta.coeffs, dealias_products))
+    return SpectralField(theta.grid, advection_coeffs(theta.grid, theta.coeffs))
 
 
 def dissipation_symbol(grid: Grid, kappa: float, alpha: float) -> np.ndarray:
@@ -141,7 +139,6 @@ class RhsSplit:
 
     def __init__(self, grid: Grid, p: ModelParams):
         self.grid = grid
-        self.dealias_products = p.dealias_products
         self.linear = -dissipation_symbol(grid, p.kappa, p.alpha) if p.model == "dissipative" else None
         self.inverse = inverse_symbol(grid, p.mu, p.alpha) if p.model == "regularized" else None
         self.forcing = None
@@ -153,7 +150,7 @@ class RhsSplit:
             self.forcing = p.forcing.coeffs
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
-        out = -advection_coeffs(self.grid, c, self.dealias_products)
+        out = -advection_coeffs(self.grid, c)
         if self.inverse is not None:
             out *= self.inverse
         if self.forcing is not None:
@@ -172,10 +169,9 @@ def rhs(theta: SpectralField, p: ModelParams) -> SpectralField:
     return SpectralField(theta.grid, RhsSplit(theta.grid, p)(theta.coeffs))
 
 
-def rhs_inviscid(theta: SpectralField, p: ModelParams | None = None) -> SpectralField:
-    """theta_t = -div(u theta); only the dealias flag of `p` is used."""
-    dealias_products = True if p is None else p.dealias_products
-    return rhs(theta, ModelParams("inviscid", dealias_products=dealias_products))
+def rhs_inviscid(theta: SpectralField) -> SpectralField:
+    """theta_t = -div(u theta)."""
+    return rhs(theta, ModelParams("inviscid"))
 
 
 def rhs_dissipative(theta: SpectralField, p: ModelParams) -> SpectralField:

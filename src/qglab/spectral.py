@@ -10,7 +10,9 @@ The domain is fixed to [0, 2pi]^2.  Conventions used throughout:
   k1 = i in 0..n/2 (columns) and k2 the j-th entry of `Grid.wavenumbers`
   (rows).  The k1 < 0 half is implied by c(-k) = conj(c(k)).
 * Coefficients are normalized so the k = 0 entry equals the mean of the
-  field.  With this choice Parseval reads
+  field: the transform pair is ``rfft2/irfft2(..., norm="forward")``,
+  written once here as `_rfft2` and `_irfft2`, and no other module calls
+  ``np.fft``.  With this choice Parseval reads
   ``integral |f|^2 dx = (2 pi)^2 sum_k |f_hat(k)|^2``; over the stored
   half the k1 = 0 and k1 = n/2 columns count once and every other column
   twice (`Grid.parseval_weights`), which is the one place that sum rule
@@ -21,6 +23,10 @@ The domain is fixed to [0, 2pi]^2.  Conventions used throughout:
   so real fields stay real.  Fields evolved by the solvers live inside
   the 2/3 dealias band, where those lines are empty and the identity
   R1^2 + R2^2 = -I holds exactly.
+* Quadratic products are formed on the grid and always dealiased by the
+  2/3 rule: `state_fields` gives (u1, u2, theta) from one stacked inverse
+  transform, and `Grid.dealiased_gradient` takes the spectrum of a flux
+  to its divergence.
 
 Grids and fields are immutable: a field keeps its own read-only copy of
 the array it was built from, and a `SpectralField` is the spectrum of a
@@ -136,24 +142,14 @@ class Grid:
         return m1, m2
 
     @cached_property
-    def advection_symbols(self) -> dict[bool, tuple[np.ndarray, np.ndarray]]:
-        """Symbols of `models.advection_coeffs` by `dealias_products`.
+    def state_multipliers(self) -> np.ndarray:
+        """Stack (m1, m2, 1) of `velocity_multipliers`: theta_hat to the coefficients of (u1, u2, theta)."""
+        return np.stack([*self.velocity_multipliers, np.ones(self.shape)])
 
-        Each value is (vel, div).  vel stacks (m1, m2, 1) of
-        `velocity_multipliers`, taking theta_hat to the coefficients of
-        (u1, u2, theta).  div stacks n^2 i k1 and n^2 i k2, zero outside
-        the dealias mask (True) or the Riesz mask (False).  irfft2 of normalized coefficients gives grid values over
-        n^2, so the rfft2 of their products (u1 theta, u2 theta) is the
-        normalized product spectrum over n^2, and div takes it to the
-        normalized coefficients of div(u theta).
-        """
-        m1, m2 = self.velocity_multipliers
-        vel = np.stack([m1, m2, np.ones(self.shape)])
-        ik = 1j * float(self.n * self.n) * np.stack([self.k1, self.k2])
-        return {
-            dealias: (vel, ik * mask)
-            for dealias, mask in ((True, self.dealias_mask), (False, self.riesz_mask))
-        }
+    @cached_property
+    def dealiased_gradient(self) -> np.ndarray:
+        """Stack (i k1, i k2), zero outside the 2/3 dealias band."""
+        return 1j * np.stack([self.k1, self.k2]) * self.dealias_mask
 
 
 @dataclass(frozen=True)
@@ -229,16 +225,29 @@ def _combination(grid: Grid, coeffs: np.ndarray) -> SpectralField:
     return f
 
 
+def _rfft2(values: np.ndarray) -> np.ndarray:
+    """Normalized half spectra of real (stacked) grid samples; k = 0 holds the mean."""
+    return np.fft.rfft2(values, norm="forward")
+
+
+def _irfft2(coeffs: np.ndarray) -> np.ndarray:
+    """Real grid samples of (stacked) normalized half spectra, the inverse of `_rfft2`."""
+    return np.fft.irfft2(coeffs, norm="forward")
+
+
 def forward_transform(p: PhysicalField) -> SpectralField:
     """Grid samples to normalized coefficients (k = 0 slot holds the mean)."""
-    n = p.grid.n
-    return SpectralField(p.grid, np.fft.rfft2(p.values) / (n * n))
+    return SpectralField(p.grid, _rfft2(p.values))
 
 
 def inverse_transform(f: SpectralField) -> PhysicalField:
     """Coefficients back to real grid samples."""
-    n = f.grid.n
-    return PhysicalField(f.grid, np.fft.irfft2(f.coeffs, s=(n, n)) * (n * n))
+    return PhysicalField(f.grid, _irfft2(f.coeffs))
+
+
+def state_fields(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Grid values of (u1, u2, theta), stacked, from one inverse transform of theta_hat."""
+    return _irfft2(grid.state_multipliers * coeffs)
 
 
 def apply_sqrt_laplacian(f: SpectralField, power: float) -> SpectralField:

@@ -46,12 +46,14 @@ class StepperConfig:
     diag_every: int = 10
     snapshot_every: int = 0  # 0 disables intermediate state capture
     s: float = 2.0  # Sobolev index reported in records
-    sigma: float = 2.0  # index used by the ladder bracket
+    sigma: float = 2.0  # index used by the ladder bracket, > 1
 
     def __post_init__(self):
         for name in ("dt", "t_end", "s", "sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.sigma <= 1.0:
+            raise ValidationError(f"sigma must exceed 1, got {self.sigma}")
         if self.dt <= 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.t_end <= 0.0:
@@ -74,13 +76,12 @@ class StepperConfig:
         return round(self.t_end / self.dt)
 
 
-def cfl_limit(theta: SpectralField, p: ModelParams) -> float:
-    """Advisory advective time-step bound 2.8 / (max|u| kmax)."""
+def cfl_limit(theta: SpectralField) -> float:
+    """Advisory advective time-step bound 2.8 / (max|u| kmax), kmax = n/3 the dealias cutoff."""
     umax = diagnostics.velocity_sup(theta)
-    kmax = theta.grid.n / 3.0 if p.dealias_products else theta.grid.n / 2.0
-    if umax * kmax == 0.0:
+    if umax == 0.0:
         return np.inf
-    return 2.8 / (umax * kmax)
+    return 2.8 / (umax * (theta.grid.n / 3.0))
 
 
 def etd_rk4_step(c, exp_half, exp_full, nonlinear, dt):
@@ -161,7 +162,7 @@ def run(theta0: SpectralField, p: ModelParams, cfg: StepperConfig) -> RunResult:
     nsteps = cfg.nsteps
     integrator = Integrator(grid, p, cfg.dt, cfg.scheme)
 
-    limit = cfl_limit(theta0, p)
+    limit = cfl_limit(theta0)
     if cfg.dt > limit:
         log.warning("dt=%g exceeds advisory CFL bound %g", cfg.dt, limit)
 

@@ -112,6 +112,17 @@ def test_norms_subcommand(tmp_path, capsys):
     assert "4.442882938" in out  # |cos|_2 = pi sqrt(2)
 
 
+@pytest.mark.parametrize("sigma", ["1", "0.5"])
+def test_norms_sigma_at_most_one_exits_1(tmp_path, capsys, sigma):
+    path = str(tmp_path / "s.qgw")
+    theta = qglab.single_mode(qglab.Grid(16), 1, 0)
+    qglab.save_snapshot(qglab.Snapshot.from_state(0.0, theta, qglab.ModelParams("inviscid")), path)
+    assert cli_main(["norms", "--snapshot", path, "--sigma", sigma]) == 1
+    captured = capsys.readouterr()
+    assert "sigma must exceed 1" in captured.err
+    assert captured.out == ""
+
+
 def test_norms_corrupt_snapshot_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.qgw"
     path.write_bytes(b"NOPE" + b"\0" * 64)
@@ -157,6 +168,14 @@ def test_check_inequality_log(capsys):
                      "--mode-cap", "16"]) == 0
     out = capsys.readouterr().out
     assert "max |F|_inf" in out
+
+
+@pytest.mark.parametrize("lemma, trials", [("gn", "0"), ("log", "-3")])
+def test_check_inequality_empty_trials_exit_1(capsys, lemma, trials):
+    assert cli_main(["check-inequality", "--lemma", lemma, "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert "trials must be >= 1" in captured.err
+    assert captured.out == ""
 
 
 def _readme_block(heading):

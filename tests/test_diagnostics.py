@@ -6,6 +6,7 @@ import pytest
 import qglab
 from qglab import ModelParams, StepperConfig, run
 from qglab.diagnostics import (
+    ConvexProfile,
     besov_norm,
     critical_monitor,
     dyadic_shell,
@@ -201,6 +202,13 @@ def test_critical_monitor_scales_linearly(grid32):
     assert b.q_inf == pytest.approx(4.0 * a.q_inf, rel=1e-12)
 
 
+@pytest.mark.parametrize("c0", [0.0, -1.0, np.inf, np.nan])
+def test_critical_monitor_rejects_bad_c0(grid16, c0):
+    p = ModelParams("dissipative", alpha=0.5, kappa=1.0)
+    with pytest.raises(ValueError, match="c0"):
+        critical_monitor(qglab.single_mode(grid16, 1, 0), p, c0=c0)
+
+
 # -- log-interpolation bound ---------------------------------------------------
 
 
@@ -271,7 +279,6 @@ def test_gn_constant_reproducible_and_nonpositive():
     a = gn_constant(40, mode_cap=12, seed=5)
     assert a == gn_constant(40, mode_cap=12, seed=5)
     assert a <= 1e-12
-    assert gn_constant(0) == -np.inf
 
 
 def test_gn_constant_draw_order():
@@ -292,3 +299,22 @@ def test_gn_constant_draw_order():
 def test_ladder_bracket_zero_field(grid16):
     zero = qglab.SpectralField(grid16, np.zeros((16, 9), dtype=complex))
     assert ladder_bracket(zero, 2.0) == 1.0
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5, np.nan])
+def test_ladder_bracket_rejects_sigma_at_most_one(grid16, sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        ladder_bracket(qglab.single_mode(grid16, 1, 0), sigma)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_inequality_constants_reject_empty_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        log_interpolation_constant(trials)
+    with pytest.raises(ValueError, match="trials"):
+        gn_constant(trials)
+
+
+def test_convex_profile_rejects_unknown_tag():
+    with pytest.raises(ValueError, match="bogus"):
+        ConvexProfile("bogus")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,6 @@ def test_config_minimal_with_defaults(tmp_path):
     assert cfg.dt == pytest.approx(1e-3)
     assert cfg.scheme == "etd-rk4"  # defaulted
     assert cfg.init == "cmt"
-    assert cfg.dealias is True
 
 
 def test_config_comments_and_whitespace(tmp_path):
@@ -76,6 +77,7 @@ def test_config_missing_model_invariants(tmp_path):
         "model=dissipative\nkappa=inf\n",
         "model=regularized\nmu=nan\n",
         "sigma=nan\n",
+        "sigma=1\n",
         "dt=0.3\nt_end=1.0\n",  # not a whole number of steps
         "scheme=euler\n",
         "diag_every=0\n",
@@ -87,7 +89,7 @@ def test_config_rejects_invalid_values(tmp_path, text):
         load_config(write(tmp_path, text))
 
 
-@pytest.mark.parametrize("text", ["c0=nan\n", "c0=1e999\n", "m=inf\n", "mollifier=gaussian\n"])
+@pytest.mark.parametrize("text", ["c0=nan\n", "c0=1e999\n", "m=inf\n", "mollifier=gaussian\n", "dealias=true\n"])
 def test_config_retired_keys_are_unknown(tmp_path, text):
     with pytest.raises(ParseError, match="unknown key") as info:
         load_config(write(tmp_path, "n=32\n" + text))
@@ -183,7 +185,7 @@ def test_snapshot_file_layout(tmp_path):
     path = str(tmp_path / "s.qgw")
     snap = Snapshot(n=8, t=1.0, alpha=0.5, kappa=0.0, mu=0.0, model="inviscid", values=np.zeros((8, 8)))
     save_snapshot(snap, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert len(blob) == _HEADER_SIZE + 8 * 8 * 8
     assert blob[:4] == b"QGW1"
 
@@ -192,9 +194,9 @@ def test_snapshot_corrupt_magic(tmp_path):
     path = str(tmp_path / "s.qgw")
     snap = Snapshot(n=8, t=0.0, alpha=0.5, kappa=0.0, mu=0.0, model="inviscid", values=np.zeros((8, 8)))
     save_snapshot(snap, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[:4] = b"QGW9"
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(CorruptSnapshot) as info:
         load_snapshot(path)
     assert info.value.check == "magic"
@@ -204,8 +206,8 @@ def test_snapshot_truncated(tmp_path):
     path = str(tmp_path / "s.qgw")
     snap = Snapshot(n=8, t=0.0, alpha=0.5, kappa=0.0, mu=0.0, model="inviscid", values=np.zeros((8, 8)))
     save_snapshot(snap, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-9])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-9])
     with pytest.raises(CorruptSnapshot) as info:
         load_snapshot(path)
     assert info.value.check == "length"
@@ -215,9 +217,9 @@ def test_snapshot_bad_model_byte(tmp_path):
     path = str(tmp_path / "s.qgw")
     snap = Snapshot(n=8, t=0.0, alpha=0.5, kappa=0.0, mu=0.0, model="inviscid", values=np.zeros((8, 8)))
     save_snapshot(snap, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[44] = 7  # model byte, after 4+4+4+32 header bytes
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(CorruptSnapshot) as info:
         load_snapshot(path)
     assert info.value.check == "model"
@@ -250,7 +252,7 @@ def test_write_series_single_record(tmp_path, grid32):
     res = _small_run(grid32)
     path = str(tmp_path / "one.csv")
     write_series(path, res.records[:1], s=2.0)
-    lines = open(path).read().strip().split("\n")
+    lines = Path(path).read_text().strip().split("\n")
     assert len(lines) == 2
     assert lines[0].startswith("t,l2,l3,l4,linf,hs,h1,")
 

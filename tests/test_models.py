@@ -87,7 +87,6 @@ def test_forcing_must_lie_in_dealias_band(grid16):
     f = qglab.single_mode(grid16, 6, 0)  # 6 > 16/3
     with pytest.raises(ValidationError, match="band"):
         ModelParams("dissipative", kappa=0.1, forcing=f)
-    ModelParams("dissipative", kappa=0.1, forcing=f, dealias_products=False)
 
 
 def test_forcing_grid_must_match_state(grid16, grid32):
@@ -96,7 +95,7 @@ def test_forcing_grid_must_match_state(grid16, grid32):
         RhsSplit(grid32, p)
 
 
-def _complex_advection_coeffs(grid, coeffs, dealias_products=True):
+def _complex_advection_coeffs(grid, coeffs):
     """Reference kernel: three complex inverse and two complex forward transforms.
 
     Works on the full (n, n) spectrum with its own wavenumbers, masks and
@@ -118,7 +117,7 @@ def _complex_advection_coeffs(grid, coeffs, dealias_products=True):
     f1 = np.fft.fft2(u1 * th) * n2
     f2 = np.fft.fft2(u2 * th) * n2
     adv = 1j * (k1 * f1 + k2 * f2)
-    adv = np.where(dealias if dealias_products else riesz, adv, 0.0)
+    adv = np.where(dealias, adv, 0.0)
     adv[0, 0] = 0.0
     return adv[:, : grid.n // 2 + 1]
 
@@ -126,16 +125,15 @@ def _complex_advection_coeffs(grid, coeffs, dealias_products=True):
 @settings(max_examples=30, deadline=None)
 @given(
     half_n=st.integers(4, 48),
-    dealias_products=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_advection_matches_complex_kernel(half_n, dealias_products, seed):
+def test_advection_matches_complex_kernel(half_n, seed):
     # real fields with content up to and including the Nyquist lines
     grid = qglab.Grid(2 * half_n)
     values = np.random.default_rng(seed).standard_normal((grid.n, grid.n))
     c = qglab.forward_transform(qglab.PhysicalField(grid, values)).coeffs
-    out = advection_coeffs(grid, c, dealias_products)
-    ref = _complex_advection_coeffs(grid, c, dealias_products)
+    out = advection_coeffs(grid, c)
+    ref = _complex_advection_coeffs(grid, c)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert qglab.hermitian_defect(qglab.SpectralField(grid, out)) == 0.0
     assert out[0, 0] == 0

@@ -18,6 +18,7 @@ from qglab import (
     ModelParams,
     PhysicalField,
     Snapshot,
+    dealias,
     forward_transform,
     inverse_transform,
     load_snapshot,
@@ -79,9 +80,12 @@ def test_forcing_power_matches_full_spectrum(n, seed):
     grid = Grid(n)
     forcing_values, noise = _samples(n, seed, 2)
     theta_values = forcing_values + noise  # correlated with the forcing: the power is far from 0
-    p = ModelParams("dissipative", kappa=0.1, forcing=_half(grid, forcing_values), dealias_products=False)
+    # the forcing lies inside the 2/3 band; theta keeps its Nyquist content
+    p = ModelParams("dissipative", kappa=0.1, forcing=dealias(_half(grid, forcing_values)))
     record = make_record(_half(grid, theta_values), 0.0, p)
-    inner = np.sum(_full(theta_values) * np.conj(_full(forcing_values))).real
+    k1, k2 = full_wavenumbers(grid)
+    band = (np.abs(k1) <= n / 3.0) & (np.abs(k2) <= n / 3.0)
+    inner = np.sum(_full(theta_values) * np.conj(band * _full(forcing_values))).real
     oracle = 2.0 * (2.0 * np.pi) ** 2 * inner
     assert record.forcing_power == pytest.approx(oracle, rel=REL, abs=0.0)
 

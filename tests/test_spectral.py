@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,33 @@ from qglab import (
 from qglab.errors import NegativePowerOnMean, ValidationError
 
 from conftest import full_spectrum, random_field
+
+
+def _numpy_fft_uses(tree):
+    """Line numbers of every np.fft / numpy.fft reference and every import from numpy.fft."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("numpy.fft") or (
+                node.module == "numpy" and any(a.name == "fft" for a in node.names)
+            ):
+                yield node.lineno
+        elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names):
+            yield node.lineno
+
+
+def test_only_spectral_calls_numpy_fft():
+    # the transform convention is written once, in spectral.py
+    src = Path(qglab.__file__).resolve().parent
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "spectral.py"
+        for line in _numpy_fft_uses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
 
 
 def test_grid_validation():

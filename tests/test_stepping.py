@@ -28,6 +28,9 @@ def test_config_validation():
             StepperConfig(dt=1e-3, t_end=1.0, s=bad)
         with pytest.raises(ValidationError):
             StepperConfig(dt=1e-3, t_end=1.0, sigma=bad)
+    for sigma in (1.0, 0.5):  # the ladder bracket divides by sigma - 1 at every record
+        with pytest.raises(ValidationError, match="sigma must exceed 1"):
+            StepperConfig(dt=0.01, t_end=0.02, sigma=sigma)
 
 
 @pytest.mark.parametrize(
