@@ -49,14 +49,7 @@ from .experiments import (
     z_ode_constant,
 )
 from .io import RunConfig, Snapshot, load_config, load_snapshot, save_snapshot, write_series
-from .models import (
-    ModelParams,
-    advection_term,
-    regularized_gradient_kernel,
-    rhs_dissipative,
-    rhs_inviscid,
-    rhs_regularized,
-)
+from .models import ModelParams, regularized_gradient_kernel, rhs
 from .presets import cmt, from_init_string, random_shell_field, single_mode
 from .spectral import (
     Grid,

@@ -15,10 +15,8 @@ import numpy as np
 
 from . import diagnostics, experiments, io, presets, stepping
 from .errors import (
-    CorruptSnapshot,
     DegenerateFit,
     NoContraction,
-    ParseError,
     QGLabError,
     ReferenceTooCoarse,
     UnstableStep,
@@ -27,7 +25,6 @@ from .errors import (
 )
 from .spectral import Grid, inverse_transform
 
-_VALIDATION_ERRORS = (ValidationError, ParseError, CorruptSnapshot, ValueError, OSError)
 _RUNTIME_ERRORS = (UnstableStep, NoContraction, Violation, ReferenceTooCoarse, DegenerateFit)
 
 
@@ -238,10 +235,7 @@ def cli_main(argv=None) -> int:
     except _RUNTIME_ERRORS as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except QGLabError as exc:
+    except (QGLabError, ValueError, OSError) as exc:  # any other qglab error is a validation error
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

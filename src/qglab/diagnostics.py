@@ -203,10 +203,13 @@ def max_principle_check(
 
     `forcing_lq` is the (constant-in-time) |f|_q.  The slack absorbs
     spectral pointwise overshoot and defaults to 1e-3 |theta_0|_q.
-    Raises Violation at the first failing sample.
+    Raises Violation at the first failing sample, and ValueError when the
+    records hold no |theta|_q for this q.
     """
     if not records:
         raise ValueError("empty record series")
+    if q not in records[0].lp:
+        raise ValueError(f"records hold no |theta|_q for q={q}; recorded exponents: {list(records[0].lp)}")
     base = records[0].lp[q]
     slack = slack_rel * base
     worst, worst_t = -math.inf, records[0].t
@@ -267,17 +270,22 @@ def log_bound_ratio(theta: SpectralField, sigma: float) -> float:
     return sup / ladder_bracket(theta, sigma)
 
 
+def _check_lab_controls(trials: int, mode_cap: int) -> None:
+    for name, value in (("trials", trials), ("mode_cap", mode_cap)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def log_interpolation_constant(trials: int, sigma: float = 2.0, mode_cap: int = 32, seed: int = 0) -> float:
     """Empirical constant for the L-infinity log-interpolation bound.
 
     Draws `trials` zero-mean fields with random phases and |k|^(-gamma)
     magnitudes (gamma uniform in [1, 3], modes up to `mode_cap`) on the
     grid n = max(8, 4 mode_cap) and returns the largest observed ratio
-    |F|_inf / bracket.  `trials` must be at least 1 and sigma above 1
-    (ValueError otherwise).
+    |F|_inf / bracket.  `trials` and `mode_cap` must be at least 1 and
+    sigma above 1 (ValueError otherwise).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_lab_controls(trials, mode_cap)
     grid = Grid(max(8, 4 * mode_cap))
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -295,10 +303,10 @@ def gn_constant(trials: int, mode_cap: int = 32, seed: int = 0) -> float:
     shell field with modes up to `mode_cap`, then s in [0, 2], alpha in
     [0.2, 1.5] and beta = alpha * U[0.1, 0.9]; the trial's value is
     gn_residual over the right-hand side.  The result is nonpositive up to
-    round-off.  `trials` must be at least 1 (ValueError otherwise).
+    round-off.  `trials` and `mode_cap` must be at least 1 (ValueError
+    otherwise).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_lab_controls(trials, mode_cap)
     rng = np.random.default_rng(seed)
     grid = Grid(max(32, 2 * mode_cap))
     worst = -np.inf
@@ -308,9 +316,17 @@ def gn_constant(trials: int, mode_cap: int = 32, seed: int = 0) -> float:
         s = rng.uniform(0.0, 2.0)
         alpha = rng.uniform(0.2, 1.5)
         beta = alpha * rng.uniform(0.1, 0.9)
-        rhs = sobolev_norm(f, s + alpha) ** (beta / alpha) * sobolev_norm(f, s) ** (1 - beta / alpha)
-        worst = max(worst, gn_residual(f, s, alpha, beta) / rhs)
+        lhs, rhs = _gn_sides(f, s, alpha, beta)
+        worst = max(worst, (lhs - rhs) / rhs)
     return worst
+
+
+def _gn_sides(f: SpectralField, s: float, alpha: float, beta: float) -> tuple[float, float]:
+    """(lhs, rhs) of the inequality that `gn_residual` checks, each norm evaluated once."""
+    if not 0.0 < beta < alpha:
+        raise ValueError(f"need 0 < beta < alpha, got beta={beta}, alpha={alpha}")
+    frac = beta / alpha
+    return sobolev_norm(f, s + beta), sobolev_norm(f, s + alpha) ** frac * sobolev_norm(f, s) ** (1.0 - frac)
 
 
 def gn_residual(f: SpectralField, s: float, alpha: float, beta: float) -> float:
@@ -320,11 +336,7 @@ def gn_residual(f: SpectralField, s: float, alpha: float, beta: float) -> float:
     |Lambda^s f|_2^(1-beta/alpha); the return value is nonpositive up to
     round-off.
     """
-    if not 0.0 < beta < alpha:
-        raise ValueError(f"need 0 < beta < alpha, got beta={beta}, alpha={alpha}")
-    lhs = sobolev_norm(f, s + beta)
-    frac = beta / alpha
-    rhs = sobolev_norm(f, s + alpha) ** frac * sobolev_norm(f, s) ** (1.0 - frac)
+    lhs, rhs = _gn_sides(f, s, alpha, beta)
     return lhs - rhs
 
 

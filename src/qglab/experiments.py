@@ -68,8 +68,8 @@ def compare_mu(
     below 10% of the smallest mu-error, else ReferenceTooCoarse.
 
     `t_end` must equal `cfg.t_end` (ValidationError otherwise).  Every run
-    uses rk4 whatever `cfg.scheme` says; neither model has a linear part,
-    so rk4 and etd-rk4 give bit-identical steps here.
+    marches with `cfg.scheme`; neither model has a linear part, so the
+    `Integrator` steps plain RK4 under either scheme.
     """
     mu_arr = np.asarray(sorted(mu_list, reverse=True), dtype=np.float64)
     if len(mu_arr) < 2 or np.any(np.diff(mu_arr) >= 0.0):
@@ -77,12 +77,11 @@ def compare_mu(
     if t_end != cfg.t_end:
         raise ValidationError(f"t_end={t_end} differs from cfg.t_end={cfg.t_end}")
 
-    base = replace(cfg, scheme="rk4")
-    steps = base.nsteps
+    steps = cfg.nsteps
     snap = cfg.snapshot_every if cfg.snapshot_every > 0 else max(1, steps // 10)
 
     def run_model(p, dt, snapshot_every):
-        local = replace(base, dt=dt, diag_every=steps, snapshot_every=snapshot_every)
+        local = replace(cfg, dt=dt, diag_every=steps, snapshot_every=snapshot_every)
         return run(theta0, p, local)
 
     inviscid = ModelParams("inviscid", alpha=0.0)

@@ -18,8 +18,9 @@ The regularized model inverts (1 + mu Lambda^(2 alpha)) diagonally; signs
 are fixed so that it reduces to the inviscid model as mu -> 0.
 
 `RhsSplit` is the one place a model's right-hand side is written down, as
-a stiff diagonal linear part plus a nonlinear part; the `rhs*` functions
-here and the integrator and Picard solver in `stepping` all evaluate it.
+a stiff diagonal linear part plus a nonlinear part; the field-level entry
+point `rhs(theta, p)` here and the integrator and Picard solver in
+`stepping` all evaluate it.
 
 All evaluations are pure and safe for concurrent use on distinct inputs.
 """
@@ -98,23 +99,6 @@ def advection_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return adv
 
 
-def advection_term(theta: SpectralField) -> SpectralField:
-    """div(u theta) with u = riesz_velocity(theta); mean advects nothing."""
-    return SpectralField(theta.grid, advection_coeffs(theta.grid, theta.coeffs))
-
-
-def dissipation_symbol(grid: Grid, kappa: float, alpha: float) -> np.ndarray:
-    """kappa |k|^(2 alpha) with the k = 0 mode excluded (also when alpha = 0)."""
-    sym = kappa * grid.kabs_safe ** (2.0 * alpha)
-    sym[0, 0] = 0.0
-    return sym
-
-
-def inverse_symbol(grid: Grid, mu: float, alpha: float) -> np.ndarray:
-    """Diagonal inverse 1 / (1 + mu |k|^(2 alpha))."""
-    return 1.0 / (1.0 + mu * grid.kabs ** (2.0 * alpha))
-
-
 def regularized_gradient_kernel(k1, k2, mu: float, alpha: float):
     """Spectral kernel i (k1, k2) / (1 + mu |k|^(2 alpha)), zero at k = 0.
 
@@ -139,8 +123,14 @@ class RhsSplit:
 
     def __init__(self, grid: Grid, p: ModelParams):
         self.grid = grid
-        self.linear = -dissipation_symbol(grid, p.kappa, p.alpha) if p.model == "dissipative" else None
-        self.inverse = inverse_symbol(grid, p.mu, p.alpha) if p.model == "regularized" else None
+        self.linear = None
+        self.inverse = None
+        if p.model == "dissipative":  # the k = 0 mode is excluded, also when alpha = 0
+            sym = p.kappa * grid.kabs_safe ** (2.0 * p.alpha)
+            sym[0, 0] = 0.0
+            self.linear = -sym
+        elif p.model == "regularized":
+            self.inverse = 1.0 / (1.0 + p.mu * grid.kabs ** (2.0 * p.alpha))
         self.forcing = None
         if p.forcing is not None:
             if p.forcing.grid.n != grid.n:
@@ -167,27 +157,3 @@ class RhsSplit:
 def rhs(theta: SpectralField, p: ModelParams) -> SpectralField:
     """The model's right-hand side, evaluated through its RhsSplit."""
     return SpectralField(theta.grid, RhsSplit(theta.grid, p)(theta.coeffs))
-
-
-def rhs_inviscid(theta: SpectralField) -> SpectralField:
-    """theta_t = -div(u theta)."""
-    return rhs(theta, ModelParams("inviscid"))
-
-
-def rhs_dissipative(theta: SpectralField, p: ModelParams) -> SpectralField:
-    """theta_t = -div(u theta) - kappa Lambda^(2 alpha) theta + f."""
-    if p.model != "dissipative":
-        raise ValidationError(f"rhs_dissipative called with model {p.model!r}")
-    return rhs(theta, p)
-
-
-def rhs_regularized(theta: SpectralField, p: ModelParams) -> SpectralField:
-    """theta_t = -(1 + mu Lambda^(2 alpha))^(-1) div(u theta).
-
-    Mode for mode this is the diagonal inverse applied to the inviscid
-    right-hand side, equivalently the gradient kernel contracted with the
-    flux u theta.
-    """
-    if p.model != "regularized":
-        raise ValidationError(f"rhs_regularized called with model {p.model!r}")
-    return rhs(theta, p)

@@ -34,6 +34,7 @@ log = logging.getLogger(__name__)
 SCHEMES = ("etd-rk4", "rk4")
 BLOWUP_SENTINEL = 1e12
 STEP_COUNT_RTOL = 4.0 * np.finfo(np.float64).eps  # t_end / dt may miss an integer by this much
+PICARD_NODES = 33  # Simpson nodes on [0, T] at the coarsest refinement level
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,6 @@ def _picard_iterate(grid, nonlinear, c0, T, nodes, s, tol, max_iter, t_offset):
     ratios = []
     prev_diff = None
     converged = False
-    iterations = 0
     rhs_vals = np.empty_like(traj)
     for iterations in range(1, max_iter + 1):
         for i in range(nodes):
@@ -297,7 +297,6 @@ def picard_solve(
     s: float,
     tol: float = 1e-9,
     max_iter: int = 60,
-    nodes: int = 33,
     max_refine: int = 2,
     t_max: float | None = None,
     _t_offset: float = 0.0,
@@ -305,24 +304,26 @@ def picard_solve(
     """Fixed-point solve of the regularized model on its guaranteed horizon.
 
     The iteration theta_(m+1) = theta_0 + int_0^t rhs(theta_m) runs on
-    T = mu / (4 R), R = 2 ||theta_0||_s, discretized by composite Simpson
-    with at least 33 nodes; node counts double until the answer stabilizes.
-    Certificate ratios above PICARD_RATIO_LIMIT raise NoContraction;
-    `tol` and `t_max` must be positive and finite and `max_iter` at least 1.
+    T = mu / (4 R), R = 2 ||theta_0||_s, discretized by composite Simpson.
+    Level l of the one refinement loop solves on (PICARD_NODES - 1) 2^l + 1
+    nodes, for l = 0 .. max_refine, and stops at the first level whose
+    answer agrees with the coarser one to max(tol, 1e-12) on the shared
+    nodes.  Certificate ratios above PICARD_RATIO_LIMIT raise NoContraction;
+    `tol` and `t_max` must be positive and finite, `max_iter` at least 1
+    and `max_refine` at least 0.
     """
     _positive_finite("tol", tol)
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    if max_refine < 0:
+        raise ValidationError(f"max_refine must be >= 0, got {max_refine}")
     if p.model != "regularized":
         raise ValidationError("picard_solve requires the regularized model")
     if s <= 1.0:
         raise ValidationError(f"picard_solve requires s > 1, got s={s}")
-    if nodes < 33:
-        raise ValidationError("at least 33 quadrature nodes are required")
 
     grid = theta0.grid
-    b = diagnostics.sobolev_norm(theta0, s)
-    R = 2.0 * b
+    R = 2.0 * diagnostics.sobolev_norm(theta0, s)
     T = p.mu / (4.0 * R) if R > 0.0 else np.inf
     if t_max is not None:
         T = min(T, _positive_finite("t_max", t_max))
@@ -331,23 +332,19 @@ def picard_solve(
 
     c0 = theta0.coeffs
     nonlinear = RhsSplit(grid, p).nonlinear
-    times, traj, ratios, converged, iters = _picard_iterate(
-        grid, nonlinear, c0, T, nodes, s, tol, max_iter, _t_offset
-    )
-    level_nodes = nodes
-    for _ in range(max_refine):
-        finer = 2 * (level_nodes - 1) + 1
-        times2, traj2, ratios2, converged2, iters2 = _picard_iterate(
-            grid, nonlinear, c0, T, finer, s, tol, max_iter, _t_offset
+    coarser = None
+    for level in range(max_refine + 1):
+        nodes = (PICARD_NODES - 1) * 2**level + 1
+        times, traj, ratios, converged, iters = _picard_iterate(
+            grid, nonlinear, c0, T, nodes, s, tol, max_iter, _t_offset
         )
-        gap = _sup_hs_distance(grid, traj2[::2], traj, s)
-        times, traj, ratios, converged, iters = times2, traj2, ratios2, converged2, iters2
-        level_nodes = finer
-        if gap <= max(tol, 1e-12):
+        settled = coarser is not None and _sup_hs_distance(grid, traj[::2], coarser, s) <= max(tol, 1e-12)
+        coarser = traj  # also lets the coarser level go before the states are copied out
+        if settled:
             break
 
     cert = PicardCertificate(
-        R=R, T=T, s=s, nodes=level_nodes, iterations=iters, ratios=ratios, converged=converged
+        R=R, T=T, s=s, nodes=nodes, iterations=iters, ratios=ratios, converged=converged
     )
     states = [SpectralField(grid, c) for c in traj]
     return PicardTrajectory(times=times, states=states), cert
@@ -367,14 +364,13 @@ def continue_solution(
     horizon: float,
     tol: float = 1e-9,
     max_iter: int = 60,
-    nodes: int = 33,
-    max_refine: int = 1,
 ) -> ContinuedSolution:
     """Chain Picard horizons until `horizon`, re-seeding at each endpoint.
 
-    Each segment recomputes R and T from its own initial data, which is
-    exactly the extension argument; NoContraction propagates with the time
-    reached so far.  `horizon` must be positive and finite.
+    Each segment is a `picard_solve` with max_refine = 1 that recomputes R
+    and T from its own initial data, which is exactly the extension
+    argument; NoContraction propagates with the time reached so far.
+    `horizon` must be positive and finite.
     """
     _positive_finite("horizon", horizon)
     times = [0.0]
@@ -389,8 +385,7 @@ def continue_solution(
             s,
             tol=tol,
             max_iter=max_iter,
-            nodes=nodes,
-            max_refine=max_refine,
+            max_refine=1,
             t_max=horizon - t_reached,
             _t_offset=t_reached,
         )

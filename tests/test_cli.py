@@ -178,6 +178,15 @@ def test_check_inequality_empty_trials_exit_1(capsys, lemma, trials):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("lemma, cap", [("gn", "0"), ("log", "0"), ("log", "-2")])
+def test_check_inequality_mode_cap_below_one_exit_1(capsys, lemma, cap):
+    argv = ["check-inequality", "--lemma", lemma, "--mode-cap", cap, "--trials", "2"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert "mode_cap must be >= 1" in captured.err
+    assert captured.out == ""
+
+
 def _readme_block(heading):
     """The first fenced block after `heading` in README.md."""
     text = README.read_text(encoding="utf-8")
@@ -196,3 +205,10 @@ def test_readme_matches_code(tmp_path):
     for line in commands:
         args = parser.parse_args(shlex.split(line, comments=True)[1:])
         assert args.command in line
+
+
+def test_readme_library_names_resolve():
+    # the Quick start block never runs here, so check every qglab.<name> the README mentions
+    names = set(re.findall(r"\bqglab\.([A-Za-z_]\w*)", README.read_text(encoding="utf-8")))
+    assert {"Grid", "run", "cmt"} <= names
+    assert sorted(n for n in names if not hasattr(qglab, n)) == []

@@ -104,6 +104,14 @@ def test_max_principle_pure_decay(grid32):
     assert report2.worst_margin < 0.0
 
 
+@pytest.mark.parametrize("q", [5.0, 1])
+def test_max_principle_unrecorded_exponent_is_value_error(grid32, q):
+    p = ModelParams("dissipative", alpha=0.5, kappa=0.2)
+    res = run(qglab.single_mode(grid32, 2, 0), p, StepperConfig(dt=1e-2, t_end=0.1, diag_every=10))
+    with pytest.raises(ValueError, match=r"recorded exponents: \[2\.0, 3\.0, 4\.0, inf\]"):
+        max_principle_check(res.records, q)
+
+
 def test_max_principle_violation_raises(grid32):
     p = ModelParams("dissipative", alpha=0.5, kappa=0.2)
     res = run(qglab.single_mode(grid32, 2, 0), p, StepperConfig(dt=1e-2, t_end=0.5, diag_every=10))

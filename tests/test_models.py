@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qglab
-from qglab import ModelParams, advection_term, inverse_transform, regularized_gradient_kernel
+from qglab import ModelParams, inverse_transform, regularized_gradient_kernel, rhs
 from qglab.errors import ValidationError
-from qglab.models import (
-    RhsSplit,
-    advection_coeffs,
-    inverse_symbol,
-    rhs_dissipative,
-    rhs_inviscid,
-    rhs_regularized,
-)
+from qglab.models import RhsSplit, advection_coeffs
 
 from conftest import full_spectrum, full_wavenumbers, random_field
+
+INVISCID = ModelParams("inviscid")
+
+
+def _inverse(grid, mu, alpha):
+    """The regularized model's diagonal inverse 1 / (1 + mu |k|^(2 alpha)), written out."""
+    k1, k2 = np.meshgrid(np.arange(grid.n // 2 + 1), np.fft.fftfreq(grid.n, 1.0 / grid.n))
+    return 1.0 / (1.0 + mu * np.hypot(k1, k2) ** (2.0 * alpha))
 
 
 @pytest.mark.parametrize(
@@ -140,13 +141,13 @@ def test_advection_matches_complex_kernel(half_n, seed):
 
 
 def test_advection_single_mode_is_steady(grid32):
-    adv = advection_term(qglab.single_mode(grid32, 1, 0))
+    adv = rhs(qglab.single_mode(grid32, 1, 0), INVISCID)
     assert np.max(np.abs(adv.coeffs)) < 1e-15
 
 
 def test_advection_equal_shell_cancels(grid32):
     theta = qglab.single_mode(grid32, 1, 0) + qglab.single_mode(grid32, 0, 1)
-    adv = advection_term(theta)
+    adv = rhs(theta, INVISCID)
     assert np.max(np.abs(adv.coeffs)) < 1e-14
 
 
@@ -154,7 +155,7 @@ def test_advection_closed_form(grid32):
     # theta = cos x1 + cos 2x2 has psi = -cos x1 - cos(2 x2)/2,
     # u = (-sin 2x2, sin x1) and div(u theta) = -sin x1 sin 2x2
     theta = qglab.single_mode(grid32, 1, 0) + qglab.single_mode(grid32, 0, 2)
-    adv = inverse_transform(advection_term(theta))
+    adv = inverse_transform(-1.0 * rhs(theta, INVISCID))
     expect = -np.sin(grid32.x1) * np.sin(2 * grid32.x2)
     assert np.max(np.abs(adv.values - expect)) < 1e-12
 
@@ -164,27 +165,27 @@ def test_advection_ignores_mean(grid32):
     c = theta.coeffs.copy()
     c[0, 0] = 3.0  # add a constant background
     shifted = qglab.SpectralField(grid32, c)
-    a = advection_term(theta)
-    b = advection_term(shifted)
+    a = rhs(theta, INVISCID)
+    b = rhs(shifted, INVISCID)
     assert b.coeffs[0, 0] == 0.0
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-13
 
 
 def test_rhs_inviscid_negates_advection(grid32):
     theta = qglab.single_mode(grid32, 1, 0) + qglab.single_mode(grid32, 0, 2)
-    out = inverse_transform(rhs_inviscid(theta))
+    out = inverse_transform(rhs(theta, INVISCID))
     expect = np.sin(grid32.x1) * np.sin(2 * grid32.x2)
     assert np.max(np.abs(out.values - expect)) < 1e-12
 
 
 def test_rhs_dissipative_single_mode_decay(grid32):
     p = ModelParams("dissipative", alpha=0.5, kappa=0.1)
-    out = inverse_transform(rhs_dissipative(qglab.single_mode(grid32, 2, 0), p))
+    out = inverse_transform(rhs(qglab.single_mode(grid32, 2, 0), p))
     expect = -0.2 * np.cos(2 * grid32.x1)  # |k|^(2 alpha) = 2
     assert np.max(np.abs(out.values - expect)) < 1e-13
 
     p = ModelParams("dissipative", alpha=0.8, kappa=0.3)
-    out = inverse_transform(rhs_dissipative(qglab.single_mode(grid32, 1, 0), p))
+    out = inverse_transform(rhs(qglab.single_mode(grid32, 1, 0), p))
     expect = -0.3 * np.cos(grid32.x1)  # |k| = 1 for any alpha
     assert np.max(np.abs(out.values - expect)) < 1e-13
 
@@ -193,15 +194,13 @@ def test_rhs_dissipative_forcing_passthrough(grid32):
     forcing = qglab.single_mode(grid32, 0, 1)
     p = ModelParams("dissipative", alpha=0.5, kappa=0.1, forcing=forcing)
     zero = qglab.SpectralField(grid32, np.zeros((32, 17), dtype=complex))
-    out = rhs_dissipative(zero, p)
+    out = rhs(zero, p)
     assert np.max(np.abs(out.coeffs - forcing.coeffs)) < 1e-15
 
 
 def test_dissipation_alpha_zero_is_plain_damping(grid16):
     # degenerate alpha = 0: multiplier kappa on every mode except k = 0
-    from qglab.models import dissipation_symbol
-
-    sym = dissipation_symbol(grid16, 0.4, 0.0)
+    sym = -RhsSplit(grid16, ModelParams("dissipative", alpha=0.0, kappa=0.4)).linear
     assert sym[0, 0] == 0.0
     rest = sym.copy()
     rest[0, 0] = 0.4
@@ -230,8 +229,8 @@ def test_kernel_bound_on_grid(alpha, mu):
 def test_rhs_regularized_is_diagonal_inverse_of_inviscid(grid64):
     theta = random_field(grid64, 20, 1.8, 2)
     p = ModelParams("regularized", alpha=0.75, mu=0.3)
-    direct = rhs_regularized(theta, p)
-    via_inviscid = rhs_inviscid(theta).coeffs * inverse_symbol(grid64, 0.3, 0.75)
+    direct = rhs(theta, p)
+    via_inviscid = rhs(theta, INVISCID).coeffs * _inverse(grid64, 0.3, 0.75)
     assert np.max(np.abs(direct.coeffs - via_inviscid)) <= 1e-14 * max(
         np.max(np.abs(via_inviscid)), 1e-30
     )
@@ -241,11 +240,11 @@ def test_rhs_regularized_closed_form(grid32):
     # nonlinear oracle sin x1 sin 2x2, then mode-wise division by 1 + |k|
     theta = qglab.single_mode(grid32, 1, 0) + qglab.single_mode(grid32, 0, 2)
     p = ModelParams("regularized", alpha=0.5, mu=1.0)
-    out = rhs_regularized(theta, p)
+    out = rhs(theta, p)
     oracle = qglab.forward_transform(
         qglab.PhysicalField(grid32, np.sin(grid32.x1) * np.sin(2 * grid32.x2))
     )
-    expect = oracle.coeffs * inverse_symbol(grid32, 1.0, 0.5)
+    expect = oracle.coeffs * _inverse(grid32, 1.0, 0.5)
     assert np.max(np.abs(out.coeffs - expect)) < 1e-14
     # the (1, +-2) coefficients are scaled by 1/(1 + sqrt(5))
     k = grid32.kabs[2, 1]
@@ -255,8 +254,8 @@ def test_rhs_regularized_closed_form(grid32):
 
 def test_rhs_regularized_vanishes_for_large_mu(grid32):
     theta = qglab.single_mode(grid32, 1, 0) + qglab.single_mode(grid32, 0, 2)
-    big = rhs_regularized(theta, ModelParams("regularized", alpha=0.5, mu=1e8))
-    small = rhs_regularized(theta, ModelParams("regularized", alpha=0.5, mu=1.0))
+    big = rhs(theta, ModelParams("regularized", alpha=0.5, mu=1e8))
+    small = rhs(theta, ModelParams("regularized", alpha=0.5, mu=1.0))
     assert np.max(np.abs(big.coeffs)) <= 2e-8 * np.max(np.abs(small.coeffs))
 
 
@@ -264,7 +263,7 @@ def test_rhs_regularized_vanishes_for_large_mu(grid32):
 def test_advection_skew_symmetry(grid64, seed):
     # integral div(u theta) theta dx = 0 for dealiased products
     theta = qglab.dealias(random_field(grid64, 20, 1.5, seed))
-    adv = advection_term(theta)
+    adv = rhs(theta, INVISCID)  # -div(u theta); the sign does not matter here
     inner = (2 * np.pi) ** 2 * float(
         np.sum(full_spectrum(adv.coeffs) * np.conj(full_spectrum(theta.coeffs))).real
     )
@@ -275,8 +274,8 @@ def test_advection_skew_symmetry(grid64, seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_rhs_mean_is_conserved(grid64, seed):
     theta = random_field(grid64, 20, 1.5, seed)
-    assert rhs_inviscid(theta).coeffs[0, 0] == 0.0
+    assert rhs(theta, INVISCID).coeffs[0, 0] == 0.0
     p = ModelParams("dissipative", alpha=0.7, kappa=0.2)
-    assert abs(rhs_dissipative(theta, p).coeffs[0, 0]) == 0.0
+    assert abs(rhs(theta, p).coeffs[0, 0]) == 0.0
     p = ModelParams("regularized", alpha=0.7, mu=0.5)
-    assert abs(rhs_regularized(theta, p).coeffs[0, 0]) == 0.0
+    assert abs(rhs(theta, p).coeffs[0, 0]) == 0.0

@@ -6,7 +6,7 @@ import pytest
 import qglab
 from qglab import ModelParams, StepperConfig, picard_solve, run, step
 from qglab.errors import NoContraction, UnstableStep, ValidationError
-from qglab.models import dissipation_symbol, rhs
+from qglab.models import RhsSplit, rhs
 from qglab.stepping import BLOWUP_SENTINEL, continue_solution, cumulative_simpson, etd_rk4_step, rk4_step
 
 from conftest import random_field
@@ -161,7 +161,7 @@ def test_etd_linear_exactness(grid32):
     # with the nonlinear part disabled, the dissipative evolution matches
     # exp(-kappa |k|^(2 alpha) t) per mode after many steps
     kappa, alpha, dt, nsteps = 0.4, 0.75, 1e-3, 1000
-    lin = -dissipation_symbol(grid32, kappa, alpha)
+    lin = RhsSplit(grid32, ModelParams("dissipative", alpha=alpha, kappa=kappa)).linear
     eh, ef = np.exp(0.5 * dt * lin), np.exp(dt * lin)
     zero = lambda c: 0.0 * c
     theta = random_field(grid32, 10, 1.5, 0)
@@ -236,8 +236,12 @@ def test_picard_requires_regularized_and_s(grid32):
     p = ModelParams("regularized", alpha=0.5, mu=1.0)
     with pytest.raises(ValidationError):
         picard_solve(theta, p, s=0.5)
+
+
+def test_picard_rejects_negative_max_refine(grid16):
+    p = ModelParams("regularized", alpha=0.5, mu=1.0)
     with pytest.raises(ValidationError):
-        picard_solve(theta, p, s=2.0, nodes=11)
+        picard_solve(qglab.single_mode(grid16, 1, 0), p, s=2.0, max_refine=-1)
 
 
 _BAD_PICARD_CONTROLS = [dict(tol=np.nan), dict(tol=0.0), dict(tol=-1e-9), dict(tol=np.inf), dict(max_iter=0)]
@@ -266,15 +270,23 @@ def test_picard_steady_datum_converges_immediately(grid32):
     traj, cert = picard_solve(qglab.single_mode(grid32, 1, 0), p, s=2.0)
     assert cert.converged
     assert cert.iterations == 1
+    assert cert.nodes == 65  # 33 nodes, then 65 agree with them and end the refinement
     assert cert.T == pytest.approx(p.mu / (4.0 * cert.R))
+
+
+def test_picard_without_refinement_stays_on_coarsest_level(grid16):
+    p = ModelParams("regularized", alpha=0.5, mu=1.0)
+    traj, cert = picard_solve(qglab.single_mode(grid16, 1, 0), p, s=2.0, max_refine=0)
+    assert cert.nodes == 33
+    assert len(traj.states) == 33
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75])
 def test_picard_contraction_certificate(grid64, alpha):
     p = ModelParams("regularized", alpha=alpha, mu=1.0)
-    traj, cert = picard_solve(qglab.cmt(grid64), p, s=2.0, tol=1e-9)
+    traj, cert = picard_solve(qglab.cmt(grid64), p, s=2.0, tol=1e-10)
     assert cert.converged
-    assert cert.nodes >= 33
+    assert cert.nodes == 65  # the 129-node level is not needed
     assert cert.ratios and all(r <= 0.55 for r in cert.ratios)
 
 
