@@ -265,17 +265,18 @@ def _positive_finite(name: str, value: float) -> float:
     return value
 
 
-def _picard_iterate(grid, nonlinear, c0, T, nodes, s, tol, max_iter, t_offset):
+def _picard_iterate(grid, nonlinear, c0, f0, T, nodes, s, tol, max_iter, t_offset):
     times = np.linspace(0.0, T, nodes)
     h = times[1] - times[0]
-    traj = np.broadcast_to(c0, (nodes, *c0.shape)).copy()
+    traj = c0[None]  # the constant guess theta(t) = theta_0, whose rhs is f0 at every node
+    rhs_vals = np.broadcast_to(f0, (nodes, *c0.shape)).copy()
     ratios = []
     prev_diff = None
     converged = False
-    rhs_vals = np.empty_like(traj)
     for iterations in range(1, max_iter + 1):
-        for i in range(nodes):
-            rhs_vals[i] = nonlinear(traj[i])
+        if iterations > 1:
+            for i in range(1, nodes):  # node 0 is always theta_0 and keeps f0
+                rhs_vals[i] = nonlinear(traj[i])
         new = c0[None, :, :] + cumulative_simpson(rhs_vals, h)
         diff = _sup_hs_distance(grid, new, traj, s)
         traj = new
@@ -332,11 +333,12 @@ def picard_solve(
 
     c0 = theta0.coeffs
     nonlinear = RhsSplit(grid, p).nonlinear
+    f0 = nonlinear(c0)
     coarser = None
     for level in range(max_refine + 1):
         nodes = (PICARD_NODES - 1) * 2**level + 1
         times, traj, ratios, converged, iters = _picard_iterate(
-            grid, nonlinear, c0, T, nodes, s, tol, max_iter, _t_offset
+            grid, nonlinear, c0, f0, T, nodes, s, tol, max_iter, _t_offset
         )
         settled = coarser is not None and _sup_hs_distance(grid, traj[::2], coarser, s) <= max(tol, 1e-12)
         coarser = traj  # also lets the coarser level go before the states are copied out
