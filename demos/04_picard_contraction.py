@@ -3,7 +3,9 @@
 The integral form theta(t) = theta_0 + int_0^t rhs(theta) is iterated on
 the horizon T = mu / (4 R), R = 2 ||theta_0||_s, where the fixed-point map
 is a 1/2-contraction.  The certificate records the observed ratios, which
-sit far below the guaranteed bound on smooth data.  Chaining horizons
+sit far below the guaranteed bound on smooth data, level by level: the
+33-node level starts from theta_0 and measures them, the 65-node level
+starts from its cubic prolongation and usually agrees after one sweep.  Chaining horizons
 re-seeds R and T at each endpoint, which is exactly the extension argument.
 """
 
@@ -20,6 +22,8 @@ print(f"R = 2||theta0||_2 = {cert.R:.6f}")
 print(f"T = mu/(4R)       = {cert.T:.6f}")
 print(f"quadrature nodes  = {cert.nodes}")
 print(f"iterations        = {cert.iterations}, converged = {cert.converged}")
+for i, level in enumerate(cert.levels):
+    print(f"level {i}: {level}")
 print("contraction ratios:", " ".join(f"{r:.5f}" for r in cert.ratios))
 print("(theory guarantees <= 0.5 on this horizon)")
 

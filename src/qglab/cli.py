@@ -126,6 +126,8 @@ def _cmd_picard(args) -> int:
     traj, cert = stepping.picard_solve(theta0, p, cfg.s, tol=args.tol, max_iter=args.max_iter)
     print(f"R = {cert.R:.12g}   T = {cert.T:.12g}   s = {cert.s:g}   nodes = {cert.nodes}")
     print(f"iterations = {cert.iterations}   converged = {cert.converged}")
+    for i, level in enumerate(cert.levels):
+        print(f"level {i}: {level}")
     ratios = " ".join(f"{r:.4f}" for r in cert.ratios)
     if not ratios:  # one sweep ran
         ratios = "(converged in one sweep)" if cert.converged else "(one sweep, not converged)"

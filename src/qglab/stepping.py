@@ -10,7 +10,11 @@ regularized models, which have no linear part, the two schemes coincide.
 The Picard solver iterates the integral form of the regularized model,
 theta -> theta_0 + int_0^t rhs(theta) with the same split, on the horizon T = mu / (4 R) with
 R = 2 ||theta_0||_s, and certifies the observed contraction ratios; the
-theory guarantees a factor of 1/2 on that horizon.
+theory guarantees a factor of 1/2 on that horizon.  A solve evaluates
+rhs(theta_0) once.  Its coarsest level starts cold from theta(t) = theta_0,
+so its ratios measure the contraction; each refined level starts from the
+cubic prolongation of the coarser answer.  The certificate keeps one record
+per level.
 
 A trajectory is advanced on bare coefficient arrays that no step writes
 to; the states handed to diagnostics and callers are immutable fields.
@@ -201,16 +205,32 @@ def run(theta0: SpectralField, p: ModelParams, cfg: StepperConfig) -> RunResult:
 
 
 @dataclass
+class PicardLevel:
+    """What one refinement level of a Picard solve measured."""
+
+    nodes: int
+    iterations: int
+    ratios: list
+    gap: float | None  # sup-H^s distance to the coarser level on shared nodes; None on level 0
+
+    def __str__(self) -> str:
+        ratios = " ".join(f"{r:.4f}" for r in self.ratios) or "-"
+        gap = "-" if self.gap is None else f"{self.gap:.3e}"
+        return f"nodes = {self.nodes}   iterations = {self.iterations}   ratios = {ratios}   gap = {gap}"
+
+
+@dataclass
 class PicardCertificate:
     """Measured evidence for the contraction argument on one horizon."""
 
     R: float  # 2 ||theta_0||_s
     T: float  # horizon actually used (<= mu / (4 R))
     s: float
-    nodes: int  # quadrature nodes on [0, T]
-    iterations: int
-    ratios: list
+    nodes: int  # quadrature nodes on [0, T] of the final level
+    iterations: int  # sweeps of the final level
+    ratios: list  # every measured contraction ratio, in level order
     converged: bool
+    levels: list  # one PicardLevel per level solved, coarsest first
 
 
 @dataclass
@@ -252,11 +272,14 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def _sup_hs_distance(grid: Grid, a: np.ndarray, b: np.ndarray, s: float) -> float:
-    """sup over nodes of ||a - b||_s for stacked coefficient arrays."""
+    """sup over nodes of ||a - b||_s for stacked coefficient arrays that broadcast.
+
+    Node by node, so no temporary is larger than one state.
+    """
     w = grid.parseval_weights * grid.kabs_safe ** (2.0 * s)
     w[0, 0] = 0.0
-    d2 = np.abs(a - b) ** 2
-    return 2.0 * np.pi * float(np.sqrt(np.max(np.sum(d2 * w, axis=(1, 2)))))
+    d2 = max(float(np.sum(np.abs(x - y) ** 2 * w)) for x, y in zip(*np.broadcast_arrays(a, b)))
+    return 2.0 * np.pi * math.sqrt(d2)
 
 
 def _positive_finite(name: str, value: float) -> float:
@@ -265,19 +288,47 @@ def _positive_finite(name: str, value: float) -> float:
     return value
 
 
-def _picard_iterate(grid, nonlinear, c0, f0, T, nodes, s, tol, max_iter, t_offset):
+def _prolong(coarse: np.ndarray) -> np.ndarray:
+    """A trajectory on twice as many intervals, cubic in t between the coarse nodes.
+
+    Even nodes take the coarse values, interior midpoints the four-point
+    cubic (-1, 9, 9, -1)/16 and the two end midpoints the one-sided
+    (5, 15, -5, 1)/16, so a trajectory cubic in t is reproduced.  Needs at
+    least four coarse nodes.
+    """
+    fine = np.empty((2 * len(coarse) - 1, *coarse.shape[1:]), dtype=coarse.dtype)
+    fine[::2] = coarse
+    mid = fine[3:-3:2]  # the midpoints with two coarse nodes on either side
+    np.add(coarse[1:-2], coarse[2:-1], out=mid)
+    mid *= 9.0
+    mid -= coarse[:-3]
+    mid -= coarse[3:]
+    mid /= 16.0
+    for i, c in ((1, coarse[:4]), (-2, coarse[:-5:-1])):
+        fine[i] = (5.0 * c[0] + 15.0 * c[1] - 5.0 * c[2] + c[3]) / 16.0
+    return fine
+
+
+def _picard_iterate(grid, nonlinear, c0, f0, coarse, T, s, tol, max_iter, t_offset):
+    """Sweeps on one level, from the constant guess or, given `coarse`, from its prolongation."""
+    if coarse is None:
+        traj = c0[None]  # the constant guess theta(t) = theta_0, whose rhs is f0 at every node
+        nodes = PICARD_NODES
+    else:
+        traj = _prolong(coarse)
+        nodes = len(traj)
     times = np.linspace(0.0, T, nodes)
     h = times[1] - times[0]
-    traj = c0[None]  # the constant guess theta(t) = theta_0, whose rhs is f0 at every node
     rhs_vals = np.broadcast_to(f0, (nodes, *c0.shape)).copy()
     ratios = []
     prev_diff = None
     converged = False
     for iterations in range(1, max_iter + 1):
-        if iterations > 1:
+        if iterations > 1 or coarse is not None:
             for i in range(1, nodes):  # node 0 is always theta_0 and keeps f0
                 rhs_vals[i] = nonlinear(traj[i])
-        new = c0[None, :, :] + cumulative_simpson(rhs_vals, h)
+        new = cumulative_simpson(rhs_vals, h)
+        new += c0
         diff = _sup_hs_distance(grid, new, traj, s)
         traj = new
         if prev_diff is not None and prev_diff > 0.0:
@@ -309,9 +360,18 @@ def picard_solve(
     Level l of the one refinement loop solves on (PICARD_NODES - 1) 2^l + 1
     nodes, for l = 0 .. max_refine, and stops at the first level whose
     answer agrees with the coarser one to max(tol, 1e-12) on the shared
-    nodes.  Certificate ratios above PICARD_RATIO_LIMIT raise NoContraction;
-    `tol` and `t_max` must be positive and finite, `max_iter` at least 1
-    and `max_refine` at least 0.
+    nodes (the level's refinement gap).  rhs(theta_0) is evaluated once
+    and serves node 0, which is always theta_0, on every sweep.  Level 0
+    starts from the constant guess theta_0, whose first sweep needs no
+    further evaluation, and measures the contraction ratios; level l >= 1
+    starts from the coarser level's trajectory, with even nodes copied and
+    midpoints cubic in t, and often agrees after one sweep.
+
+    The certificate's `levels` holds each level's nodes, iterations, ratios
+    and gap (None on level 0); `ratios` lists every measured ratio in level
+    order, while `nodes` and `iterations` are the final level's.  A ratio
+    above PICARD_RATIO_LIMIT raises NoContraction; `tol` and `t_max` must
+    be positive and finite, `max_iter` at least 1 and `max_refine` at least 0.
     """
     _positive_finite("tol", tol)
     if max_iter < 1:
@@ -334,19 +394,21 @@ def picard_solve(
     c0 = theta0.coeffs
     nonlinear = RhsSplit(grid, p).nonlinear
     f0 = nonlinear(c0)
+    levels = []
     coarser = None
-    for level in range(max_refine + 1):
-        nodes = (PICARD_NODES - 1) * 2**level + 1
+    for _ in range(max_refine + 1):
         times, traj, ratios, converged, iters = _picard_iterate(
-            grid, nonlinear, c0, f0, T, nodes, s, tol, max_iter, _t_offset
+            grid, nonlinear, c0, f0, coarser, T, s, tol, max_iter, _t_offset
         )
-        settled = coarser is not None and _sup_hs_distance(grid, traj[::2], coarser, s) <= max(tol, 1e-12)
+        gap = None if coarser is None else _sup_hs_distance(grid, traj[::2], coarser, s)
+        levels.append(PicardLevel(nodes=len(traj), iterations=iters, ratios=ratios, gap=gap))
         coarser = traj  # also lets the coarser level go before the states are copied out
-        if settled:
+        if gap is not None and gap <= max(tol, 1e-12):
             break
 
     cert = PicardCertificate(
-        R=R, T=T, s=s, nodes=nodes, iterations=iters, ratios=ratios, converged=converged
+        R=R, T=T, s=s, nodes=len(traj), iterations=iters,
+        ratios=[r for level in levels for r in level.ratios], converged=converged, levels=levels,
     )
     states = [SpectralField(grid, c) for c in traj]
     return PicardTrajectory(times=times, states=states), cert
@@ -371,8 +433,9 @@ def continue_solution(
 
     Each segment is a `picard_solve` with max_refine = 1 that recomputes R
     and T from its own initial data, which is exactly the extension
-    argument; NoContraction propagates with the time reached so far.
-    `horizon` must be positive and finite.
+    argument; each segment's level 0 starts cold from its own initial data,
+    so every certificate measures its own ratios.  NoContraction propagates
+    with the time reached so far.  `horizon` must be positive and finite.
     """
     _positive_finite("horizon", horizon)
     times = [0.0]

@@ -72,6 +72,14 @@ def test_picard_prints_certificate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "converged = True" in out
     assert "contraction ratios" in out
+    levels = [line for line in out.splitlines() if line.startswith("level ")]
+    assert len(levels) == 2
+    assert levels[0].startswith("level 0: nodes = 33   iterations = ")
+    assert levels[0].endswith("   gap = -")
+    assert levels[1].startswith("level 1: nodes = 65   iterations = ")
+    assert 0.0 <= float(levels[1].rsplit("gap = ", 1)[1]) <= 1e-9
+    ratios = levels[0].split("ratios = ", 1)[1].split("   gap", 1)[0].split()
+    assert len(ratios) >= 2 and all(0.0 < float(r) <= 0.55 for r in ratios)
 
 
 def test_picard_horizon_chains_segments(tmp_path, capsys):

@@ -1,13 +1,23 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qglab
 from qglab import ModelParams, StepperConfig, picard_solve, run, step
 from qglab.errors import NoContraction, UnstableStep, ValidationError
 from qglab.models import RhsSplit, rhs
-from qglab.stepping import BLOWUP_SENTINEL, continue_solution, cumulative_simpson, etd_rk4_step, rk4_step
+from qglab.stepping import (
+    BLOWUP_SENTINEL,
+    _prolong,
+    continue_solution,
+    cumulative_simpson,
+    etd_rk4_step,
+    rk4_step,
+)
 
 from conftest import random_field
 
@@ -288,6 +298,77 @@ def test_picard_contraction_certificate(grid64, alpha):
     assert cert.converged
     assert cert.nodes == 65  # the 129-node level is not needed
     assert cert.ratios and all(r <= 0.55 for r in cert.ratios)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("alpha", [0.5, 0.75])
+def test_picard_certificates_keep_measured_ratios(request, n, alpha):
+    # the refined level starts from the coarse answer and often agrees after
+    # one sweep; the cold coarsest level still measures the contraction
+    p = ModelParams("regularized", alpha=alpha, mu=1.0)
+    theta = qglab.cmt(request.getfixturevalue(f"grid{n}"))
+    _, cert = picard_solve(theta, p, s=2.0, tol=1e-10)
+    sol = continue_solution(theta, p, s=2.0, horizon=0.05)
+    assert len(sol.certificates) > 1
+    for c in [cert, *sol.certificates]:
+        assert len(c.ratios) >= 2
+        assert c.ratios == [r for level in c.levels for r in level.ratios]
+        assert c.levels[0].nodes == 33 and c.levels[0].gap is None
+        assert all(level.gap <= 1e-9 for level in c.levels[1:])
+        assert (c.nodes, c.iterations) == (c.levels[-1].nodes, c.levels[-1].iterations)
+
+
+def test_picard_evaluates_theta0_once(grid64, monkeypatch):
+    p = ModelParams("regularized", alpha=0.5, mu=1.0)
+    theta = qglab.cmt(grid64)
+    calls = []
+    nonlinear = RhsSplit.nonlinear
+
+    def counted(self, c):
+        calls.append(np.array_equal(c, theta.coeffs))
+        return nonlinear(self, c)
+
+    monkeypatch.setattr(RhsSplit, "nonlinear", counted)
+    _, cert = picard_solve(theta, p, s=2.0, tol=1e-10)
+    # level 0's first sweep reuses rhs(theta_0) at every node and later sweeps
+    # at node 0; a warm level evaluates nodes 1..m-1 on every sweep
+    (k0, m0), *warm = [(level.iterations, level.nodes) for level in cert.levels]
+    assert warm
+    assert len(calls) == 1 + (k0 - 1) * (m0 - 1) + sum(k * (m - 1) for k, m in warm)
+    assert sum(calls) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(4, 40),
+    T=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prolong_keeps_coarse_nodes_and_reproduces_cubics(m, T, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+    t = np.linspace(0.0, T, 2 * m - 1)[:, None, None]
+    exact = a[0] + t * (a[1] + t * (a[2] + t * a[3]))
+    coarse = exact[::2].copy()
+    fine = _prolong(coarse)
+    assert fine.shape == exact.shape
+    assert fine[::2].tobytes() == coarse.tobytes()
+    assert np.max(np.abs(fine[1::2] - exact[1::2])) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_picard_solve_peak_memory(grid64):
+    # about 3.6 65-node trajectories are live at the peak; one more held
+    # anywhere in the solve would add 1.0 to the ratio
+    p = ModelParams("regularized", alpha=0.5, mu=1.0)
+    theta = qglab.cmt(grid64)
+    picard_solve(theta, p, s=2.0, tol=1e-10)  # warm-up: the grid's cached symbols
+    tracemalloc.start()
+    try:
+        picard_solve(theta, p, s=2.0, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * 65 * theta.coeffs.nbytes
 
 
 def test_picard_cross_validates_against_run(grid64):
