@@ -5,8 +5,9 @@ the horizon T = mu / (4 R), R = 2 ||theta_0||_s, where the fixed-point map
 is a 1/2-contraction.  The certificate records the observed ratios, which
 sit far below the guaranteed bound on smooth data, level by level: the
 33-node level starts from theta_0 and measures them, the 65-node level
-starts from its cubic prolongation and usually agrees after one sweep.  Chaining horizons
-re-seeds R and T at each endpoint, which is exactly the extension argument.
+starts from its cubic prolongation and usually agrees after one sweep.
+Chaining horizons re-seeds R and T at each endpoint, which is exactly the
+extension argument.
 """
 
 import numpy as np

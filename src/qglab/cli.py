@@ -129,7 +129,7 @@ def _cmd_picard(args) -> int:
     for i, level in enumerate(cert.levels):
         print(f"level {i}: {level}")
     ratios = " ".join(f"{r:.4f}" for r in cert.ratios)
-    if not ratios:  # one sweep ran
+    if not ratios:  # every level ran one sweep
         ratios = "(converged in one sweep)" if cert.converged else "(one sweep, not converged)"
     print(f"contraction ratios: {ratios}")
     return 0
