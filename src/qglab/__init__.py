@@ -39,14 +39,10 @@ from .errors import (
     Violation,
 )
 from .experiments import (
-    BlowupWatch,
     MuSweepResult,
-    blowup_watch,
     compare_mu,
-    envelope_growth_constant,
     fit_loglog_slope,
     flux_decay_exponent,
-    z_ode_constant,
 )
 from .io import RunConfig, Snapshot, load_config, load_snapshot, save_snapshot, write_series
 from .models import ModelParams, regularized_gradient_kernel, rhs
@@ -64,7 +60,6 @@ from .spectral import (
     mollify,
     pad_spectrum,
     riesz_velocity,
-    translate,
 )
 from .stepping import (
     PicardCertificate,
@@ -74,7 +69,6 @@ from .stepping import (
     continue_solution,
     picard_solve,
     run,
-    step,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Multi-run studies: the mu -> 0 limit, blow-up criteria, flux scaling.
+"""Multi-run studies: the mu -> 0 limit and flux scaling.
 
 Slope fits use least squares on log-log pairs after dropping any point
 within 10x of the 1e-14 round-off floor.  Per-mu runs are independent of
@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import NormRecord, flux_scan
+from .diagnostics import flux_scan
 from .errors import DegenerateFit, ReferenceTooCoarse, ValidationError
 from .models import ModelParams
 from .spectral import SpectralField
@@ -49,8 +49,6 @@ class MuSweepResult:
     slope_modified: float
     reference_dt: float
     reference_self_error: float
-    sample_times: np.ndarray
-    grid_n: int
 
 
 def compare_mu(
@@ -87,7 +85,6 @@ def compare_mu(
     inviscid = ModelParams("inviscid", alpha=0.0)
     ref_coarse = run_model(inviscid, cfg.dt, snap)
     ref_fine = run_model(inviscid, 0.5 * cfg.dt, 2 * snap)
-    times = np.array([t for t, _ in ref_fine.samples])
     ref_states = [f for _, f in ref_fine.samples]
     coarse_states = [f for _, f in ref_coarse.samples]
 
@@ -131,71 +128,7 @@ def compare_mu(
         slope_modified=slope_mod,
         reference_dt=0.5 * cfg.dt,
         reference_self_error=self_err,
-        sample_times=times,
-        grid_n=theta0.grid.n,
     )
-
-
-@dataclass
-class BlowupWatch:
-    """Running integrals of the extension criteria plus norm histories."""
-
-    times: np.ndarray
-    theta_inf_integral: np.ndarray  # int_0^t |theta|_inf
-    u_inf_integral: np.ndarray  # int_0^t |u|_inf
-    h1_history: np.ndarray
-    hs_history: np.ndarray
-    m_threshold: float | None = None
-
-    def extension_guaranteed(self) -> np.ndarray:
-        """True while both criterion integrals stay below the threshold."""
-        if self.m_threshold is None:
-            raise ValidationError("no threshold configured")
-        return (self.theta_inf_integral < self.m_threshold) & (
-            self.u_inf_integral < self.m_threshold
-        )
-
-
-def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    if len(values) > 1:
-        seg = 0.5 * np.diff(times) * (values[1:] + values[:-1])
-        out[1:] = np.cumsum(seg)
-    return out
-
-
-def blowup_watch(records: list[NormRecord], s: float, m_threshold: float | None = None) -> BlowupWatch:
-    """Accumulate the blow-up criterion integrals from a diagnostic series."""
-    times = np.array([r.t for r in records])
-    th_inf = np.array([r.lp[np.inf] for r in records])
-    u_inf = np.array([r.q_inf - r.lp[np.inf] for r in records])
-    return BlowupWatch(
-        times=times,
-        theta_inf_integral=_cumtrapz(times, th_inf),
-        u_inf_integral=_cumtrapz(times, u_inf),
-        h1_history=np.array([r.hs[1.0] for r in records]),
-        hs_history=np.array([r.hs[s] for r in records]),
-        m_threshold=m_threshold,
-    )
-
-
-def envelope_growth_constant(times, z, mu: float) -> float:
-    """Fitted C in z(t) <= z(0) exp(C t / sqrt(mu)) from a recorded series."""
-    times = np.asarray(times, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    slope = float(np.polyfit(times, np.log(z), 1)[0])
-    return max(slope, 0.0) * math.sqrt(mu)
-
-
-def z_ode_constant(times, z) -> float:
-    """Max finite-difference ratio (dz/dt) / (z sqrt(1 + log z)) over a series."""
-    times = np.asarray(times, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    dz = np.diff(z) / np.diff(times)
-    zmid = 0.5 * (z[1:] + z[:-1])
-    denom = zmid * np.sqrt(np.maximum(1.0 + np.log(zmid), 1e-12))
-    ratios = dz / denom
-    return float(np.max(ratios)) if len(ratios) else 0.0
 
 
 def flux_decay_exponent(

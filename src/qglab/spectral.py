@@ -323,7 +323,11 @@ class Mollifier:
         """
         d = self.eps * np.linspace(-STENCIL_HALF_WIDTH, STENCIL_HALF_WIDTH, STENCIL_POINTS)
         m = self.multiplier(grid) * grid.parseval_weights
-        e = _phases(grid, d)  # (n, STENCIL_POINTS)
+        e = np.exp(1j * np.outer(grid.wavenumbers, d))  # exp(i k d): (n, STENCIL_POINTS)
+        # The stored Nyquist entry stands for both k = +n/2 and k = -n/2, so it
+        # takes the mean of their phases, cos(n d / 2); being real, it keeps the
+        # weights mirror symmetric.
+        e[grid.n // 2] = e[grid.n // 2].real
         w = (e.T @ m @ e[: grid.n // 2 + 1]).real  # periodized kernel at the offsets
         return d, w / w.sum()
 
@@ -331,30 +335,6 @@ class Mollifier:
 def mollify(f: SpectralField, m: Mollifier) -> SpectralField:
     """Multiply coefficients by m_eps(k); the mean is preserved exactly."""
     return SpectralField(f.grid, f.coeffs * m.multiplier(f.grid))
-
-
-def _phases(grid: Grid, a) -> np.ndarray:
-    """exp(i k a) per wavenumber k (rows) and shift a (columns).
-
-    The stored Nyquist entry stands for both k = +n/2 and k = -n/2, so it
-    takes the mean of their phases, cos(n a / 2).  Being real, it keeps the
-    self-conjugate columns of a shifted spectrum Hermitian and the stencil
-    weights mirror symmetric.
-    """
-    e = np.exp(1j * np.outer(grid.wavenumbers, a))
-    e[grid.n // 2] = e[grid.n // 2].real
-    return e
-
-
-def translate(f: SpectralField, a1: float, a2: float) -> SpectralField:
-    """Field of x -> f(x1 - a1, x2 - a2) via the per-axis phase multiplier.
-
-    Exact for grid shifts and for fields with empty Nyquist lines.  On the
-    Nyquist lines the phase is cos(n a / 2), so the result equals padding
-    to 2n, shifting there exactly and sampling every second node.
-    """
-    p1, p2 = _phases(f.grid, [-a1, -a2]).T
-    return SpectralField(f.grid, f.coeffs * p2[:, None] * p1[: f.grid.n // 2 + 1])
 
 
 def pad_spectrum(f: SpectralField, m: int) -> SpectralField:

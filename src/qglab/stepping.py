@@ -4,7 +4,7 @@ Two marching schemes are provided: plain RK4 on the full right-hand side
 and an integrating-factor RK4 ("etd-rk4") that advances the stiff
 fractional dissipation exactly through the factor exp(-kappa |k|^(2 alpha) dt).
 `Integrator` applies either one to the model's `RhsSplit` and checks the
-blow-up sentinel; `step` and `run` go through it.  For the inviscid and
+blow-up sentinel; `run` and `compare_mu` march with it.  For the inviscid and
 regularized models, which have no linear part, the two schemes coincide.
 
 The Picard solver iterates the integral form of the regularized model,
@@ -13,8 +13,9 @@ R = 2 ||theta_0||_s, and certifies the observed contraction ratios; the
 theory guarantees a factor of 1/2 on that horizon.  A solve evaluates
 rhs(theta_0) once.  Its coarsest level starts cold from theta(t) = theta_0,
 so its ratios measure the contraction; each refined level starts from the
-cubic prolongation of the coarser answer.  The certificate keeps one record
-per level.
+cubic prolongation of the coarser answer, or from theta_0 again when that
+constant guess converged on its first sweep.  The certificate keeps one
+record per level.
 
 A trajectory is advanced on bare coefficient arrays that no step writes
 to; the states handed to diagnostics and callers are immutable fields.
@@ -139,12 +140,6 @@ class Integrator:
         return out
 
 
-def step(theta: SpectralField, p: ModelParams, dt: float, scheme: str = "etd-rk4") -> SpectralField:
-    """Advance one step; raises UnstableStep past the blow-up sentinel."""
-    out = Integrator(theta.grid, p, dt, scheme).advance(theta.coeffs, dt)
-    return SpectralField(theta.grid, out)
-
-
 @dataclass
 class RunResult:
     """Trajectory samples plus the diagnostic time series of one run."""
@@ -154,7 +149,6 @@ class RunResult:
     records: list
     samples: list  # (t, SpectralField) pairs, populated when snapshot_every > 0
     final: SpectralField
-    cfl_estimate: float
 
 
 def run(theta0: SpectralField, p: ModelParams, cfg: StepperConfig) -> RunResult:
@@ -196,7 +190,6 @@ def run(theta0: SpectralField, p: ModelParams, cfg: StepperConfig) -> RunResult:
         records=records,
         samples=samples,
         final=SpectralField(grid, c),
-        cfl_estimate=limit,
     )
 
 
@@ -244,22 +237,11 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
 
     Composite Simpson on even nodes; odd nodes add the last subinterval of
     the cubic through the four nearest samples.  Exact for polynomials of
-    degree <= 3 once four samples are available.
+    degree <= 3.  Needs at least four samples.
     """
-    m = len(values)
     out = np.zeros_like(values)
-    if m == 1:
-        return out
-    if m == 2:
-        out[1] = 0.5 * h * (values[0] + values[1])
-        return out
-    if m == 3:
-        out[1] = (h / 12.0) * (5.0 * values[0] + 8.0 * values[1] - values[2])
-    else:
-        out[1] = (h / 24.0) * (
-            9.0 * values[0] + 19.0 * values[1] - 5.0 * values[2] + values[3]
-        )
-    for i in range(2, m):
+    out[1] = (h / 24.0) * (9.0 * values[0] + 19.0 * values[1] - 5.0 * values[2] + values[3])
+    for i in range(2, len(values)):
         if i % 2 == 0:
             out[i] = out[i - 2] + (h / 3.0) * (
                 values[i - 2] + 4.0 * values[i - 1] + values[i]
@@ -309,14 +291,10 @@ def _prolong(coarse: np.ndarray) -> np.ndarray:
     return fine
 
 
-def _picard_iterate(grid, nonlinear, c0, f0, coarse, T, s, tol, max_iter, t_offset):
-    """Sweeps on one level, from the constant guess or, given `coarse`, from its prolongation."""
-    if coarse is None:
-        traj = c0[None]  # the constant guess theta(t) = theta_0, whose rhs is f0 at every node
-        nodes = PICARD_NODES
-    else:
-        traj = _prolong(coarse)
-        nodes = len(traj)
+def _picard_iterate(grid, nonlinear, c0, f0, coarse, nodes, T, s, tol, max_iter, t_offset):
+    """Sweeps on `nodes` nodes, from the constant guess or, given `coarse`, from its prolongation."""
+    # the constant guess theta(t) = theta_0 has rhs f0 at every node
+    traj = c0[None] if coarse is None else _prolong(coarse)
     times = np.linspace(0.0, T, nodes)
     h = times[1] - times[0]
     rhs_vals = np.broadcast_to(f0, (nodes, *c0.shape)).copy()
@@ -365,7 +343,10 @@ def picard_solve(
     starts from the constant guess theta_0, whose first sweep needs no
     further evaluation, and measures the contraction ratios; level l >= 1
     starts from the coarser level's trajectory, with even nodes copied and
-    midpoints cubic in t, and often agrees after one sweep.
+    midpoints cubic in t, and often agrees after one sweep.  When the
+    constant guess converged on its first sweep (a steady datum), the
+    refined level starts from it too, so its first sweep needs no further
+    evaluation either.
 
     The certificate's `levels` holds each level's nodes, iterations, ratios
     and gap (None on level 0); `ratios` lists every measured ratio in level
@@ -396,15 +377,18 @@ def picard_solve(
     f0 = nonlinear(c0)
     levels = []
     coarser = None
-    for _ in range(max_refine + 1):
+    cold = True
+    for level in range(max_refine + 1):
         times, traj, ratios, converged, iters = _picard_iterate(
-            grid, nonlinear, c0, f0, coarser, T, s, tol, max_iter, _t_offset
+            grid, nonlinear, c0, f0, None if cold else coarser, (PICARD_NODES - 1) * 2**level + 1,
+            T, s, tol, max_iter, _t_offset,
         )
         gap = None if coarser is None else _sup_hs_distance(grid, traj[::2], coarser, s)
         levels.append(PicardLevel(nodes=len(traj), iterations=iters, ratios=ratios, gap=gap))
         coarser = traj  # also lets the coarser level go before the states are copied out
         if gap is not None and gap <= max(tol, 1e-12):
             break
+        cold = cold and converged and iters == 1  # the constant guess is a fixed point to tol
 
     cert = PicardCertificate(
         R=R, T=T, s=s, nodes=len(traj), iterations=iters,

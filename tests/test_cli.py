@@ -131,6 +131,17 @@ def test_norms_sigma_at_most_one_exits_1(tmp_path, capsys, sigma):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag", ["--q", "--s"])
+def test_norms_nan_index_exits_1(tmp_path, capsys, flag):
+    path = str(tmp_path / "s.qgw")
+    theta = qglab.single_mode(qglab.Grid(16), 1, 0)
+    qglab.save_snapshot(qglab.Snapshot.from_state(0.0, theta, qglab.ModelParams("inviscid")), path)
+    assert cli_main(["norms", "--snapshot", path, flag, "nan"]) == 1
+    captured = capsys.readouterr()
+    assert "nan" in captured.err
+    assert "= nan" not in captured.out
+
+
 def test_norms_corrupt_snapshot_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.qgw"
     path.write_bytes(b"NOPE" + b"\0" * 64)

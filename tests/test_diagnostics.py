@@ -14,7 +14,6 @@ from qglab.diagnostics import (
     gn_constant,
     gn_residual,
     ladder_bracket,
-    log_bound_ratio,
     log_interpolation_constant,
     lp_norm,
     max_principle_check,
@@ -39,8 +38,9 @@ def test_lp_norm_cosine(grid64):
 
 def test_lp_norm_rejects_small_exponent(grid16):
     phys = inverse_transform(qglab.single_mode(grid16, 1, 0))
-    with pytest.raises(ValueError):
-        lp_norm(phys, 0.5)
+    for q in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            lp_norm(phys, q)
 
 
 def test_sobolev_norm_single_modes(grid32):
@@ -49,6 +49,12 @@ def test_sobolev_norm_single_modes(grid32):
         assert sobolev_norm(f, s) == pytest.approx(np.pi * np.sqrt(2.0), rel=1e-12)
     g = qglab.single_mode(grid32, 2, 0)
     assert sobolev_norm(g, 1.0) == pytest.approx(2.0 * np.pi * np.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_sobolev_norm_rejects_non_finite_index(grid16, s):
+    with pytest.raises(ValueError, match="finite"):
+        sobolev_norm(qglab.single_mode(grid16, 1, 0), s)
 
 
 def test_sobolev_norm_zero_field(grid16):
@@ -225,13 +231,15 @@ def test_log_bound_cosine_ratio(grid32):
     sigma = 2.0
     h = np.pi * np.sqrt(2.0)
     expect = 1.0 / (1.0 + h * math.sqrt(math.log(1.0 + h)))
-    assert log_bound_ratio(theta, sigma) == pytest.approx(expect, rel=1e-12)
-    assert log_bound_ratio(theta, sigma) < 1.0
+    ratio = lp_norm(inverse_transform(theta), np.inf) / ladder_bracket(theta, sigma)
+    assert ratio == pytest.approx(expect, rel=1e-12)
+    assert ratio < 1.0
 
 
 def test_log_bound_ratio_sign_invariant(grid32):
     f = random_field(grid32, 10, 1.5, 3)
-    assert log_bound_ratio(-1.0 * f, 2.0) == pytest.approx(log_bound_ratio(f, 2.0), rel=1e-12)
+    plus, minus = (lp_norm(inverse_transform(g), np.inf) / ladder_bracket(g, 2.0) for g in (f, -1.0 * f))
+    assert minus == pytest.approx(plus, rel=1e-12)
 
 
 def test_log_interpolation_constant_reproducible():

@@ -21,7 +21,6 @@ from qglab import (
     mollify,
     pad_spectrum,
     riesz_velocity,
-    translate,
 )
 from qglab.errors import NegativePowerOnMean, ValidationError
 
@@ -348,33 +347,6 @@ def test_pad_spectrum_property(half_n, extra, seed):
     # the fine trigonometric polynomial evaluated at the coarse nodes
     e = np.exp(1j * np.outer(Grid(n).nodes, fine.grid.wavenumbers))
     assert np.max(np.abs((e @ full @ e.T).real - values)) <= 1e-12
-
-
-def test_translate_matches_roll(grid32):
-    f = random_field(grid32, 10, 2.0, 1)
-    h = 2 * np.pi / 32
-    shifted = inverse_transform(translate(f, 3 * h, 5 * h)).values
-    rolled = np.roll(inverse_transform(f).values, (5, 3), axis=(0, 1))
-    assert np.max(np.abs(shifted - rolled)) < 1e-12
-
-
-def _white(n, seed):
-    """Standard-normal samples: every spectral line is populated, the Nyquist lines too."""
-    values = np.random.default_rng(seed).standard_normal((n, n))
-    return forward_transform(PhysicalField(Grid(n), values))
-
-
-@pytest.mark.parametrize("n", [16, 32])
-def test_translate_with_nyquist_content(n):
-    f = _white(n, n)
-    # off-grid shift: exact on the doubled grid, sampled back on every second node
-    a1, a2 = 0.3, 0.7
-    fine = inverse_transform(translate(pad_spectrum(f, 2 * n), a1, a2)).values[::2, ::2]
-    assert np.max(np.abs(inverse_transform(translate(f, a1, a2)).values - fine)) <= 1e-12
-    # grid shift: a roll of the samples
-    h = 2 * np.pi / n
-    rolled = np.roll(inverse_transform(f).values, (5, 3), axis=(0, 1))
-    assert np.max(np.abs(inverse_transform(translate(f, 3 * h, 5 * h)).values - rolled)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [32, 64])

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qglab
-from qglab import ModelParams, StepperConfig, picard_solve, run, step
+from qglab import ModelParams, StepperConfig, picard_solve, run
 from qglab.errors import NoContraction, UnstableStep, ValidationError
 from qglab.models import RhsSplit, rhs
 from qglab.stepping import (
     BLOWUP_SENTINEL,
+    Integrator,
     _prolong,
     continue_solution,
     cumulative_simpson,
@@ -114,18 +115,17 @@ def test_step_dissipative_single_mode_exact(grid32):
     p = ModelParams("dissipative", alpha=0.5, kappa=0.1)
     theta = qglab.single_mode(grid32, 2, 0)
     for dt in (1e-3, 0.05, 0.7):
-        out = step(theta, p, dt)
+        out = Integrator(grid32, p, dt, "etd-rk4").advance(theta.coeffs, dt)
         expect = np.exp(-0.2 * dt) * np.cos(2 * grid32.x1)
-        got = qglab.inverse_transform(out).values
+        got = qglab.inverse_transform(qglab.SpectralField(grid32, out)).values
         assert np.max(np.abs(got - expect)) < 1e-12
 
 
 def test_step_steady_states(grid32):
     theta = qglab.single_mode(grid32, 1, 0)
-    out = step(theta, ModelParams("inviscid"), 0.01)
-    assert np.max(np.abs(out.coeffs - theta.coeffs)) < 1e-14
-    out = step(theta, ModelParams("regularized", alpha=0.5, mu=1.0), 0.01)
-    assert np.max(np.abs(out.coeffs - theta.coeffs)) < 1e-14
+    for p in (ModelParams("inviscid"), ModelParams("regularized", alpha=0.5, mu=1.0)):
+        out = Integrator(grid32, p, 0.01, "etd-rk4").advance(theta.coeffs, 0.01)
+        assert np.max(np.abs(out - theta.coeffs)) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -143,7 +143,7 @@ def test_step_rk4_is_rk4_of_model_rhs(grid32, model, kwargs, forced):
     p = ModelParams(model, forcing=forcing, **kwargs)
     theta = random_field(grid32, 10, 2.0, 4)
     dt = 1e-2
-    got = step(theta, p, dt, scheme="rk4").coeffs
+    got = Integrator(grid32, p, dt, "rk4").advance(theta.coeffs, dt)
     want = rk4_step(theta.coeffs, lambda c: rhs(qglab.SpectralField(grid32, c), p).coeffs, dt)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -153,16 +153,16 @@ def test_step_rk4_is_rk4_of_model_rhs(grid32, model, kwargs, forced):
 )
 def test_schemes_coincide_without_linear_part(grid32, p):
     theta = random_field(grid32, 10, 2.0, 6)
-    a = step(theta, p, 1e-2, scheme="etd-rk4")
-    b = step(theta, p, 1e-2, scheme="rk4")
-    assert np.array_equal(a.coeffs, b.coeffs)
+    a = Integrator(grid32, p, 1e-2, "etd-rk4").advance(theta.coeffs, 1e-2)
+    b = Integrator(grid32, p, 1e-2, "rk4").advance(theta.coeffs, 1e-2)
+    assert np.array_equal(a, b)
 
 
 def test_step_unstable_past_sentinel(grid16):
     # a steady single mode whose coefficients already exceed the sentinel
     theta = 1e13 * qglab.single_mode(grid16, 1, 0)
     with pytest.raises(UnstableStep) as info:
-        step(theta, ModelParams("inviscid"), 0.01)
+        Integrator(grid16, ModelParams("inviscid"), 0.01, "etd-rk4").advance(theta.coeffs, 0.01)
     assert info.value.t == 0.01
     assert info.value.max_coeff > BLOWUP_SENTINEL
 
@@ -318,24 +318,42 @@ def test_picard_certificates_keep_measured_ratios(request, n, alpha):
         assert (c.nodes, c.iterations) == (c.levels[-1].nodes, c.levels[-1].iterations)
 
 
-def test_picard_evaluates_theta0_once(grid64, monkeypatch):
-    p = ModelParams("regularized", alpha=0.5, mu=1.0)
-    theta = qglab.cmt(grid64)
-    calls = []
+@pytest.fixture
+def nonlinear_args(monkeypatch):
+    """The argument of every `RhsSplit.nonlinear` call the test makes, in order."""
+    args = []
     nonlinear = RhsSplit.nonlinear
 
-    def counted(self, c):
-        calls.append(np.array_equal(c, theta.coeffs))
+    def recorded(self, c):
+        args.append(c)
         return nonlinear(self, c)
 
-    monkeypatch.setattr(RhsSplit, "nonlinear", counted)
+    monkeypatch.setattr(RhsSplit, "nonlinear", recorded)
+    return args
+
+
+def test_picard_evaluates_theta0_once(grid64, nonlinear_args):
+    p = ModelParams("regularized", alpha=0.5, mu=1.0)
+    theta = qglab.cmt(grid64)
     _, cert = picard_solve(theta, p, s=2.0, tol=1e-10)
+    calls = [np.array_equal(c, theta.coeffs) for c in nonlinear_args]
     # level 0's first sweep reuses rhs(theta_0) at every node and later sweeps
     # at node 0; a warm level evaluates nodes 1..m-1 on every sweep
     (k0, m0), *warm = [(level.iterations, level.nodes) for level in cert.levels]
     assert warm
     assert len(calls) == 1 + (k0 - 1) * (m0 - 1) + sum(k * (m - 1) for k, m in warm)
     assert sum(calls) == 1
+
+
+@pytest.mark.parametrize("datum, n, calls", [("steady", 16, 1), ("cmt", 64, 161)])
+def test_picard_call_budget(request, nonlinear_args, datum, n, calls):
+    # a constant guess that converges on its first sweep is the refined
+    # level's start too, so a steady datum costs the one rhs(theta_0)
+    grid = request.getfixturevalue(f"grid{n}")
+    theta = qglab.single_mode(grid, 1, 0) if datum == "steady" else qglab.cmt(grid)
+    _, cert = picard_solve(theta, ModelParams("regularized", alpha=0.5, mu=1.0), s=2.0, tol=1e-10)
+    assert len(nonlinear_args) == calls
+    assert cert.converged and cert.nodes == 65
 
 
 @settings(max_examples=40, deadline=None)
@@ -387,11 +405,12 @@ def test_picard_cross_validates_against_run(grid64):
     assert sup <= 1e-4
 
 
-def test_continue_solution_steady_reaches_horizon(grid16):
+def test_continue_solution_steady_reaches_horizon(grid16, nonlinear_args):
     p = ModelParams("regularized", alpha=0.5, mu=1.0)
     sol = continue_solution(qglab.single_mode(grid16, 1, 0), p, s=2.0, horizon=10.0)
     assert sol.times[-1] == pytest.approx(10.0, abs=1e-9)
     assert all(c.converged for c in sol.certificates)
+    assert len(nonlinear_args) == len(sol.certificates)  # rhs(theta_0) once per segment
 
 
 def test_continue_solution_single_segment_when_horizon_short(grid16):
