@@ -54,7 +54,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("norms", help="print diagnostics of a snapshot")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--s", type=float, action="append", default=None, help="Sobolev indices (repeatable)")
-    p.add_argument("--q", action="append", default=None, help="Lebesgue exponents (repeatable, 'inf' allowed)")
+    p.add_argument("--q", type=float, action="append", default=None,
+                   help="Lebesgue exponents (repeatable, 'inf' allowed)")
     p.add_argument("--sigma", type=float, default=2.0)
 
     p = sub.add_parser("flux", help="coarse-grained flux over a list of scales")
@@ -138,19 +139,17 @@ def _cmd_picard(args) -> int:
 def _cmd_norms(args) -> int:
     snap = io.load_snapshot(args.snapshot)
     theta = snap.to_field()
-    ladder = diagnostics.ladder_bracket(theta, args.sigma)  # rejects sigma <= 1 before any output
     physical = inverse_transform(theta)
-    qs = args.q if args.q else ["2", "3", "4", "inf"]
-    ss = args.s if args.s else [1.0, 2.0]
-    print(f"snapshot t={snap.t:g} model={snap.model} n={snap.n}")
-    for q in qs:
-        qv = np.inf if str(q).lower() in ("inf", "infinity") else float(q)
-        print(f"|theta|_{q} = {diagnostics.lp_norm(physical, qv):.12g}")
-    for s in ss:
-        print(f"||theta||_{s:g} = {diagnostics.sobolev_norm(theta, s):.12g}")
-    print(f"energy = {diagnostics.lp_norm(physical, 2.0) ** 2:.12g}")
-    print(f"q_inf = {diagnostics.lp_norm(physical, np.inf) + diagnostics.velocity_sup(theta):.12g}")
-    print(f"ladder(sigma={args.sigma:g}) = {ladder:.12g}")
+    # every line is computed before any is printed, so a bad index leaves no partial output
+    lines = [f"snapshot t={snap.t:g} model={snap.model} n={snap.n}"]
+    for q in args.q or [2.0, 3.0, 4.0, np.inf]:
+        lines.append(f"|theta|_{q:g} = {diagnostics.lp_norm(physical, q):.12g}")
+    for s in args.s or [1.0, 2.0]:
+        lines.append(f"||theta||_{s:g} = {diagnostics.sobolev_norm(theta, s):.12g}")
+    lines.append(f"energy = {diagnostics.lp_norm(physical, 2.0) ** 2:.12g}")
+    lines.append(f"q_inf = {diagnostics.lp_norm(physical, np.inf) + diagnostics.velocity_sup(theta):.12g}")
+    lines.append(f"ladder(sigma={args.sigma:g}) = {diagnostics.ladder_bracket(theta, args.sigma):.12g}")
+    print("\n".join(lines))
     return 0
 
 

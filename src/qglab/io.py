@@ -95,13 +95,6 @@ class RunConfig:
         raise ValidationError(f"init {self.init!r} is neither a preset nor an existing file")
 
 
-_CASTERS = {
-    str: lambda v: v,
-    float: float,
-    int: int,
-}
-
-
 def load_config(path: str) -> RunConfig:
     """Parse and validate a key=value config file.
 
@@ -129,7 +122,7 @@ def load_config(path: str) -> RunConfig:
                 raise ParseError(line_no, f"duplicate key {key!r} (first on line {seen[key]})")
             seen[key] = line_no
             try:
-                setattr(cfg, key, _CASTERS[types[key]](value))
+                setattr(cfg, key, types[key](value))
             except ValueError as exc:
                 raise ParseError(line_no, f"bad value for {key!r}: {exc}")
     return cfg.validate()

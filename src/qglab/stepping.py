@@ -11,11 +11,11 @@ The Picard solver iterates the integral form of the regularized model,
 theta -> theta_0 + int_0^t rhs(theta) with the same split, on the horizon T = mu / (4 R) with
 R = 2 ||theta_0||_s, and certifies the observed contraction ratios; the
 theory guarantees a factor of 1/2 on that horizon.  A solve evaluates
-rhs(theta_0) once.  Its coarsest level starts cold from theta(t) = theta_0,
-so its ratios measure the contraction; each refined level starts from the
-cubic prolongation of the coarser answer, or from theta_0 again when that
-constant guess converged on its first sweep.  The certificate keeps one
-record per level.
+rhs(theta_0) once and runs two levels: 33 nodes from the constant guess
+theta(t) = theta_0, whose ratios measure the contraction, then 65 nodes
+from the cubic prolongation of that answer (or from theta_0 again when the
+constant guess converged on its first sweep), which checks the quadrature.
+The certificate keeps one record per level.
 
 A trajectory is advanced on bare coefficient arrays that no step writes
 to; the states handed to diagnostics and callers are immutable fields.
@@ -39,7 +39,7 @@ log = logging.getLogger(__name__)
 SCHEMES = ("etd-rk4", "rk4")
 BLOWUP_SENTINEL = 1e12
 STEP_COUNT_RTOL = 4.0 * np.finfo(np.float64).eps  # t_end / dt may miss an integer by this much
-PICARD_NODES = 33  # Simpson nodes on [0, T] at the coarsest refinement level
+PICARD_NODES = 33  # Simpson nodes on [0, T] of level 0; level 1 has 2 * PICARD_NODES - 1
 
 
 @dataclass(frozen=True)
@@ -199,12 +199,12 @@ def run(theta0: SpectralField, p: ModelParams, cfg: StepperConfig) -> RunResult:
 
 @dataclass
 class PicardLevel:
-    """What one refinement level of a Picard solve measured."""
+    """What one level of a Picard solve measured."""
 
     nodes: int
     iterations: int
     ratios: list
-    gap: float | None  # sup-H^s distance to the coarser level on shared nodes; None on level 0
+    gap: float | None  # sup-H^s distance to level 0 on shared nodes; None on level 0
 
     def __str__(self) -> str:
         ratios = " ".join(f"{r:.4f}" for r in self.ratios) or "-"
@@ -219,11 +219,11 @@ class PicardCertificate:
     R: float  # 2 ||theta_0||_s
     T: float  # horizon actually used (<= mu / (4 R))
     s: float
-    nodes: int  # quadrature nodes on [0, T] of the final level
-    iterations: int  # sweeps of the final level
+    nodes: int  # quadrature nodes on [0, T] of level 1
+    iterations: int  # sweeps of level 1
     ratios: list  # every measured contraction ratio, in level order
     converged: bool
-    levels: list  # one PicardLevel per level solved, coarsest first
+    levels: list  # the two PicardLevels, 33 nodes then 65
 
 
 @dataclass
@@ -291,7 +291,7 @@ def _prolong(coarse: np.ndarray) -> np.ndarray:
     return fine
 
 
-def _picard_iterate(grid, nonlinear, c0, f0, coarse, nodes, T, s, tol, max_iter, t_offset):
+def _picard_iterate(grid, nonlinear, c0, f0, coarse, nodes, T, s, tol, max_iter):
     """Sweeps on `nodes` nodes, from the constant guess or, given `coarse`, from its prolongation."""
     # the constant guess theta(t) = theta_0 has rhs f0 at every node
     traj = c0[None] if coarse is None else _prolong(coarse)
@@ -313,7 +313,7 @@ def _picard_iterate(grid, nonlinear, c0, f0, coarse, nodes, T, s, tol, max_iter,
             ratio = diff / prev_diff
             ratios.append(ratio)
             if ratio > PICARD_RATIO_LIMIT and diff > tol:
-                raise NoContraction(t_offset, ratio)
+                raise NoContraction(0.0, ratio)
         prev_diff = diff
         if diff <= tol:
             converged = True
@@ -327,38 +327,31 @@ def picard_solve(
     s: float,
     tol: float = 1e-9,
     max_iter: int = 60,
-    max_refine: int = 2,
     t_max: float | None = None,
-    _t_offset: float = 0.0,
 ) -> tuple[PicardTrajectory, PicardCertificate]:
     """Fixed-point solve of the regularized model on its guaranteed horizon.
 
     The iteration theta_(m+1) = theta_0 + int_0^t rhs(theta_m) runs on
-    T = mu / (4 R), R = 2 ||theta_0||_s, discretized by composite Simpson.
-    Level l of the one refinement loop solves on (PICARD_NODES - 1) 2^l + 1
-    nodes, for l = 0 .. max_refine, and stops at the first level whose
-    answer agrees with the coarser one to max(tol, 1e-12) on the shared
-    nodes (the level's refinement gap).  rhs(theta_0) is evaluated once
-    and serves node 0, which is always theta_0, on every sweep.  Level 0
-    starts from the constant guess theta_0, whose first sweep needs no
-    further evaluation, and measures the contraction ratios; level l >= 1
-    starts from the coarser level's trajectory, with even nodes copied and
-    midpoints cubic in t, and often agrees after one sweep.  When the
-    constant guess converged on its first sweep (a steady datum), the
-    refined level starts from it too, so its first sweep needs no further
-    evaluation either.
+    T = mu / (4 R), R = 2 ||theta_0||_s, discretized by composite Simpson
+    on two levels.  rhs(theta_0) is evaluated once and serves node 0,
+    which is always theta_0, on every sweep.  Level 0 solves on
+    PICARD_NODES nodes from the constant guess theta_0, whose first sweep
+    needs no further evaluation, and measures the contraction ratios.
+    Level 1 solves on 2 PICARD_NODES - 1 nodes from level 0's trajectory,
+    with even nodes copied and midpoints cubic in t, and often agrees
+    after one sweep; when the constant guess converged on its first sweep
+    (a steady datum), level 1 starts from it too.  Level 1's gap, its
+    sup-H^s distance to level 0 on the shared nodes, is recorded.
 
     The certificate's `levels` holds each level's nodes, iterations, ratios
     and gap (None on level 0); `ratios` lists every measured ratio in level
-    order, while `nodes` and `iterations` are the final level's.  A ratio
-    above PICARD_RATIO_LIMIT raises NoContraction; `tol` and `t_max` must
-    be positive and finite, `max_iter` at least 1 and `max_refine` at least 0.
+    order, while `nodes` and `iterations` are level 1's.  A ratio above
+    PICARD_RATIO_LIMIT raises NoContraction with t = 0; `tol` and `t_max`
+    must be positive and finite and `max_iter` at least 1.
     """
     _positive_finite("tol", tol)
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    if max_refine < 0:
-        raise ValidationError(f"max_refine must be >= 0, got {max_refine}")
     if p.model != "regularized":
         raise ValidationError("picard_solve requires the regularized model")
     if s <= 1.0:
@@ -375,20 +368,18 @@ def picard_solve(
     c0 = theta0.coeffs
     nonlinear = RhsSplit(grid, p).nonlinear
     f0 = nonlinear(c0)
-    levels = []
-    coarser = None
-    cold = True
-    for level in range(max_refine + 1):
-        times, traj, ratios, converged, iters = _picard_iterate(
-            grid, nonlinear, c0, f0, None if cold else coarser, (PICARD_NODES - 1) * 2**level + 1,
-            T, s, tol, max_iter, _t_offset,
-        )
-        gap = None if coarser is None else _sup_hs_distance(grid, traj[::2], coarser, s)
-        levels.append(PicardLevel(nodes=len(traj), iterations=iters, ratios=ratios, gap=gap))
-        coarser = traj  # also lets the coarser level go before the states are copied out
-        if gap is not None and gap <= max(tol, 1e-12):
-            break
-        cold = cold and converged and iters == 1  # the constant guess is a fixed point to tol
+    _, coarse, ratios, converged, iters = _picard_iterate(
+        grid, nonlinear, c0, f0, None, PICARD_NODES, T, s, tol, max_iter
+    )
+    levels = [PicardLevel(nodes=PICARD_NODES, iterations=iters, ratios=ratios, gap=None)]
+    steady = converged and iters == 1  # the constant guess is a fixed point to tol
+    times, traj, ratios, converged, iters = _picard_iterate(
+        grid, nonlinear, c0, f0, None if steady else coarse, 2 * PICARD_NODES - 1,
+        T, s, tol, max_iter,
+    )
+    gap = _sup_hs_distance(grid, traj[::2], coarse, s)
+    del coarse  # level 0 goes before the states are copied out
+    levels.append(PicardLevel(nodes=len(traj), iterations=iters, ratios=ratios, gap=gap))
 
     cert = PicardCertificate(
         R=R, T=T, s=s, nodes=len(traj), iterations=iters,
@@ -415,11 +406,11 @@ def continue_solution(
 ) -> ContinuedSolution:
     """Chain Picard horizons until `horizon`, re-seeding at each endpoint.
 
-    Each segment is a `picard_solve` with max_refine = 1 that recomputes R
-    and T from its own initial data, which is exactly the extension
-    argument; each segment's level 0 starts cold from its own initial data,
-    so every certificate measures its own ratios.  NoContraction propagates
-    with the time reached so far.  `horizon` must be positive and finite.
+    Each segment is a `picard_solve` that recomputes R and T from its own
+    initial data, which is exactly the extension argument; each segment's
+    level 0 starts cold from its own initial data, so every certificate
+    measures its own ratios.  A segment's NoContraction is re-raised with
+    the time reached so far added.  `horizon` must be positive and finite.
     """
     _positive_finite("horizon", horizon)
     times = [0.0]
@@ -428,16 +419,17 @@ def continue_solution(
     t_reached = 0.0
     current = theta0
     while not certificates or t_reached < horizon - 1e-12:  # at least one segment
-        traj, cert = picard_solve(
-            current,
-            p,
-            s,
-            tol=tol,
-            max_iter=max_iter,
-            max_refine=1,
-            t_max=horizon - t_reached,
-            _t_offset=t_reached,
-        )
+        try:
+            traj, cert = picard_solve(
+                current,
+                p,
+                s,
+                tol=tol,
+                max_iter=max_iter,
+                t_max=horizon - t_reached,
+            )
+        except NoContraction as exc:
+            raise NoContraction(t_reached + exc.t, exc.ratio) from exc
         certificates.append(cert)
         times.extend((t_reached + t for t in traj.times[1:]))
         states.extend(traj.states[1:])

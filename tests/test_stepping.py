@@ -248,12 +248,6 @@ def test_picard_requires_regularized_and_s(grid32):
         picard_solve(theta, p, s=0.5)
 
 
-def test_picard_rejects_negative_max_refine(grid16):
-    p = ModelParams("regularized", alpha=0.5, mu=1.0)
-    with pytest.raises(ValidationError):
-        picard_solve(qglab.single_mode(grid16, 1, 0), p, s=2.0, max_refine=-1)
-
-
 _BAD_PICARD_CONTROLS = [dict(tol=np.nan), dict(tol=0.0), dict(tol=-1e-9), dict(tol=np.inf), dict(max_iter=0)]
 _BAD_TIMES = [np.nan, 0.0, -1.0, np.inf]
 
@@ -280,15 +274,8 @@ def test_picard_steady_datum_converges_immediately(grid32):
     traj, cert = picard_solve(qglab.single_mode(grid32, 1, 0), p, s=2.0)
     assert cert.converged
     assert cert.iterations == 1
-    assert cert.nodes == 65  # 33 nodes, then 65 agree with them and end the refinement
+    assert cert.nodes == 65
     assert cert.T == pytest.approx(p.mu / (4.0 * cert.R))
-
-
-def test_picard_without_refinement_stays_on_coarsest_level(grid16):
-    p = ModelParams("regularized", alpha=0.5, mu=1.0)
-    traj, cert = picard_solve(qglab.single_mode(grid16, 1, 0), p, s=2.0, max_refine=0)
-    assert cert.nodes == 33
-    assert len(traj.states) == 33
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75])
@@ -296,25 +283,25 @@ def test_picard_contraction_certificate(grid64, alpha):
     p = ModelParams("regularized", alpha=alpha, mu=1.0)
     traj, cert = picard_solve(qglab.cmt(grid64), p, s=2.0, tol=1e-10)
     assert cert.converged
-    assert cert.nodes == 65  # the 129-node level is not needed
+    assert cert.nodes == 65
     assert cert.ratios and all(r <= 0.55 for r in cert.ratios)
 
 
 @pytest.mark.parametrize("n", [32, 64])
 @pytest.mark.parametrize("alpha", [0.5, 0.75])
 def test_picard_certificates_keep_measured_ratios(request, n, alpha):
-    # the refined level starts from the coarse answer and often agrees after
-    # one sweep; the cold coarsest level still measures the contraction
+    # the 65-node level starts from the 33-node answer and often agrees after
+    # one sweep; the cold 33-node level still measures the contraction
     p = ModelParams("regularized", alpha=alpha, mu=1.0)
     theta = qglab.cmt(request.getfixturevalue(f"grid{n}"))
     _, cert = picard_solve(theta, p, s=2.0, tol=1e-10)
     sol = continue_solution(theta, p, s=2.0, horizon=0.05)
     assert len(sol.certificates) > 1
+    assert [level.nodes for level in sol.certificates[-1].levels] == [33, 65]
     for c in [cert, *sol.certificates]:
         assert len(c.ratios) >= 2
         assert c.ratios == [r for level in c.levels for r in level.ratios]
-        assert c.levels[0].nodes == 33 and c.levels[0].gap is None
-        assert all(level.gap <= 1e-9 for level in c.levels[1:])
+        assert c.levels[0].gap is None and c.levels[1].gap <= 1e-9
         assert (c.nodes, c.iterations) == (c.levels[-1].nodes, c.levels[-1].iterations)
 
 
@@ -339,21 +326,20 @@ def test_picard_evaluates_theta0_once(grid64, nonlinear_args):
     calls = [np.array_equal(c, theta.coeffs) for c in nonlinear_args]
     # level 0's first sweep reuses rhs(theta_0) at every node and later sweeps
     # at node 0; a warm level evaluates nodes 1..m-1 on every sweep
-    (k0, m0), *warm = [(level.iterations, level.nodes) for level in cert.levels]
-    assert warm
-    assert len(calls) == 1 + (k0 - 1) * (m0 - 1) + sum(k * (m - 1) for k, m in warm)
+    (k0, m0), (k1, m1) = [(level.iterations, level.nodes) for level in cert.levels]
+    assert len(calls) == 1 + (k0 - 1) * (m0 - 1) + k1 * (m1 - 1)
     assert sum(calls) == 1
 
 
 @pytest.mark.parametrize("datum, n, calls", [("steady", 16, 1), ("cmt", 64, 161)])
 def test_picard_call_budget(request, nonlinear_args, datum, n, calls):
-    # a constant guess that converges on its first sweep is the refined
+    # a constant guess that converges on its first sweep is the 65-node
     # level's start too, so a steady datum costs the one rhs(theta_0)
     grid = request.getfixturevalue(f"grid{n}")
     theta = qglab.single_mode(grid, 1, 0) if datum == "steady" else qglab.cmt(grid)
     _, cert = picard_solve(theta, ModelParams("regularized", alpha=0.5, mu=1.0), s=2.0, tol=1e-10)
     assert len(nonlinear_args) == calls
-    assert cert.converged and cert.nodes == 65
+    assert cert.converged and [level.nodes for level in cert.levels] == [33, 65]
 
 
 @settings(max_examples=40, deadline=None)
@@ -428,6 +414,34 @@ def test_continue_solution_tiny_horizon_runs_one_segment(grid16):
     sol = continue_solution(qglab.single_mode(grid16, 1, 0), p, s=2.0, horizon=1e-13)
     assert len(sol.certificates) == 1
     assert sol.times[-1] == pytest.approx(1e-13, rel=1e-12)
+
+
+def test_picard_raises_no_contraction_above_ratio_limit(grid32, monkeypatch):
+    monkeypatch.setattr(qglab.stepping, "PICARD_RATIO_LIMIT", 0.0)
+    with pytest.raises(NoContraction) as info:
+        picard_solve(qglab.cmt(grid32), ModelParams("regularized", alpha=0.5, mu=1.0), s=2.0)
+    assert info.value.t == 0.0 and info.value.ratio > 0.0
+
+
+def test_continue_solution_reports_time_reached_on_no_contraction(grid32, monkeypatch):
+    # the second segment fails; the error carries the first segment's end time
+    calls = []
+    solve = qglab.stepping.picard_solve
+
+    def failing_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NoContraction(0.0, 0.9)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(qglab.stepping, "picard_solve", failing_second)
+    p = ModelParams("regularized", alpha=0.5, mu=1.0)
+    theta = qglab.cmt(grid32)
+    _, cert = solve(theta, p, s=2.0)
+    with pytest.raises(NoContraction) as info:
+        continue_solution(theta, p, s=2.0, horizon=1.0)
+    assert info.value.t == cert.T
+    assert info.value.ratio == 0.9
 
 
 def test_continue_solution_matches_run(grid32):
