@@ -10,7 +10,6 @@ mu -> 0 convergence of the regularized model.
 from .diagnostics import (
     HALF_SQUARE,
     SQRT1P,
-    ConvexProfile,
     FluxEstimate,
     NormRecord,
     besov_norm,

@@ -49,7 +49,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--horizon", type=float, default=None, help="chain local solves up to this time")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=60)
 
     p = sub.add_parser("norms", help="print diagnostics of a snapshot")
     p.add_argument("--snapshot", required=True)
@@ -115,23 +114,21 @@ def _cmd_picard(args) -> int:
     theta0 = cfg.initial_field()
     p = cfg.model_params()
     if args.horizon is not None:
-        sol = stepping.continue_solution(
-            theta0, p, cfg.s, args.horizon, tol=args.tol, max_iter=args.max_iter
-        )
-        print(f"reached t={sol.times[-1]:g} in {len(sol.certificates)} segments")
+        sol = stepping.continue_solution(theta0, p, cfg.s, args.horizon, tol=args.tol)
+        converged = sum(c.converged for c in sol.certificates)
+        print(f"reached t={sol.times[-1]:g} in {len(sol.certificates)} segments ({converged} converged)")
         worst = max((max(c.ratios) for c in sol.certificates if c.ratios), default=0.0)
         print(f"worst contraction ratio: {worst:.4f}")
         final = sol.states[-1]
         print(f"||theta||_{cfg.s:g} at end: {diagnostics.sobolev_norm(final, cfg.s):.12g}")
         return 0
-    traj, cert = stepping.picard_solve(theta0, p, cfg.s, tol=args.tol, max_iter=args.max_iter)
+    traj, cert = stepping.picard_solve(theta0, p, cfg.s, tol=args.tol)
     print(f"R = {cert.R:.12g}   T = {cert.T:.12g}   s = {cert.s:g}   nodes = {cert.nodes}")
     print(f"iterations = {cert.iterations}   converged = {cert.converged}")
     for i, level in enumerate(cert.levels):
         print(f"level {i}: {level}")
-    ratios = " ".join(f"{r:.4f}" for r in cert.ratios)
-    if not ratios:  # every level ran one sweep
-        ratios = "(converged in one sweep)" if cert.converged else "(one sweep, not converged)"
+    # a level that measured no ratio converged on its first sweep
+    ratios = " ".join(f"{r:.4f}" for r in cert.ratios) or "(converged in one sweep)"
     print(f"contraction ratios: {ratios}")
     return 0
 

@@ -10,6 +10,7 @@ all k taken on the stored half spectrum with `Grid.parseval_weights`.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,27 +339,14 @@ def gn_residual(f: SpectralField, s: float, alpha: float, beta: float) -> float:
 # scale-local (coarse-grained) flux
 
 
-@dataclass(frozen=True)
-class ConvexProfile:
-    """A C^2 strictly convex profile G; the dr field needs only g2 = G''.
-
-    "half-square" is G = x^2 / 2 and "sqrt1p" is G = sqrt(1 + x^2).
-    """
-
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in ("half-square", "sqrt1p"):
-            raise ValueError(f"unknown convex profile {self.tag!r}")
-
-    def g2(self, x):
-        if self.tag == "half-square":
-            return np.ones_like(np.asarray(x, dtype=np.float64))
-        return (1.0 + x * x) ** -1.5
+def HALF_SQUARE(x):
+    """G''(x) = 1 of the convex profile G = x^2 / 2; the dr field needs only G''."""
+    return np.ones_like(np.asarray(x, dtype=np.float64))
 
 
-HALF_SQUARE = ConvexProfile("half-square")
-SQRT1P = ConvexProfile("sqrt1p")
+def SQRT1P(x):
+    """G''(x) = (1 + x^2)^(-3/2) of the convex profile G = sqrt(1 + x^2)."""
+    return (1.0 + x * x) ** -1.5
 
 
 @dataclass
@@ -379,7 +367,7 @@ def coarse_grained_flux(
     eps: float,
     profile: str = "gaussian",
     with_remainder: bool = True,
-    dr_profile: ConvexProfile | None = None,
+    dr_profile: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> FluxEstimate:
     """Mollified-flux diagnostics at scale eps.
 
@@ -407,7 +395,8 @@ def coarse_grained_flux(
 
     The convex profile G enters only the Duchon-Robert dissipation field
     G''(theta_eps) grad theta_eps . ((u theta)_eps - u_eps theta_eps),
-    which is computed, on the grid of `theta`, iff `dr_profile` is given.
+    which is computed, on the grid of `theta`, iff `dr_profile`, the
+    function x -> G''(x) such as HALF_SQUARE or SQRT1P, is given.
     """
     return flux_scan(theta, [eps], profile, with_remainder, dr_profile)[0]
 
@@ -417,7 +406,7 @@ def flux_scan(
     eps_list,
     profile: str = "gaussian",
     with_remainder: bool = True,
-    dr_profile: ConvexProfile | None = None,
+    dr_profile: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[FluxEstimate]:
     """`coarse_grained_flux` at every eps of `eps_list`, largest eps first.
 
@@ -488,7 +477,7 @@ def _flux_at_scale(grid, padded, mol, with_remainder, dr_profile) -> FluxEstimat
 
     if dr_profile is not None:
         # (u theta)_eps - u_eps theta_eps = -sigma_eps
-        dr = dr_profile.g2(th_eps) * (dth1_eps * (-sigma1) + dth2_eps * (-sigma2))
+        dr = dr_profile(th_eps) * (dth1_eps * (-sigma1) + dth2_eps * (-sigma2))
         est.dr_field = PhysicalField(grid, dr[::2, ::2])
 
     return est

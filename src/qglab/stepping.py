@@ -15,7 +15,12 @@ rhs(theta_0) once and runs two levels: 33 nodes from the constant guess
 theta(t) = theta_0, whose ratios measure the contraction, then 65 nodes
 from the cubic prolongation of that answer (or from theta_0 again when the
 constant guess converged on its first sweep), which checks the quadrature.
-The certificate keeps one record per level.
+The certificate keeps one record per level.  A level sweeps until a sweep
+moves the trajectory by at most tol, which converges it, or until a ratio
+above PICARD_RATIO_LIMIT is measured: at round-off, a distance of at most
+64 eps R, that ratio ends the level unconverged, and above it the ratio
+raises NoContraction.  Below the limit each sweep shrinks the distance by
+at least 1/0.55, so no sweep cap is needed.
 
 A trajectory is advanced on bare coefficient arrays that no step writes
 to; the states handed to diagnostics and callers are immutable fields.
@@ -40,6 +45,7 @@ SCHEMES = ("etd-rk4", "rk4")
 BLOWUP_SENTINEL = 1e12
 STEP_COUNT_RTOL = 4.0 * np.finfo(np.float64).eps  # t_end / dt may miss an integer by this much
 PICARD_NODES = 33  # Simpson nodes on [0, T] of level 0; level 1 has 2 * PICARD_NODES - 1
+PICARD_ROUNDOFF = 64.0 * np.finfo(np.float64).eps  # times R: sweep distances at which round-off may stall
 
 
 @dataclass(frozen=True)
@@ -144,8 +150,6 @@ class Integrator:
 class RunResult:
     """Trajectory samples plus the diagnostic time series of one run."""
 
-    params: ModelParams
-    config: StepperConfig
     records: list
     samples: list  # (t, SpectralField) pairs, populated when snapshot_every > 0
     final: SpectralField
@@ -184,13 +188,7 @@ def run(theta0: SpectralField, p: ModelParams, cfg: StepperConfig) -> RunResult:
         if cfg.snapshot_every > 0 and (i % cfg.snapshot_every == 0 or i == nsteps):
             samples.append((t, SpectralField(grid, c)))
 
-    return RunResult(
-        params=p,
-        config=cfg,
-        records=records,
-        samples=samples,
-        final=SpectralField(grid, c),
-    )
+    return RunResult(records=records, samples=samples, final=SpectralField(grid, c))
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +254,12 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
 def _sup_hs_distance(grid: Grid, a: np.ndarray, b: np.ndarray, s: float) -> float:
     """sup over nodes of ||a - b||_s for stacked coefficient arrays that broadcast.
 
-    Node by node, so no temporary is larger than one state.
+    Node by node, so no temporary is larger than one state; a NaN at any
+    node makes the distance NaN.
     """
     w = grid.parseval_weights * grid.kabs_safe ** (2.0 * s)
     w[0, 0] = 0.0
-    d2 = max(float(np.sum(np.abs(x - y) ** 2 * w)) for x, y in zip(*np.broadcast_arrays(a, b)))
+    d2 = np.max([np.sum(np.abs(x - y) ** 2 * w) for x, y in zip(*np.broadcast_arrays(a, b))])
     return 2.0 * np.pi * math.sqrt(d2)
 
 
@@ -291,34 +290,36 @@ def _prolong(coarse: np.ndarray) -> np.ndarray:
     return fine
 
 
-def _picard_iterate(grid, nonlinear, c0, f0, coarse, nodes, T, s, tol, max_iter):
-    """Sweeps on `nodes` nodes, from the constant guess or, given `coarse`, from its prolongation."""
+def _picard_iterate(grid, nonlinear, c0, f0, coarse, nodes, T, s, tol, floor):
+    """Sweeps on `nodes` nodes, from the constant guess or, given `coarse`, from its prolongation.
+
+    Ends as `picard_solve` describes, with `floor` the round-off distance.
+    """
     # the constant guess theta(t) = theta_0 has rhs f0 at every node
     traj = c0[None] if coarse is None else _prolong(coarse)
     times = np.linspace(0.0, T, nodes)
     h = times[1] - times[0]
     rhs_vals = np.broadcast_to(f0, (nodes, *c0.shape)).copy()
     ratios = []
-    prev_diff = None
-    converged = False
-    for iterations in range(1, max_iter + 1):
+    diff = None
+    iterations = 0
+    while True:
+        iterations += 1
         if iterations > 1 or coarse is not None:
             for i in range(1, nodes):  # node 0 is always theta_0 and keeps f0
                 rhs_vals[i] = nonlinear(traj[i])
         new = cumulative_simpson(rhs_vals, h)
         new += c0
-        diff = _sup_hs_distance(grid, new, traj, s)
+        prev_diff, diff = diff, _sup_hs_distance(grid, new, traj, s)
         traj = new
-        if prev_diff is not None and prev_diff > 0.0:
-            ratio = diff / prev_diff
-            ratios.append(ratio)
-            if ratio > PICARD_RATIO_LIMIT and diff > tol:
-                raise NoContraction(0.0, ratio)
-        prev_diff = diff
+        if prev_diff is not None:  # every sweep after the first measures a ratio
+            ratios.append(diff / prev_diff)
         if diff <= tol:
-            converged = True
-            break
-    return times, traj, ratios, converged, iterations
+            return times, traj, ratios, True, iterations
+        if ratios and not ratios[-1] <= PICARD_RATIO_LIMIT:  # NaN fails the test
+            if not diff <= floor:
+                raise NoContraction(0.0, ratios[-1])
+            return times, traj, ratios, False, iterations
 
 
 def picard_solve(
@@ -326,7 +327,6 @@ def picard_solve(
     p: ModelParams,
     s: float,
     tol: float = 1e-9,
-    max_iter: int = 60,
     t_max: float | None = None,
 ) -> tuple[PicardTrajectory, PicardCertificate]:
     """Fixed-point solve of the regularized model on its guaranteed horizon.
@@ -345,13 +345,15 @@ def picard_solve(
 
     The certificate's `levels` holds each level's nodes, iterations, ratios
     and gap (None on level 0); `ratios` lists every measured ratio in level
-    order, while `nodes` and `iterations` are level 1's.  A ratio above
-    PICARD_RATIO_LIMIT raises NoContraction with t = 0; `tol` and `t_max`
-    must be positive and finite and `max_iter` at least 1.
+    order, while `nodes` and `iterations` are level 1's.  A level ends
+    converged once a sweep moves its trajectory by at most `tol`.  A ratio
+    above PICARD_RATIO_LIMIT ends it unconverged when measured at round-off,
+    a distance of at most PICARD_ROUNDOFF R, and otherwise raises
+    NoContraction with t = 0; so `converged` is False only when `tol` lies
+    below what round-off resolves.  `tol` and `t_max` must be positive and
+    finite, and ||theta_0||_s finite.
     """
     _positive_finite("tol", tol)
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     if p.model != "regularized":
         raise ValidationError("picard_solve requires the regularized model")
     if s <= 1.0:
@@ -359,6 +361,8 @@ def picard_solve(
 
     grid = theta0.grid
     R = 2.0 * diagnostics.sobolev_norm(theta0, s)
+    if not math.isfinite(R):
+        raise ValidationError(f"||theta_0||_{s:g} of the initial data is not finite ({R / 2.0})")
     T = p.mu / (4.0 * R) if R > 0.0 else np.inf
     if t_max is not None:
         T = min(T, _positive_finite("t_max", t_max))
@@ -368,14 +372,15 @@ def picard_solve(
     c0 = theta0.coeffs
     nonlinear = RhsSplit(grid, p).nonlinear
     f0 = nonlinear(c0)
+    floor = PICARD_ROUNDOFF * R
     _, coarse, ratios, converged, iters = _picard_iterate(
-        grid, nonlinear, c0, f0, None, PICARD_NODES, T, s, tol, max_iter
+        grid, nonlinear, c0, f0, None, PICARD_NODES, T, s, tol, floor
     )
     levels = [PicardLevel(nodes=PICARD_NODES, iterations=iters, ratios=ratios, gap=None)]
     steady = converged and iters == 1  # the constant guess is a fixed point to tol
     times, traj, ratios, converged, iters = _picard_iterate(
         grid, nonlinear, c0, f0, None if steady else coarse, 2 * PICARD_NODES - 1,
-        T, s, tol, max_iter,
+        T, s, tol, floor,
     )
     gap = _sup_hs_distance(grid, traj[::2], coarse, s)
     del coarse  # level 0 goes before the states are copied out
@@ -402,15 +407,16 @@ def continue_solution(
     s: float,
     horizon: float,
     tol: float = 1e-9,
-    max_iter: int = 60,
 ) -> ContinuedSolution:
     """Chain Picard horizons until `horizon`, re-seeding at each endpoint.
 
     Each segment is a `picard_solve` that recomputes R and T from its own
     initial data, which is exactly the extension argument; each segment's
     level 0 starts cold from its own initial data, so every certificate
-    measures its own ratios.  A segment's NoContraction is re-raised with
-    the time reached so far added.  `horizon` must be positive and finite.
+    measures its own ratios.  A segment that stalled at round-off above
+    `tol` (certificate `converged` False) is chained like any other.  A
+    segment's NoContraction is re-raised with the time reached so far
+    added.  `horizon` must be positive and finite.
     """
     _positive_finite("horizon", horizon)
     times = [0.0]
@@ -420,14 +426,7 @@ def continue_solution(
     current = theta0
     while not certificates or t_reached < horizon - 1e-12:  # at least one segment
         try:
-            traj, cert = picard_solve(
-                current,
-                p,
-                s,
-                tol=tol,
-                max_iter=max_iter,
-                t_max=horizon - t_reached,
-            )
+            traj, cert = picard_solve(current, p, s, tol=tol, t_max=horizon - t_reached)
         except NoContraction as exc:
             raise NoContraction(t_reached + exc.t, exc.ratio) from exc
         certificates.append(cert)

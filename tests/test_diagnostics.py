@@ -6,7 +6,6 @@ import pytest
 import qglab
 from qglab import ModelParams, StepperConfig, run
 from qglab.diagnostics import (
-    ConvexProfile,
     besov_norm,
     critical_monitor,
     dyadic_shell,
@@ -329,8 +328,3 @@ def test_inequality_constants_reject_empty_trials(trials):
         log_interpolation_constant(trials)
     with pytest.raises(ValueError, match="trials"):
         gn_constant(trials)
-
-
-def test_convex_profile_rejects_unknown_tag():
-    with pytest.raises(ValueError, match="bogus"):
-        ConvexProfile("bogus")

@@ -13,7 +13,7 @@ from conftest import full_spectrum, random_field
 def test_convex_profiles():
     x = np.linspace(-30.0, 30.0, 301)
     for profile in (HALF_SQUARE, SQRT1P):
-        assert np.all(profile.g2(x) > 0.0)
+        assert np.all(profile(x) > 0.0)
 
 
 def test_single_mode_flux_vanishes(grid32):
@@ -147,7 +147,7 @@ def test_dr_profile_enters_dr_field(grid32):
     half = coarse_grained_flux(theta, 0.2, with_remainder=False, dr_profile=HALF_SQUARE).dr_field.values
     sqrt1p = coarse_grained_flux(theta, 0.2, with_remainder=False, dr_profile=SQRT1P).dr_field.values
     th_eps = inverse_transform(mollify(theta, Mollifier(0.2))).values
-    expected = SQRT1P.g2(th_eps) * half
+    expected = SQRT1P(th_eps) * half
     assert np.max(np.abs(sqrt1p - expected)) <= 1e-12 * np.max(np.abs(sqrt1p))
     assert np.max(np.abs(sqrt1p - half)) > 1e-3 * np.max(np.abs(half))
 

@@ -12,8 +12,10 @@ from qglab.errors import NoContraction, UnstableStep, ValidationError
 from qglab.models import RhsSplit, rhs
 from qglab.stepping import (
     BLOWUP_SENTINEL,
+    PICARD_RATIO_LIMIT,
     Integrator,
     _prolong,
+    _sup_hs_distance,
     continue_solution,
     cumulative_simpson,
     etd_rk4_step,
@@ -248,7 +250,7 @@ def test_picard_requires_regularized_and_s(grid32):
         picard_solve(theta, p, s=0.5)
 
 
-_BAD_PICARD_CONTROLS = [dict(tol=np.nan), dict(tol=0.0), dict(tol=-1e-9), dict(tol=np.inf), dict(max_iter=0)]
+_BAD_PICARD_CONTROLS = [dict(tol=np.nan), dict(tol=0.0), dict(tol=-1e-9), dict(tol=np.inf)]
 _BAD_TIMES = [np.nan, 0.0, -1.0, np.inf]
 
 
@@ -421,6 +423,63 @@ def test_picard_raises_no_contraction_above_ratio_limit(grid32, monkeypatch):
     with pytest.raises(NoContraction) as info:
         picard_solve(qglab.cmt(grid32), ModelParams("regularized", alpha=0.5, mu=1.0), s=2.0)
     assert info.value.t == 0.0 and info.value.ratio > 0.0
+
+
+def test_picard_tol_below_roundoff_ends_unconverged(grid32):
+    # no sweep resolves 1e-300: each level ends on a ratio above the limit
+    # measured at round-off, and a chain goes on past such a segment
+    p = ModelParams("regularized", alpha=0.5, mu=1.0)
+    theta = qglab.cmt(grid32)
+    _, cert = picard_solve(theta, p, s=2.0, tol=1e-300)
+    assert not cert.converged
+    assert all(level.ratios[-1] > PICARD_RATIO_LIMIT for level in cert.levels)
+    assert cert.ratios == [r for level in cert.levels for r in level.ratios]
+    sol = continue_solution(theta, p, s=2.0, horizon=1.5 * cert.T, tol=1e-300)
+    assert len(sol.certificates) == 2 and not sol.certificates[0].converged
+    assert sol.times[-1] == pytest.approx(1.5 * cert.T)
+
+
+def test_picard_ratio_at_roundoff_does_not_raise():
+    # level 0 reaches a distance of 1.4e-12, just above tol, where round-off
+    # measures a ratio of 0.71; the solve goes on and level 1 converges
+    theta = 30.0 * qglab.from_init_string(qglab.Grid(128), "random:42,1.0", 5)
+    _, cert = picard_solve(theta, ModelParams("regularized", alpha=0.5, mu=1.0), s=2.0, tol=1e-12)
+    assert cert.levels[0].ratios[-1] > PICARD_RATIO_LIMIT
+    assert cert.converged
+
+
+def test_sup_hs_distance_propagates_nan(grid16):
+    a = np.zeros((3, *grid16.shape), dtype=complex)
+    b = a.copy()
+    b[1, 1, 1] = np.nan
+    assert np.isnan(_sup_hs_distance(grid16, a, b, 2.0))
+    assert _sup_hs_distance(grid16, a, a, 2.0) == 0.0
+
+
+def test_picard_nan_trajectory_raises_no_contraction(grid16, monkeypatch):
+    # the first sweep overflows to NaN; its distance is NaN, not node 0's 0,
+    # so sweep 2's NaN ratio raises
+    distances = []
+    distance = qglab.stepping._sup_hs_distance
+
+    def recorded(*args):
+        distances.append(distance(*args))
+        return distances[-1]
+
+    monkeypatch.setattr(qglab.stepping, "_sup_hs_distance", recorded)
+    theta = 10**153.75 * qglab.cmt(grid16)
+    with np.errstate(all="ignore"), pytest.raises(NoContraction) as info:
+        picard_solve(theta, ModelParams("regularized", alpha=0.5, mu=1.0), s=2.0)
+    assert len(distances) == 2 and np.isnan(distances).all()
+    assert np.isnan(info.value.ratio)
+
+
+@pytest.mark.parametrize("amplitude", [1e156, 1e171])  # ||theta_0||_2 is inf, then NaN
+def test_picard_rejects_non_finite_norm(grid16, nonlinear_args, amplitude):
+    theta = amplitude * qglab.cmt(grid16)
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="not finite"):
+        picard_solve(theta, ModelParams("regularized", alpha=0.5, mu=1.0), s=2.0)
+    assert nonlinear_args == []  # before any sweep
 
 
 def test_continue_solution_reports_time_reached_on_no_contraction(grid32, monkeypatch):
