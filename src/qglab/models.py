@@ -9,9 +9,10 @@ velocity u = (-R2 theta, R1 theta):
 
 The advection term is evaluated in divergence form div(u theta) with the
 product formed in physical space and always dealiased by the 2/3 rule.
-`advection_coeffs` takes (u1, u2, theta) from `spectral.state_fields`,
-one stacked real inverse transform, and does one stacked real forward
-transform for the two flux products per call.  A forcing is an immutable
+`advection_coeffs` takes (u1, u2, theta) from one stacked real inverse
+transform and does one stacked real forward transform for the two flux
+products per call, all inside a `spectral.TransformBuffers`, so a warm
+call allocates only the array it returns.  A forcing is an immutable
 `SpectralField`, so it is the spectrum of a real field by construction;
 `ModelParams` also checks that it lies inside the 2/3 band.
 The regularized model inverts (1 + mu Lambda^(2 alpha)) diagonally; signs
@@ -22,7 +23,10 @@ a stiff diagonal linear part plus a nonlinear part; the field-level entry
 point `rhs(theta, p)` here and the integrator and Picard solver in
 `stepping` all evaluate it.
 
-All evaluations are pure and safe for concurrent use on distinct inputs.
+`rhs` and `advection_coeffs` without buffers are pure and safe for
+concurrent use on distinct inputs.  An `RhsSplit` reuses its buffers from
+call to call, so a split, and the `Integrator` that holds one, belongs to
+one thread; every array it returns is fresh.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import DEFECT_REL_TOL, Grid, SpectralField, _rfft2, state_fields
+from .spectral import DEFECT_REL_TOL, Grid, SpectralField, TransformBuffers
 
 MODELS = ("inviscid", "dissipative", "regularized")
 MODEL_CODES = {"inviscid": 0, "dissipative": 1, "regularized": 2}
@@ -82,17 +86,21 @@ class ModelParams:
                 raise ValidationError("forcing has modes outside the 2/3 dealias band")
 
 
-def advection_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+def advection_coeffs(grid: Grid, coeffs: np.ndarray, buffers: TransformBuffers | None = None) -> np.ndarray:
     """Normalized half-spectrum coefficients of div(u theta); array-level hot path.
 
-    `state_fields` gives (u1, u2, theta) on the grid, one stacked forward
-    transform gives the products (u1 theta, u2 theta), and
-    i (k1 f1 + k2 f2) is formed inside the 2/3 dealias band with the mean
-    zeroed.
+    `buffers.state_fields` gives (u1, u2, theta) on the grid,
+    `buffers.product_spectra` the spectra of the products (u1 theta,
+    u2 theta), and i (k1 f1 + k2 f2) is formed inside the 2/3 dealias band
+    with the mean zeroed.  The work happens in `buffers`, or in fresh ones
+    when None; the result is always a fresh array.
     """
+    b = TransformBuffers(grid) if buffers is None else buffers
     h = grid.n // 2 + 1
-    fields = state_fields(grid, coeffs)
-    adv = np.sum(grid.dealiased_gradient * _rfft2(fields[:2] * fields[2]), axis=0)
+    fields = b.state_fields(coeffs)
+    np.multiply(fields[:2], fields[2], out=b.products)
+    flux = np.multiply(grid.dealiased_gradient, b.product_spectra(), out=b.flux)
+    adv = flux[0] + flux[1]
     adv[0, 0] = 0.0
     # rfft2 leaves the k1 = 0 column Hermitian only to round-off: mirror k2 > 0 onto k2 < 0
     np.conjugate(adv[h - 2 : 0 : -1, 0], out=adv[h:, 0])
@@ -118,11 +126,14 @@ class RhsSplit:
     -kappa |k|^(2 alpha), present for the dissipative model only (None
     otherwise).  `nonlinear` is -div(u theta), times the diagonal inverse
     (1 + mu Lambda^(2 alpha))^(-1) for the regularized model, plus the
-    forcing when there is one.
+    forcing when there is one.  The split owns the kernel's
+    `TransformBuffers`, so it serves one thread; the arrays it returns
+    are fresh.
     """
 
     def __init__(self, grid: Grid, p: ModelParams):
         self.grid = grid
+        self.buffers = TransformBuffers(grid)
         self.linear = None
         self.inverse = None
         if p.model == "dissipative":  # the k = 0 mode is excluded, also when alpha = 0
@@ -130,7 +141,8 @@ class RhsSplit:
             sym[0, 0] = 0.0
             self.linear = -sym
         elif p.model == "regularized":
-            self.inverse = 1.0 / (1.0 + p.mu * grid.kabs ** (2.0 * p.alpha))
+            # complex like the kernel's output, so `nonlinear` multiplies in place without a cast buffer
+            self.inverse = (1.0 / (1.0 + p.mu * grid.kabs ** (2.0 * p.alpha))).astype(np.complex128)
         self.forcing = None
         if p.forcing is not None:
             if p.forcing.grid.n != grid.n:
@@ -140,7 +152,8 @@ class RhsSplit:
             self.forcing = p.forcing.coeffs
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
-        out = -advection_coeffs(self.grid, c)
+        out = advection_coeffs(self.grid, c, self.buffers)
+        np.negative(out, out=out)
         if self.inverse is not None:
             out *= self.inverse
         if self.forcing is not None:

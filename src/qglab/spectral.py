@@ -12,7 +12,8 @@ The domain is fixed to [0, 2pi]^2.  Conventions used throughout:
 * Coefficients are normalized so the k = 0 entry equals the mean of the
   field: the transform pair is ``rfft2/irfft2(..., norm="forward")``,
   written once here as `_rfft2` and `_irfft2`, and no other module calls
-  ``np.fft``.  With this choice Parseval reads
+  ``np.fft``; `TransformBuffers` runs the same pair, bit for bit, as its
+  two 1-D stages into reused arrays.  With this choice Parseval reads
   ``integral |f|^2 dx = (2 pi)^2 sum_k |f_hat(k)|^2``; over the stored
   half the k1 = 0 and k1 = n/2 columns count once and every other column
   twice (`Grid.parseval_weights`), which is the one place that sum rule
@@ -25,14 +26,15 @@ The domain is fixed to [0, 2pi]^2.  Conventions used throughout:
   R1^2 + R2^2 = -I holds exactly.
 * Quadratic products are formed on the grid and always dealiased by the
   2/3 rule: `state_fields` gives (u1, u2, theta) from one stacked inverse
-  transform, and `Grid.dealiased_gradient` takes the spectrum of a flux
-  to its divergence.
+  transform, `TransformBuffers.product_spectra` transforms the products,
+  and `Grid.dealiased_gradient` takes the spectrum of a flux to its
+  divergence.
 
 Grids and fields are immutable: a field keeps its own read-only copy of
 the array it was built from, and a `SpectralField` is the spectrum of a
 real field by construction (finite, Hermitian on its self-conjugate
 columns).  Operations return new fields, so fields and grids are safe to
-share across threads.
+share across threads; a `TransformBuffers` is not.
 """
 
 from __future__ import annotations
@@ -245,9 +247,38 @@ def inverse_transform(f: SpectralField) -> PhysicalField:
     return PhysicalField(f.grid, _irfft2(f.coeffs))
 
 
+class TransformBuffers:
+    """Work arrays of the advection kernel on one grid, reused from call to call.
+
+    Holds the state spectra and fields of (u1, u2, theta), the two flux
+    products and their spectra.  Each 2-D transform runs as its two 1-D
+    stages written into these arrays, which gives the bits of `_rfft2` and
+    `_irfft2`.  The arrays are overwritten by the next call, so one object
+    serves one thread.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.spectra = np.empty((3, *grid.shape), dtype=np.complex128)
+        self.fields = np.empty((3, grid.n, grid.n))
+        self.products = np.empty((2, grid.n, grid.n))
+        self.flux = np.empty((2, *grid.shape), dtype=np.complex128)
+
+    def state_fields(self, coeffs: np.ndarray) -> np.ndarray:
+        """Grid values of (u1, u2, theta) from theta_hat, written into `fields`."""
+        np.multiply(self.grid.state_multipliers, coeffs, out=self.spectra)
+        np.fft.ifft(self.spectra, axis=-2, norm="forward", out=self.spectra)
+        return np.fft.irfft(self.spectra, n=self.grid.n, axis=-1, norm="forward", out=self.fields)
+
+    def product_spectra(self) -> np.ndarray:
+        """Half spectra of `products`, written into `flux`."""
+        np.fft.rfft(self.products, axis=-1, norm="forward", out=self.flux)
+        return np.fft.fft(self.flux, axis=-2, norm="forward", out=self.flux)
+
+
 def state_fields(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Grid values of (u1, u2, theta), stacked, from one inverse transform of theta_hat."""
-    return _irfft2(grid.state_multipliers * coeffs)
+    """Grid values of (u1, u2, theta), stacked, from theta_hat; a fresh array."""
+    return TransformBuffers(grid).state_fields(coeffs)
 
 
 def apply_sqrt_laplacian(f: SpectralField, power: float) -> SpectralField:

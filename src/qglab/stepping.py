@@ -120,8 +120,9 @@ def rk4_step(c, rhs_fn, dt):
 class Integrator:
     """Steps of one model at a fixed dt, built once per (grid, params, dt, scheme).
 
-    Holds the model's RhsSplit and, for etd-rk4 on a model with a linear
-    part, the exact linear-flow factors exp(L dt / 2) and exp(L dt).
+    Holds the model's RhsSplit, so it serves one thread, and, for etd-rk4
+    on a model with a linear part, the exact linear-flow factors
+    exp(L dt / 2) and exp(L dt).
     Without a linear part both schemes are the same RK4 on the split.
     """
 
@@ -175,20 +176,24 @@ def run(theta0: SpectralField, p: ModelParams, cfg: StepperConfig) -> RunResult:
     samples = [(0.0, theta0)] if cfg.snapshot_every > 0 else []
 
     prev = first
+    state = theta0
     for i in range(1, nsteps + 1):
         t = i * cfg.dt
         c = integrator.advance(c, t)
-        if i % cfg.diag_every == 0 or i == nsteps:
+        record = i % cfg.diag_every == 0 or i == nsteps
+        sample = cfg.snapshot_every > 0 and (i % cfg.snapshot_every == 0 or i == nsteps)
+        if record or sample:  # one frozen field serves the record, the sample and the final state
             state = SpectralField(grid, c)
+        if record:
             rec = diagnostics.make_record(
                 state, t, p, s=cfg.s, sigma=cfg.sigma, prev=prev, initial=first
             )
             records.append(rec)
             prev = rec
-        if cfg.snapshot_every > 0 and (i % cfg.snapshot_every == 0 or i == nsteps):
-            samples.append((t, SpectralField(grid, c)))
+        if sample:
+            samples.append((t, state))
 
-    return RunResult(records=records, samples=samples, final=SpectralField(grid, c))
+    return RunResult(records=records, samples=samples, final=state)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from qglab import (
     riesz_velocity,
 )
 from qglab.errors import NegativePowerOnMean, ValidationError
+from qglab.spectral import TransformBuffers, _irfft2, _rfft2
 
 from conftest import full_spectrum, random_field
 
@@ -129,6 +130,19 @@ def test_round_trip(grid64):
     values = rng.standard_normal((64, 64))
     back = inverse_transform(forward_transform(PhysicalField(grid64, values)))
     assert np.max(np.abs(back.values - values)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 30, 64])
+def test_transform_buffers_match_stacked_pair(n):
+    # the staged 1-D transforms give the bits of rfft2/irfft2, Nyquist lines included
+    grid = Grid(n)
+    rng = np.random.default_rng(n)
+    c = forward_transform(PhysicalField(grid, rng.standard_normal((n, n)))).coeffs
+    b = TransformBuffers(grid)
+    fields = b.state_fields(c)
+    assert fields.tobytes() == _irfft2(grid.state_multipliers * c).tobytes()
+    b.products[...] = rng.standard_normal((2, n, n))
+    assert b.product_spectra().tobytes() == _rfft2(b.products).tobytes()
 
 
 def test_sqrt_laplacian_single_modes(grid32):

@@ -202,6 +202,22 @@ def test_run_deterministic(grid32):
     assert a.records[-1].energy == b.records[-1].energy
 
 
+def test_run_shares_one_field_per_sampled_step(grid32):
+    # step 6 is a record, a snapshot sample and the final state at once
+    theta = random_field(grid32, 10, 2.0, 5)
+    p = ModelParams("dissipative", alpha=0.5, kappa=0.05)
+    res = run(theta, p, StepperConfig(dt=1e-2, t_end=0.06, diag_every=2, snapshot_every=3))
+    assert [t for t, _ in res.samples] == pytest.approx([0.0, 0.03, 0.06])
+    assert res.samples[-1][1] is res.final
+    integrator = Integrator(grid32, p, 1e-2, "etd-rk4")
+    c = theta.coeffs
+    for i in range(1, 7):
+        c = integrator.advance(c, i * 1e-2)
+        if i == 3:
+            assert res.samples[1][1].coeffs.tobytes() == c.tobytes()
+    assert res.final.coeffs.tobytes() == c.tobytes()
+
+
 def test_run_inviscid_conservation(grid64):
     # |theta(1)|_2 / |theta_0|_2 within 1e-6 of 1 on the cmt datum
     cfg = StepperConfig(dt=1e-3, t_end=1.0, scheme="rk4", diag_every=100)
