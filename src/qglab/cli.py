@@ -123,13 +123,8 @@ def _cmd_picard(args) -> int:
         print(f"||theta||_{cfg.s:g} at end: {diagnostics.sobolev_norm(final, cfg.s):.12g}")
         return 0
     traj, cert = stepping.picard_solve(theta0, p, cfg.s, tol=args.tol)
-    print(f"R = {cert.R:.12g}   T = {cert.T:.12g}   s = {cert.s:g}   nodes = {cert.nodes}")
-    print(f"iterations = {cert.iterations}   converged = {cert.converged}")
-    for i, level in enumerate(cert.levels):
-        print(f"level {i}: {level}")
-    # a level that measured no ratio converged on its first sweep
-    ratios = " ".join(f"{r:.4f}" for r in cert.ratios) or "(converged in one sweep)"
-    print(f"contraction ratios: {ratios}")
+    print(f"R = {cert.R:.12g}   T = {cert.T:.12g}   s = {cert.s:g}   converged = {cert.converged}")
+    print(cert)
     return 0
 
 

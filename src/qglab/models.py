@@ -26,7 +26,7 @@ point `rhs(theta, p)` here and the integrator and Picard solver in
 `rhs` and `advection_coeffs` without buffers are pure and safe for
 concurrent use on distinct inputs.  An `RhsSplit` reuses its buffers from
 call to call, so a split, and the `Integrator` that holds one, belongs to
-one thread; every array it returns is fresh.
+one thread; every array it returns is fresh unless the caller passes `out`.
 """
 
 from __future__ import annotations
@@ -86,21 +86,24 @@ class ModelParams:
                 raise ValidationError("forcing has modes outside the 2/3 dealias band")
 
 
-def advection_coeffs(grid: Grid, coeffs: np.ndarray, buffers: TransformBuffers | None = None) -> np.ndarray:
+def advection_coeffs(
+    grid: Grid, coeffs: np.ndarray, buffers: TransformBuffers | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Normalized half-spectrum coefficients of div(u theta); array-level hot path.
 
     `buffers.state_fields` gives (u1, u2, theta) on the grid,
     `buffers.product_spectra` the spectra of the products (u1 theta,
     u2 theta), and i (k1 f1 + k2 f2) is formed inside the 2/3 dealias band
     with the mean zeroed.  The work happens in `buffers`, or in fresh ones
-    when None; the result is always a fresh array.
+    when None; the result is written to `out`, a complex128 array of the
+    grid's shape, or to a fresh array when None.
     """
     b = TransformBuffers(grid) if buffers is None else buffers
     h = grid.n // 2 + 1
     fields = b.state_fields(coeffs)
     np.multiply(fields[:2], fields[2], out=b.products)
     flux = np.multiply(grid.dealiased_gradient, b.product_spectra(), out=b.flux)
-    adv = flux[0] + flux[1]
+    adv = np.add(flux[0], flux[1], out=out)
     adv[0, 0] = 0.0
     # rfft2 leaves the k1 = 0 column Hermitian only to round-off: mirror k2 > 0 onto k2 < 0
     np.conjugate(adv[h - 2 : 0 : -1, 0], out=adv[h:, 0])
@@ -128,7 +131,7 @@ class RhsSplit:
     (1 + mu Lambda^(2 alpha))^(-1) for the regularized model, plus the
     forcing when there is one.  The split owns the kernel's
     `TransformBuffers`, so it serves one thread; the arrays it returns
-    are fresh.
+    are fresh unless `nonlinear` is given `out`.
     """
 
     def __init__(self, grid: Grid, p: ModelParams):
@@ -151,8 +154,9 @@ class RhsSplit:
                 )
             self.forcing = p.forcing.coeffs
 
-    def nonlinear(self, c: np.ndarray) -> np.ndarray:
-        out = advection_coeffs(self.grid, c, self.buffers)
+    def nonlinear(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The nonlinear part at c, written to `out` when given, else to a fresh array."""
+        out = advection_coeffs(self.grid, c, self.buffers, out)
         np.negative(out, out=out)
         if self.inverse is not None:
             out *= self.inverse

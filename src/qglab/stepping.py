@@ -11,16 +11,16 @@ The Picard solver iterates the integral form of the regularized model,
 theta -> theta_0 + int_0^t rhs(theta) with the same split, on the horizon T = mu / (4 R) with
 R = 2 ||theta_0||_s, and certifies the observed contraction ratios; the
 theory guarantees a factor of 1/2 on that horizon.  A solve evaluates
-rhs(theta_0) once and runs two levels: 33 nodes from the constant guess
-theta(t) = theta_0, whose ratios measure the contraction, then 65 nodes
-from the cubic prolongation of that answer (or from theta_0 again when the
-constant guess converged on its first sweep), which checks the quadrature.
-The certificate keeps one record per level.  A level sweeps until a sweep
-moves the trajectory by at most tol, which converges it, or until a ratio
-above PICARD_RATIO_LIMIT is measured: at round-off, a distance of at most
-64 eps R, that ratio ends the level unconverged, and above it the ratio
-raises NoContraction.  Below the limit each sweep shrinks the distance by
-at least 1/0.55, so no sweep cap is needed.
+rhs(theta_0) once and sweeps on PICARD_NODES nodes from the constant guess
+theta(t) = theta_0.  It sweeps until a sweep moves the trajectory by at
+most tol, which converges it, or until a ratio above PICARD_RATIO_LIMIT is
+measured: at round-off, a distance of at most 64 eps R, that ratio ends
+the solve unconverged, and above it the ratio raises NoContraction.  Below
+the limit each sweep shrinks the distance by at least 1/0.55, so no sweep
+cap is needed.  The final sweep's right-hand-side values also give a
+Richardson estimate of the quadrature error, with no further evaluation.
+A sweep writes into arrays the solve owns: the node values, and two
+trajectories that successive sweeps alternate between.
 
 A trajectory is advanced on bare coefficient arrays that no step writes
 to; the states handed to diagnostics and callers are immutable fields.
@@ -44,7 +44,7 @@ log = logging.getLogger(__name__)
 SCHEMES = ("etd-rk4", "rk4")
 BLOWUP_SENTINEL = 1e12
 STEP_COUNT_RTOL = 4.0 * np.finfo(np.float64).eps  # t_end / dt may miss an integer by this much
-PICARD_NODES = 33  # Simpson nodes on [0, T] of level 0; level 1 has 2 * PICARD_NODES - 1
+PICARD_NODES = 33  # Simpson nodes on [0, T]
 PICARD_ROUNDOFF = 64.0 * np.finfo(np.float64).eps  # times R: sweep distances at which round-off may stall
 
 
@@ -201,32 +201,24 @@ def run(theta0: SpectralField, p: ModelParams, cfg: StepperConfig) -> RunResult:
 
 
 @dataclass
-class PicardLevel:
-    """What one level of a Picard solve measured."""
-
-    nodes: int
-    iterations: int
-    ratios: list
-    gap: float | None  # sup-H^s distance to level 0 on shared nodes; None on level 0
-
-    def __str__(self) -> str:
-        ratios = " ".join(f"{r:.4f}" for r in self.ratios) or "-"
-        gap = "-" if self.gap is None else f"{self.gap:.3e}"
-        return f"nodes = {self.nodes}   iterations = {self.iterations}   ratios = {ratios}   gap = {gap}"
-
-
-@dataclass
 class PicardCertificate:
     """Measured evidence for the contraction argument on one horizon."""
 
     R: float  # 2 ||theta_0||_s
     T: float  # horizon actually used (<= mu / (4 R))
     s: float
-    nodes: int  # quadrature nodes on [0, T] of level 1
-    iterations: int  # sweeps of level 1
-    ratios: list  # every measured contraction ratio, in level order
+    nodes: int  # quadrature nodes on [0, T]
+    iterations: int  # sweeps
+    ratios: list  # every measured contraction ratio, in sweep order
     converged: bool
-    levels: list  # the two PicardLevels, 33 nodes then 65
+    quadrature: float  # Richardson estimate of the final trajectory's sup-H^s quadrature error
+
+    def __str__(self) -> str:
+        ratios = " ".join(f"{r:.4f}" for r in self.ratios) or "-"
+        return (
+            f"nodes = {self.nodes}   iterations = {self.iterations}   ratios = {ratios}"
+            f"   quadrature = {self.quadrature:.3e}"
+        )
 
 
 @dataclass
@@ -235,24 +227,37 @@ class PicardTrajectory:
     states: list  # SpectralField at each node
 
 
-def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
+def cumulative_simpson(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative integral of uniformly sampled values along axis 0.
 
     Composite Simpson on even nodes; odd nodes add the last subinterval of
     the cubic through the four nearest samples.  Exact for polynomials of
-    degree <= 3.  Needs at least four samples.
+    degree <= 3.  Needs at least four samples.  The integral is written to
+    `out`, which must not overlap `values`, or to a fresh array when None;
+    each node is accumulated in its own row with one reused temporary.
     """
-    out = np.zeros_like(values)
-    out[1] = (h / 24.0) * (9.0 * values[0] + 19.0 * values[1] - 5.0 * values[2] + values[3])
+    out = np.empty_like(values) if out is None else out
+    tmp = np.empty_like(values[0])
+    out[0] = 0.0
+    row = out[1]  # (h / 24) (9 v0 + 19 v1 - 5 v2 + v3), left to right
+    np.multiply(9.0, values[0], out=row)
+    row += np.multiply(19.0, values[1], out=tmp)
+    row -= np.multiply(5.0, values[2], out=tmp)
+    row += values[3]
+    np.multiply(h / 24.0, row, out=row)
     for i in range(2, len(values)):
-        if i % 2 == 0:
-            out[i] = out[i - 2] + (h / 3.0) * (
-                values[i - 2] + 4.0 * values[i - 1] + values[i]
-            )
-        else:
-            out[i] = out[i - 1] + (h / 24.0) * (
-                values[i - 3] - 5.0 * values[i - 2] + 19.0 * values[i - 1] + 9.0 * values[i]
-            )
+        row = out[i]
+        if i % 2 == 0:  # out[i - 2] + (h / 3) (v[i-2] + 4 v[i-1] + v[i])
+            np.add(values[i - 2], np.multiply(4.0, values[i - 1], out=tmp), out=row)
+            row += values[i]
+            np.multiply(h / 3.0, row, out=row)
+            np.add(out[i - 2], row, out=row)
+        else:  # out[i - 1] + (h / 24) (v[i-3] - 5 v[i-2] + 19 v[i-1] + 9 v[i])
+            np.subtract(values[i - 3], np.multiply(5.0, values[i - 2], out=tmp), out=row)
+            row += np.multiply(19.0, values[i - 1], out=tmp)
+            row += np.multiply(9.0, values[i], out=tmp)
+            np.multiply(h / 24.0, row, out=row)
+            np.add(out[i - 1], row, out=row)
     return out
 
 
@@ -274,57 +279,45 @@ def _positive_finite(name: str, value: float) -> float:
     return value
 
 
-def _prolong(coarse: np.ndarray) -> np.ndarray:
-    """A trajectory on twice as many intervals, cubic in t between the coarse nodes.
+def _picard_iterate(grid, nonlinear, c0, f0, nodes, T, s, tol, floor):
+    """Sweeps on `nodes` nodes from the constant guess theta(t) = theta_0.
 
-    Even nodes take the coarse values, interior midpoints the four-point
-    cubic (-1, 9, 9, -1)/16 and the two end midpoints the one-sided
-    (5, 15, -5, 1)/16, so a trajectory cubic in t is reproduced.  Needs at
-    least four coarse nodes.
+    Ends as `picard_solve` describes, with `floor` the round-off distance,
+    and returns (times, trajectory, ratios, converged, iterations,
+    quadrature estimate).
     """
-    fine = np.empty((2 * len(coarse) - 1, *coarse.shape[1:]), dtype=coarse.dtype)
-    fine[::2] = coarse
-    mid = fine[3:-3:2]  # the midpoints with two coarse nodes on either side
-    np.add(coarse[1:-2], coarse[2:-1], out=mid)
-    mid *= 9.0
-    mid -= coarse[:-3]
-    mid -= coarse[3:]
-    mid /= 16.0
-    for i, c in ((1, coarse[:4]), (-2, coarse[:-5:-1])):
-        fine[i] = (5.0 * c[0] + 15.0 * c[1] - 5.0 * c[2] + c[3]) / 16.0
-    return fine
-
-
-def _picard_iterate(grid, nonlinear, c0, f0, coarse, nodes, T, s, tol, floor):
-    """Sweeps on `nodes` nodes, from the constant guess or, given `coarse`, from its prolongation.
-
-    Ends as `picard_solve` describes, with `floor` the round-off distance.
-    """
-    # the constant guess theta(t) = theta_0 has rhs f0 at every node
-    traj = c0[None] if coarse is None else _prolong(coarse)
     times = np.linspace(0.0, T, nodes)
     h = times[1] - times[0]
+    # the constant guess has rhs f0 at every node, so the first sweep evaluates nothing
     rhs_vals = np.broadcast_to(f0, (nodes, *c0.shape)).copy()
+    traj = c0[None]
+    pair = (np.empty_like(rhs_vals), np.empty_like(rhs_vals))  # sweeps alternate between them
     ratios = []
     diff = None
     iterations = 0
     while True:
         iterations += 1
-        if iterations > 1 or coarse is not None:
+        if iterations > 1:
             for i in range(1, nodes):  # node 0 is always theta_0 and keeps f0
-                rhs_vals[i] = nonlinear(traj[i])
-        new = cumulative_simpson(rhs_vals, h)
+                nonlinear(traj[i], out=rhs_vals[i])
+        new = cumulative_simpson(rhs_vals, h, out=pair[iterations % 2])
         new += c0
         prev_diff, diff = diff, _sup_hs_distance(grid, new, traj, s)
         traj = new
         if prev_diff is not None:  # every sweep after the first measures a ratio
             ratios.append(diff / prev_diff)
         if diff <= tol:
-            return times, traj, ratios, True, iterations
+            break
         if ratios and not ratios[-1] <= PICARD_RATIO_LIMIT:  # NaN fails the test
             if not diff <= floor:
                 raise NoContraction(0.0, ratios[-1])
-            return times, traj, ratios, False, iterations
+            break
+    # Simpson's error is O(h^4), so S_h - S_2h on the even nodes is about 15 times S_h's error
+    spare = pair[(iterations + 1) % 2]  # the previous trajectory, no longer needed
+    coarse = cumulative_simpson(rhs_vals[::2], 2.0 * h, out=spare[: nodes // 2 + 1])
+    coarse += c0
+    quadrature = _sup_hs_distance(grid, traj[::2], coarse, s) / 15.0
+    return times, traj, ratios, diff <= tol, iterations, quadrature
 
 
 def picard_solve(
@@ -338,31 +331,29 @@ def picard_solve(
 
     The iteration theta_(m+1) = theta_0 + int_0^t rhs(theta_m) runs on
     T = mu / (4 R), R = 2 ||theta_0||_s, discretized by composite Simpson
-    on two levels.  rhs(theta_0) is evaluated once and serves node 0,
-    which is always theta_0, on every sweep.  Level 0 solves on
-    PICARD_NODES nodes from the constant guess theta_0, whose first sweep
-    needs no further evaluation, and measures the contraction ratios.
-    Level 1 solves on 2 PICARD_NODES - 1 nodes from level 0's trajectory,
-    with even nodes copied and midpoints cubic in t, and often agrees
-    after one sweep; when the constant guess converged on its first sweep
-    (a steady datum), level 1 starts from it too.  Level 1's gap, its
-    sup-H^s distance to level 0 on the shared nodes, is recorded.
+    on PICARD_NODES nodes from the constant guess theta_0.  rhs(theta_0)
+    is evaluated once; it serves every node on the first sweep, which
+    needs no further evaluation, and node 0, which is always theta_0, on
+    every later sweep.  A steady datum therefore costs one evaluation.
 
-    The certificate's `levels` holds each level's nodes, iterations, ratios
-    and gap (None on level 0); `ratios` lists every measured ratio in level
-    order, while `nodes` and `iterations` are level 1's.  A level ends
-    converged once a sweep moves its trajectory by at most `tol`.  A ratio
-    above PICARD_RATIO_LIMIT ends it unconverged when measured at round-off,
-    a distance of at most PICARD_ROUNDOFF R, and otherwise raises
-    NoContraction with t = 0; so `converged` is False only when `tol` lies
-    below what round-off resolves.  `tol` and `t_max` must be positive and
-    finite, and ||theta_0||_s finite.
+    A solve ends converged once a sweep moves the trajectory by at most
+    `tol`.  A ratio above PICARD_RATIO_LIMIT ends it unconverged when
+    measured at round-off, a distance of at most PICARD_ROUNDOFF R, and
+    otherwise raises NoContraction with t = 0; so `converged` is False
+    only when `tol` lies below what round-off resolves.  The certificate
+    records the nodes, the sweeps, every measured ratio and `quadrature`,
+    the Richardson estimate sup ||S_h - S_2h||_s / 15 of the returned
+    trajectory's quadrature error.  S_h is the trajectory and S_2h the
+    same integral of the final sweep's rhs on the even nodes alone, with
+    step 2h; they are compared on those nodes, so the check costs no
+    evaluation.  `s` must be finite and exceed 1, `tol` and `t_max` must
+    be positive and finite, and ||theta_0||_s must be finite.
     """
     _positive_finite("tol", tol)
     if p.model != "regularized":
         raise ValidationError("picard_solve requires the regularized model")
-    if s <= 1.0:
-        raise ValidationError(f"picard_solve requires s > 1, got s={s}")
+    if not 1.0 < s < math.inf:  # also rejects NaN
+        raise ValidationError(f"picard_solve requires a finite s > 1, got s={s}")
 
     grid = theta0.grid
     R = 2.0 * diagnostics.sobolev_norm(theta0, s)
@@ -376,24 +367,12 @@ def picard_solve(
 
     c0 = theta0.coeffs
     nonlinear = RhsSplit(grid, p).nonlinear
-    f0 = nonlinear(c0)
-    floor = PICARD_ROUNDOFF * R
-    _, coarse, ratios, converged, iters = _picard_iterate(
-        grid, nonlinear, c0, f0, None, PICARD_NODES, T, s, tol, floor
+    times, traj, ratios, converged, iters, quadrature = _picard_iterate(
+        grid, nonlinear, c0, nonlinear(c0), PICARD_NODES, T, s, tol, PICARD_ROUNDOFF * R
     )
-    levels = [PicardLevel(nodes=PICARD_NODES, iterations=iters, ratios=ratios, gap=None)]
-    steady = converged and iters == 1  # the constant guess is a fixed point to tol
-    times, traj, ratios, converged, iters = _picard_iterate(
-        grid, nonlinear, c0, f0, None if steady else coarse, 2 * PICARD_NODES - 1,
-        T, s, tol, floor,
-    )
-    gap = _sup_hs_distance(grid, traj[::2], coarse, s)
-    del coarse  # level 0 goes before the states are copied out
-    levels.append(PicardLevel(nodes=len(traj), iterations=iters, ratios=ratios, gap=gap))
-
     cert = PicardCertificate(
-        R=R, T=T, s=s, nodes=len(traj), iterations=iters,
-        ratios=[r for level in levels for r in level.ratios], converged=converged, levels=levels,
+        R=R, T=T, s=s, nodes=PICARD_NODES, iterations=iters,
+        ratios=ratios, converged=converged, quadrature=quadrature,
     )
     states = [SpectralField(grid, c) for c in traj]
     return PicardTrajectory(times=times, states=states), cert
@@ -416,12 +395,13 @@ def continue_solution(
     """Chain Picard horizons until `horizon`, re-seeding at each endpoint.
 
     Each segment is a `picard_solve` that recomputes R and T from its own
-    initial data, which is exactly the extension argument; each segment's
-    level 0 starts cold from its own initial data, so every certificate
-    measures its own ratios.  A segment that stalled at round-off above
-    `tol` (certificate `converged` False) is chained like any other.  A
-    segment's NoContraction is re-raised with the time reached so far
-    added.  `horizon` must be positive and finite.
+    initial data, which is exactly the extension argument; each segment
+    starts cold from the constant guess of its own initial data, so every
+    certificate measures its own ratios.  A segment that stalled at
+    round-off above `tol` (certificate `converged` False) is chained like
+    any other.  A segment's NoContraction is re-raised with the time
+    reached so far added.  `horizon` must be positive and finite, and `s`
+    as `picard_solve` requires.
     """
     _positive_finite("horizon", horizon)
     times = [0.0]

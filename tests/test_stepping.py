@@ -13,8 +13,9 @@ from qglab.models import RhsSplit, rhs
 from qglab.stepping import (
     BLOWUP_SENTINEL,
     PICARD_RATIO_LIMIT,
+    PICARD_ROUNDOFF,
     Integrator,
-    _prolong,
+    _picard_iterate,
     _sup_hs_distance,
     continue_solution,
     cumulative_simpson,
@@ -257,6 +258,48 @@ def test_cumulative_simpson_exact_on_cubics():
     assert np.max(np.abs(out - exact)) < 1e-12
 
 
+def _simpson_reference(values, h):
+    """`cumulative_simpson` as whole-row expressions, in the operation order it keeps."""
+    out = np.zeros_like(values)
+    out[1] = (h / 24.0) * (9.0 * values[0] + 19.0 * values[1] - 5.0 * values[2] + values[3])
+    for i in range(2, len(values)):
+        if i % 2 == 0:
+            out[i] = out[i - 2] + (h / 3.0) * (values[i - 2] + 4.0 * values[i - 1] + values[i])
+        else:
+            out[i] = out[i - 1] + (h / 24.0) * (
+                values[i - 3] - 5.0 * values[i - 2] + 19.0 * values[i - 1] + 9.0 * values[i]
+            )
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(4, 40), h=st.floats(1e-4, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_cumulative_simpson_in_place_matches_reference(m, h, seed):
+    # Picard integrates into a reused trajectory, and every other node of its rhs stack
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((2 * m - 1, 3, 5)) + 1j * rng.standard_normal((2 * m - 1, 3, 5))
+    for values in (stack[:m], stack[::2]):
+        expected = _simpson_reference(np.ascontiguousarray(values), h).tobytes()
+        out = np.full_like(stack[:m], np.nan)
+        assert cumulative_simpson(values, h, out=out) is out
+        assert out.tobytes() == expected
+        assert cumulative_simpson(values, h).tobytes() == expected
+
+
+@pytest.mark.parametrize("lam", [1.0, 3.0, 10.0, 30.0, 1j, 3j, 10j, 30j])
+def test_simpson_richardson_estimate_tracks_refinement(lam):
+    # exp(lam t) on [0, 1]: |S_h - S_2h| / 15 on 33 nodes against the gap to
+    # 65 nodes; the ratio measured 0.81-1.74 here and fell to 0.49 at
+    # lam = 60, where 33 nodes no longer resolve the trajectory
+    def samples(m):
+        return np.exp(lam * np.linspace(0.0, 1.0, m))[:, None, None]
+
+    coarse = cumulative_simpson(samples(33), 1.0 / 32)
+    estimate = np.max(np.abs(coarse[::2] - cumulative_simpson(samples(33)[::2], 2.0 / 32))) / 15.0
+    gap = np.max(np.abs(coarse - cumulative_simpson(samples(65), 0.5 / 32)[::2]))
+    assert 0.5 <= estimate / gap <= 2.0
+
+
 def test_picard_requires_regularized_and_s(grid32):
     theta = qglab.single_mode(grid32, 1, 0)
     with pytest.raises(ValidationError):
@@ -266,7 +309,9 @@ def test_picard_requires_regularized_and_s(grid32):
         picard_solve(theta, p, s=0.5)
 
 
-_BAD_PICARD_CONTROLS = [dict(tol=np.nan), dict(tol=0.0), dict(tol=-1e-9), dict(tol=np.inf)]
+_BAD_PICARD_CONTROLS = [dict(tol=np.nan), dict(tol=0.0), dict(tol=-1e-9), dict(tol=np.inf)] + [
+    dict(s=s) for s in (np.nan, np.inf, -np.inf)
+]
 _BAD_TIMES = [np.nan, 0.0, -1.0, np.inf]
 
 
@@ -282,9 +327,9 @@ def test_picard_rejects_bad_controls(grid16, solver, kwargs):
     theta = qglab.single_mode(grid16, 1, 0)
     with pytest.raises(ValidationError):
         if solver == "picard_solve":
-            picard_solve(theta, p, s=2.0, **kwargs)
+            picard_solve(theta, p, **{"s": 2.0, **kwargs})
         else:
-            continue_solution(theta, p, s=2.0, **{"horizon": 0.5, **kwargs})
+            continue_solution(theta, p, **{"s": 2.0, "horizon": 0.5, **kwargs})
 
 
 def test_picard_steady_datum_converges_immediately(grid32):
@@ -292,7 +337,7 @@ def test_picard_steady_datum_converges_immediately(grid32):
     traj, cert = picard_solve(qglab.single_mode(grid32, 1, 0), p, s=2.0)
     assert cert.converged
     assert cert.iterations == 1
-    assert cert.nodes == 65
+    assert cert.nodes == 33
     assert cert.T == pytest.approx(p.mu / (4.0 * cert.R))
 
 
@@ -301,26 +346,25 @@ def test_picard_contraction_certificate(grid64, alpha):
     p = ModelParams("regularized", alpha=alpha, mu=1.0)
     traj, cert = picard_solve(qglab.cmt(grid64), p, s=2.0, tol=1e-10)
     assert cert.converged
-    assert cert.nodes == 65
+    assert cert.nodes == 33
     assert cert.ratios and all(r <= 0.55 for r in cert.ratios)
 
 
 @pytest.mark.parametrize("n", [32, 64])
 @pytest.mark.parametrize("alpha", [0.5, 0.75])
 def test_picard_certificates_keep_measured_ratios(request, n, alpha):
-    # the 65-node level starts from the 33-node answer and often agrees after
-    # one sweep; the cold 33-node level still measures the contraction
+    # every solve, chained or not, starts cold from its constant guess and
+    # measures the contraction; every sweep after the first records a ratio
     p = ModelParams("regularized", alpha=alpha, mu=1.0)
     theta = qglab.cmt(request.getfixturevalue(f"grid{n}"))
     _, cert = picard_solve(theta, p, s=2.0, tol=1e-10)
     sol = continue_solution(theta, p, s=2.0, horizon=0.05)
     assert len(sol.certificates) > 1
-    assert [level.nodes for level in sol.certificates[-1].levels] == [33, 65]
+    assert sol.certificates[-1].nodes == 33
     for c in [cert, *sol.certificates]:
         assert len(c.ratios) >= 2
-        assert c.ratios == [r for level in c.levels for r in level.ratios]
-        assert c.levels[0].gap is None and c.levels[1].gap <= 1e-9
-        assert (c.nodes, c.iterations) == (c.levels[-1].nodes, c.levels[-1].iterations)
+        assert c.iterations == len(c.ratios) + 1
+        assert c.quadrature <= 1e-9
 
 
 @pytest.fixture
@@ -329,9 +373,9 @@ def nonlinear_args(monkeypatch):
     args = []
     nonlinear = RhsSplit.nonlinear
 
-    def recorded(self, c):
-        args.append(c)
-        return nonlinear(self, c)
+    def recorded(self, c, out=None):
+        args.append(c.copy())  # Picard overwrites its trajectory buffers
+        return nonlinear(self, c, out)
 
     monkeypatch.setattr(RhsSplit, "nonlinear", recorded)
     return args
@@ -342,45 +386,54 @@ def test_picard_evaluates_theta0_once(grid64, nonlinear_args):
     theta = qglab.cmt(grid64)
     _, cert = picard_solve(theta, p, s=2.0, tol=1e-10)
     calls = [np.array_equal(c, theta.coeffs) for c in nonlinear_args]
-    # level 0's first sweep reuses rhs(theta_0) at every node and later sweeps
-    # at node 0; a warm level evaluates nodes 1..m-1 on every sweep
-    (k0, m0), (k1, m1) = [(level.iterations, level.nodes) for level in cert.levels]
-    assert len(calls) == 1 + (k0 - 1) * (m0 - 1) + k1 * (m1 - 1)
+    # the first sweep reuses rhs(theta_0) at every node and later sweeps at node 0
+    assert len(calls) == 1 + (cert.iterations - 1) * (cert.nodes - 1)
     assert sum(calls) == 1
 
 
-@pytest.mark.parametrize("datum, n, calls", [("steady", 16, 1), ("cmt", 64, 161)])
+@pytest.mark.parametrize("datum, n, calls", [("steady", 16, 1), ("cmt", 64, 97)])
 def test_picard_call_budget(request, nonlinear_args, datum, n, calls):
-    # a constant guess that converges on its first sweep is the 65-node
-    # level's start too, so a steady datum costs the one rhs(theta_0)
+    # a constant guess that converges on its first sweep costs the one
+    # rhs(theta_0); cmt takes 4 sweeps, 1 + 3 x 32 calls
     grid = request.getfixturevalue(f"grid{n}")
     theta = qglab.single_mode(grid, 1, 0) if datum == "steady" else qglab.cmt(grid)
     _, cert = picard_solve(theta, ModelParams("regularized", alpha=0.5, mu=1.0), s=2.0, tol=1e-10)
     assert len(nonlinear_args) == calls
-    assert cert.converged and [level.nodes for level in cert.levels] == [33, 65]
+    assert cert.converged and cert.nodes == 33
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    m=st.integers(4, 40),
-    T=st.floats(1e-3, 10.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_prolong_keeps_coarse_nodes_and_reproduces_cubics(m, T, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
-    t = np.linspace(0.0, T, 2 * m - 1)[:, None, None]
-    exact = a[0] + t * (a[1] + t * (a[2] + t * a[3]))
-    coarse = exact[::2].copy()
-    fine = _prolong(coarse)
-    assert fine.shape == exact.shape
-    assert fine[::2].tobytes() == coarse.tobytes()
-    assert np.max(np.abs(fine[1::2] - exact[1::2])) <= 1e-13 * np.max(np.abs(exact))
+def _quadrature_gap(theta, p, T, tol):
+    """A 33-node solve's quadrature estimate and its sup-H^2 gap to a 65-node solve on [0, T]."""
+    R = 2.0 * qglab.sobolev_norm(theta, 2.0)
+    split = RhsSplit(theta.grid, p)
+    f0 = split.nonlinear(theta.coeffs)
+    (_, coarse, *_, estimate), (_, fine, *_) = [
+        _picard_iterate(theta.grid, split.nonlinear, theta.coeffs, f0, m, T, 2.0, tol, PICARD_ROUNDOFF * R)
+        for m in (33, 65)
+    ]
+    return estimate, _sup_hs_distance(theta.grid, fine[::2], coarse, 2.0)
+
+
+# Measured estimate / gap on cmt and random data at n = 16..64, mu = 1 and
+# 300: 1.05-1.16 on 30 and 100 times the guaranteed horizon wherever the
+# iteration still contracts and the gap exceeds 3e-13; 0.010-0.104 on the
+# horizon itself, where the gap and S_h - S_2h are both round-off and the
+# division by 15 shrinks only the estimate (0.053-0.079 for cmt at n = 32).
+@pytest.mark.parametrize("alpha", [0.5, 0.75])
+@pytest.mark.parametrize("stretch, low, high", [(1.0, 0.005, 0.3), (30.0, 0.5, 2.0), (100.0, 0.5, 2.0)])
+def test_picard_quadrature_estimate_tracks_65_node_gap(grid32, alpha, stretch, low, high):
+    p = ModelParams("regularized", alpha=alpha, mu=1.0)
+    theta = qglab.cmt(grid32)
+    _, cert = picard_solve(theta, p, s=2.0, tol=1e-10)
+    estimate, gap = _quadrature_gap(theta, p, stretch * cert.T, tol=1e-10)
+    assert (gap > PICARD_ROUNDOFF * cert.R) == (stretch > 1.0)
+    assert low <= estimate / gap <= high
 
 
 def test_picard_solve_peak_memory(grid64):
-    # about 3.6 65-node trajectories are live at the peak; one more held
-    # anywhere in the solve would add 1.0 to the ratio
+    # about 3.45 trajectories are live at the peak: the rhs stack, the two
+    # trajectories that sweeps alternate between and the split's buffers;
+    # one more held anywhere in the solve would add 1.0 to the ratio
     p = ModelParams("regularized", alpha=0.5, mu=1.0)
     theta = qglab.cmt(grid64)
     picard_solve(theta, p, s=2.0, tol=1e-10)  # warm-up: the grid's cached symbols
@@ -390,7 +443,7 @@ def test_picard_solve_peak_memory(grid64):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.0 * 65 * theta.coeffs.nbytes
+    assert peak <= 4.0 * 33 * theta.coeffs.nbytes
 
 
 def test_picard_cross_validates_against_run(grid64):
@@ -442,26 +495,25 @@ def test_picard_raises_no_contraction_above_ratio_limit(grid32, monkeypatch):
 
 
 def test_picard_tol_below_roundoff_ends_unconverged(grid32):
-    # no sweep resolves 1e-300: each level ends on a ratio above the limit
+    # no sweep resolves 1e-300: the solve ends on a ratio above the limit
     # measured at round-off, and a chain goes on past such a segment
     p = ModelParams("regularized", alpha=0.5, mu=1.0)
     theta = qglab.cmt(grid32)
     _, cert = picard_solve(theta, p, s=2.0, tol=1e-300)
     assert not cert.converged
-    assert all(level.ratios[-1] > PICARD_RATIO_LIMIT for level in cert.levels)
-    assert cert.ratios == [r for level in cert.levels for r in level.ratios]
+    assert cert.ratios[-1] > PICARD_RATIO_LIMIT
     sol = continue_solution(theta, p, s=2.0, horizon=1.5 * cert.T, tol=1e-300)
     assert len(sol.certificates) == 2 and not sol.certificates[0].converged
     assert sol.times[-1] == pytest.approx(1.5 * cert.T)
 
 
 def test_picard_ratio_at_roundoff_does_not_raise():
-    # level 0 reaches a distance of 1.4e-12, just above tol, where round-off
-    # measures a ratio of 0.71; the solve goes on and level 1 converges
+    # the distance falls to 1.4e-12, just above tol, where round-off
+    # measures a ratio of 0.71; the solve ends unconverged instead of raising
     theta = 30.0 * qglab.from_init_string(qglab.Grid(128), "random:42,1.0", 5)
     _, cert = picard_solve(theta, ModelParams("regularized", alpha=0.5, mu=1.0), s=2.0, tol=1e-12)
-    assert cert.levels[0].ratios[-1] > PICARD_RATIO_LIMIT
-    assert cert.converged
+    assert cert.ratios[-1] > PICARD_RATIO_LIMIT
+    assert not cert.converged
 
 
 def test_sup_hs_distance_propagates_nan(grid16):
