@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
     Violation,
 )
-from .spectral import Grid, inverse_transform
+from .spectral import Grid, PhysicalField, state_fields
 
 _RUNTIME_ERRORS = (UnstableStep, NoContraction, Violation, ReferenceTooCoarse, DegenerateFit)
 
@@ -131,7 +131,8 @@ def _cmd_picard(args) -> int:
 def _cmd_norms(args) -> int:
     snap = io.load_snapshot(args.snapshot)
     theta = snap.to_field()
-    physical = inverse_transform(theta)
+    fields = state_fields(theta.grid, theta.coeffs)  # (u1, u2, theta) on the grid
+    physical = PhysicalField(theta.grid, fields[2])
     # every line is computed before any is printed, so a bad index leaves no partial output
     lines = [f"snapshot t={snap.t:g} model={snap.model} n={snap.n}"]
     for q in args.q or [2.0, 3.0, 4.0, np.inf]:
@@ -139,7 +140,7 @@ def _cmd_norms(args) -> int:
     for s in args.s or [1.0, 2.0]:
         lines.append(f"||theta||_{s:g} = {diagnostics.sobolev_norm(theta, s):.12g}")
     lines.append(f"energy = {diagnostics.lp_norm(physical, 2.0) ** 2:.12g}")
-    lines.append(f"q_inf = {diagnostics.lp_norm(physical, np.inf) + diagnostics.velocity_sup(theta):.12g}")
+    lines.append(f"q_inf = {diagnostics._q_inf(*fields):.12g}")
     lines.append(f"ladder(sigma={args.sigma:g}) = {diagnostics.ladder_bracket(theta, args.sigma):.12g}")
     print("\n".join(lines))
     return 0

@@ -1,10 +1,12 @@
 """Norms, conservation residuals, inequality monitors and scale-local flux.
 
 Everything here is a pure function of its inputs and safe to evaluate
-concurrently across snapshots.  Norm conventions follow the physical
-integral: |f|_q = (integral |f|^q dx)^(1/q) by exact grid quadrature and
-||f||_s = |Lambda^s f|_2 = 2 pi sqrt(sum |k|^(2s) |f_hat|^2), the sum over
-all k taken on the stored half spectrum with `Grid.parseval_weights`.
+concurrently across snapshots: `flux_scan` forms its per-eps fields in a
+workspace that each call allocates for itself.  Norm conventions follow
+the physical integral: |f|_q = (integral |f|^q dx)^(1/q) by exact grid
+quadrature and ||f||_s = |Lambda^s f|_2 = 2 pi sqrt(sum |k|^(2s)
+|f_hat|^2), the sum over all k taken on the stored half spectrum with
+`Grid.parseval_weights`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     _irfft2,
+    _irfft2_into,
     _rfft2,
     inverse_transform,
     pad_spectrum,
@@ -411,13 +414,16 @@ def flux_scan(
     """`coarse_grained_flux` at every eps of `eps_list`, largest eps first.
 
     Every eps is validated before the state is padded, and the padding and
-    the eps-independent transforms are done once for the whole list.
+    the eps-independent transforms are done once for the whole list.  The
+    per-eps fields are formed in one workspace that this call allocates and
+    every eps overwrites, so concurrent calls share nothing.
     """
     mollifiers = [Mollifier(eps, profile) for eps in sorted(eps_list, reverse=True)]
     if not mollifiers:
         raise ValueError("empty eps list")
     padded = _padded_fields(theta)
-    return [_flux_at_scale(theta.grid, padded, mol, with_remainder, dr_profile) for mol in mollifiers]
+    work = _FluxWork(padded[0], with_remainder)
+    return [_flux_at_scale(theta.grid, padded, mol, work, dr_profile) for mol in mollifiers]
 
 
 def _padded_fields(theta: SpectralField):
@@ -445,39 +451,79 @@ def _difference_symbol(grid: Grid, offsets, weights) -> np.ndarray:
     return e @ weights @ e_half.T + (e @ weights.sum(1))[:, None] + (e_half @ weights.sum(0))[None, :]
 
 
-def _flux_at_scale(grid, padded, mol, with_remainder, dr_profile) -> FluxEstimate:
-    """`coarse_grained_flux` at one scale from the `_padded_fields` of its state."""
+class _FluxWork:
+    """The per-eps arrays of `flux_scan` on the doubled grid, overwritten by every eps.
+
+    `fields` holds five grid fields, u_eps (later grad theta_eps),
+    theta_eps and sigma_eps, and with the remainder five more, the
+    D-fields of (u1, u2, theta, u1 theta, u2 theta).  `spectra` holds the
+    half spectra of the largest group transformed at once, three or five.
+    A group's spectra are dead once transformed, so their memory also
+    serves as `scratch`, three float grid fields for the elementwise work.
+    """
+
+    def __init__(self, grid: Grid, with_remainder: bool):
+        n = grid.n
+        self.with_remainder = with_remainder
+        self.fields = np.empty((10 if with_remainder else 5, n, n))
+        self.spectra = np.empty((5 if with_remainder else 3, *grid.shape), dtype=np.complex128)
+        self.scratch = self.spectra.reshape(-1).view(np.float64)[: 3 * n * n].reshape(3, n, n)
+
+
+def _flux_at_scale(grid, padded, mol, work, dr_profile) -> FluxEstimate:
+    """`coarse_grained_flux` at one scale from the `_padded_fields` of its state, in `work`."""
     gf, fields_hat, (u1, u2, th), uth_hat = padded
     m = mol.multiplier(gf)
+    spectra = work.spectra
+    x, y, z = work.scratch
 
-    u1_eps, u2_eps, th_eps = _irfft2(m * fields_hat)
-    # theta_eps lives in |k_i| <= N/4, inside the dealias band of the doubled grid
-    dth1_eps, dth2_eps = _irfft2(gf.dealiased_gradient * (m * fields_hat[2]))
-    uth1_eps, uth2_eps = _irfft2(m * uth_hat)
+    u1_eps, u2_eps, th_eps = _irfft2_into(np.multiply(m, fields_hat, out=spectra[:3]), work.fields[:3])
+    sigma1, sigma2 = _irfft2_into(np.multiply(m, uth_hat, out=spectra[:2]), work.fields[3:5])
+    # sigma_eps = u_eps theta_eps - (u theta)_eps, in place of (u theta)_eps
+    np.subtract(np.multiply(u1_eps, th_eps, out=x), sigma1, out=sigma1)
+    np.subtract(np.multiply(u2_eps, th_eps, out=x), sigma2, out=sigma2)
+    sigma_l1 = float(np.mean(np.hypot(sigma1, sigma2, out=x))) * CELL_AREA_FACTOR
 
-    sigma1 = u1_eps * th_eps - uth1_eps
-    sigma2 = u2_eps * th_eps - uth2_eps
-
-    flux = float(np.mean(sigma1 * dth1_eps + sigma2 * dth2_eps)) * CELL_AREA_FACTOR
-    sigma_l1 = float(np.mean(np.hypot(sigma1, sigma2))) * CELL_AREA_FACTOR
-
-    est = FluxEstimate(eps=mol.eps, profile=mol.profile, sigma_l1=sigma_l1, flux_integral=flux)
-
-    if with_remainder:
+    r_l32 = decomposition = None
+    if work.with_remainder:
         offsets, weights = mol.stencil(gf)
         diff = _difference_symbol(gf, offsets, weights)
-        du1, du2, dth, duth1, duth2 = _irfft2(diff * np.concatenate([fields_hat, uth_hat]))
-        r1 = duth1 - u1 * dth - th * du1
-        r2 = duth2 - u2 * dth - th * du2
-        rmag = np.hypot(r1, r2)
-        est.r_l32 = (float(np.mean(rmag**1.5)) * CELL_AREA_FACTOR) ** (2.0 / 3.0)
-        d1 = (u1 - u1_eps) * (th - th_eps) - r1 - sigma1
-        d2 = (u2 - u2_eps) * (th - th_eps) - r2 - sigma2
-        est.decomposition_l1_error = float(np.mean(np.hypot(d1, d2))) * CELL_AREA_FACTOR
+        np.multiply(diff, fields_hat, out=spectra[:3])
+        np.multiply(diff, uth_hat, out=spectra[3:5])
+        du1, du2, dth, r1, r2 = _irfft2_into(spectra, work.fields[5:10])
+        # r = D(u theta) - u D theta - theta D u, in place of D(u theta)
+        for r, u, du in ((r1, u1, du1), (r2, u2, du2)):
+            np.subtract(r, np.multiply(u, dth, out=x), out=r)
+            np.subtract(r, np.multiply(th, du, out=x), out=r)
+        np.hypot(r1, r2, out=x)
+        r_l32 = (float(np.mean(np.power(x, 1.5, out=x))) * CELL_AREA_FACTOR) ** (2.0 / 3.0)
+        # d = (u - u_eps)(theta - theta_eps) - r - sigma_eps
+        np.subtract(th, th_eps, out=z)
+        for d, u, u_eps, r, sigma in ((x, u1, u1_eps, r1, sigma1), (y, u2, u2_eps, r2, sigma2)):
+            np.multiply(np.subtract(u, u_eps, out=d), z, out=d)
+            np.subtract(d, r, out=d)
+            np.subtract(d, sigma, out=d)
+        decomposition = float(np.mean(np.hypot(x, y, out=x))) * CELL_AREA_FACTOR
+
+    # u_eps is dead: grad theta_eps takes its place.  theta_eps lives in
+    # |k_i| <= N/4, inside the dealias band of the doubled grid
+    np.multiply(m, fields_hat[2], out=spectra[2])
+    for grad, spectrum in zip(gf.dealiased_gradient, spectra[:2]):
+        np.multiply(grad, spectra[2], out=spectrum)
+    dth1_eps, dth2_eps = _irfft2_into(spectra[:2], work.fields[:2])
+    np.add(np.multiply(sigma1, dth1_eps, out=x), np.multiply(sigma2, dth2_eps, out=y), out=x)
+    flux = float(np.mean(x)) * CELL_AREA_FACTOR
+
+    est = FluxEstimate(
+        eps=mol.eps, profile=mol.profile, sigma_l1=sigma_l1, flux_integral=flux,
+        r_l32=r_l32, decomposition_l1_error=decomposition,
+    )
 
     if dr_profile is not None:
         # (u theta)_eps - u_eps theta_eps = -sigma_eps
-        dr = dr_profile(th_eps) * (dth1_eps * (-sigma1) + dth2_eps * (-sigma2))
+        np.multiply(dth1_eps, np.negative(sigma1, out=x), out=x)
+        np.multiply(dth2_eps, np.negative(sigma2, out=y), out=y)
+        dr = np.multiply(dr_profile(th_eps), np.add(x, y, out=x), out=x)
         est.dr_field = PhysicalField(grid, dr[::2, ::2])
 
     return est

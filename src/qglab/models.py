@@ -25,8 +25,10 @@ point `rhs(theta, p)` here and the integrator and Picard solver in
 
 `rhs` and `advection_coeffs` without buffers are pure and safe for
 concurrent use on distinct inputs.  An `RhsSplit` reuses its buffers from
-call to call, so a split, and the `Integrator` that holds one, belongs to
-one thread; every array it returns is fresh unless the caller passes `out`.
+call to call, so a split belongs to one thread; every array it returns is
+fresh unless the caller passes `out`.  The `Integrator` that holds a split
+also owns the stage arrays of its steps and writes each right-hand side
+into them with `out`; only the state it returns is fresh.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ def advection_coeffs(
     b = TransformBuffers(grid) if buffers is None else buffers
     h = grid.n // 2 + 1
     fields = b.state_fields(coeffs)
-    np.multiply(fields[:2], fields[2], out=b.products)
+    for u, product in zip(fields[:2], b.products):  # row by row, as in `state_fields`
+        np.multiply(u, fields[2], out=product)  # `b.products` is (u1, u2) itself
     flux = np.multiply(grid.dealiased_gradient, b.product_spectra(), out=b.flux)
     adv = np.add(flux[0], flux[1], out=out)
     adv[0, 0] = 0.0
@@ -164,11 +167,14 @@ class RhsSplit:
             out += self.forcing
         return out
 
-    def __call__(self, c: np.ndarray) -> np.ndarray:
-        """The full right-hand side linear * c + nonlinear(c)."""
-        if self.linear is None:
-            return self.nonlinear(c)
-        return self.linear * c + self.nonlinear(c)
+    def __call__(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The full right-hand side linear * c + nonlinear(c), written to `out` like `nonlinear`."""
+        out = self.nonlinear(c, out)
+        if self.linear is not None:
+            # the kernel's flux spectra are dead once `nonlinear` returns
+            term = np.multiply(self.linear, c, out=self.buffers.flux[0])
+            np.add(term, out, out=out)
+        return out
 
 
 def rhs(theta: SpectralField, p: ModelParams) -> SpectralField:

@@ -237,6 +237,15 @@ def _irfft2(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(coeffs, norm="forward")
 
 
+def _irfft2_into(spectra: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`_irfft2` of (stacked) half spectra by its two 1-D stages, written into `out`.
+
+    The bits of `_irfft2`; `spectra` is overwritten by the first stage.
+    """
+    np.fft.ifft(spectra, axis=-2, norm="forward", out=spectra)
+    return np.fft.irfft(spectra, n=out.shape[-1], axis=-1, norm="forward", out=out)
+
+
 def forward_transform(p: PhysicalField) -> SpectralField:
     """Grid samples to normalized coefficients (k = 0 slot holds the mean)."""
     return SpectralField(p.grid, _rfft2(p.values))
@@ -250,25 +259,28 @@ def inverse_transform(f: SpectralField) -> PhysicalField:
 class TransformBuffers:
     """Work arrays of the advection kernel on one grid, reused from call to call.
 
-    Holds the state spectra and fields of (u1, u2, theta), the two flux
-    products and their spectra.  Each 2-D transform runs as its two 1-D
-    stages written into these arrays, which gives the bits of `_rfft2` and
-    `_irfft2`.  The arrays are overwritten by the next call, so one object
-    serves one thread.
+    Holds the state spectra and fields of (u1, u2, theta); the two flux
+    products (u1 theta, u2 theta) and their spectra reuse the memory of
+    (u1, u2) and of the first two state spectra.  Each 2-D transform runs
+    as its two 1-D stages written into these arrays, which gives the bits
+    of `_rfft2` and `_irfft2`.  The arrays are overwritten by the next
+    call, so one object serves one thread.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.spectra = np.empty((3, *grid.shape), dtype=np.complex128)
         self.fields = np.empty((3, grid.n, grid.n))
-        self.products = np.empty((2, grid.n, grid.n))
-        self.flux = np.empty((2, *grid.shape), dtype=np.complex128)
+        # the products overwrite (u1, u2) and their spectra the dead state spectra
+        self.products = self.fields[:2]
+        self.flux = self.spectra[:2]
 
     def state_fields(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values of (u1, u2, theta) from theta_hat, written into `fields`."""
-        np.multiply(self.grid.state_multipliers, coeffs, out=self.spectra)
-        np.fft.ifft(self.spectra, axis=-2, norm="forward", out=self.spectra)
-        return np.fft.irfft(self.spectra, n=self.grid.n, axis=-1, norm="forward", out=self.fields)
+        # row by row: numpy buffers a broadcast product of up to 8192 elements whole
+        for m, spectrum in zip(self.grid.state_multipliers, self.spectra):
+            np.multiply(m, coeffs, out=spectrum)
+        return _irfft2_into(self.spectra, self.fields)
 
     def product_spectra(self) -> np.ndarray:
         """Half spectra of `products`, written into `flux`."""

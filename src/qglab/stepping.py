@@ -6,6 +6,8 @@ fractional dissipation exactly through the factor exp(-kappa |k|^(2 alpha) dt).
 `Integrator` applies either one to the model's `RhsSplit` and checks the
 blow-up sentinel; `run` and `compare_mu` march with it.  For the inviscid and
 regularized models, which have no linear part, the two schemes coincide.
+An integrator owns the stage arrays k1..k4 and a stage, which every step
+overwrites, so it serves one thread; `advance` returns a fresh array.
 
 The Picard solver iterates the integral form of the regularized model,
 theta -> theta_0 + int_0^t rhs(theta) with the same split, on the horizon T = mu / (4 R) with
@@ -19,8 +21,9 @@ the solve unconverged, and above it the ratio raises NoContraction.  Below
 the limit each sweep shrinks the distance by at least 1/0.55, so no sweep
 cap is needed.  The final sweep's right-hand-side values also give a
 Richardson estimate of the quadrature error, with no further evaluation.
-A sweep writes into arrays the solve owns: the node values, and two
-trajectories that successive sweeps alternate between.
+A sweep writes into node arrays: the node values, and two trajectories
+that successive sweeps alternate between.  `continue_solution` hands one
+RhsSplit and one set of node arrays to every segment.
 
 A trajectory is advanced on bare coefficient arrays that no step writes
 to; the states handed to diagnostics and callers are immutable fields.
@@ -96,34 +99,80 @@ def cfl_limit(theta: SpectralField) -> float:
     return 2.8 / (umax * (theta.grid.n / 3.0))
 
 
-def etd_rk4_step(c, exp_half, exp_full, nonlinear, dt):
-    """One integrating-factor RK4 step; the linear flow is applied exactly."""
-    k1 = nonlinear(c)
-    s1 = exp_half * (c + 0.5 * dt * k1)
-    k2 = nonlinear(s1)
-    s2 = exp_half * c + 0.5 * dt * k2
-    k3 = nonlinear(s2)
-    s3 = exp_full * c + dt * exp_half * k3
-    k4 = nonlinear(s3)
-    return exp_full * c + (dt / 6.0) * (exp_full * k1 + 2.0 * exp_half * (k2 + k3) + k4)
+def etd_rk4_step(c, factors, nonlinear, dt, work):
+    """One integrating-factor RK4 step; the linear flow is applied exactly.
+
+    `factors` are the `etd_factors` of the linear part and `work` five
+    arrays of c's shape, k1..k4 and a stage, which `nonlinear(x, out=)`
+    and the stage combinations overwrite.  Only the returned state is
+    fresh.
+    """
+    exp_half, exp_full, dt_exp_half, two_exp_half = factors
+    k1, k2, k3, k4, a = work
+    # each stage in the operation order of its plain expression; a k not
+    # yet evaluated serves as the stage's second temporary
+    nonlinear(c, out=k1)
+    np.multiply(0.5 * dt, k1, out=a)  # exp_half (c + dt/2 k1)
+    np.add(c, a, out=a)
+    np.multiply(exp_half, a, out=a)
+    nonlinear(a, out=k2)
+    np.multiply(exp_half, c, out=a)  # exp_half c + dt/2 k2
+    np.add(a, np.multiply(0.5 * dt, k2, out=k3), out=a)
+    nonlinear(a, out=k3)
+    np.multiply(exp_full, c, out=a)  # exp_full c + dt exp_half k3
+    np.add(a, np.multiply(dt_exp_half, k3, out=k4), out=a)
+    nonlinear(a, out=k4)
+    # exp_full c + dt/6 (exp_full k1 + 2 exp_half (k2 + k3) + k4)
+    np.add(k2, k3, out=k2)
+    np.multiply(two_exp_half, k2, out=k2)
+    np.multiply(exp_full, k1, out=k1)
+    np.add(k1, k2, out=k1)
+    np.add(k1, k4, out=k1)
+    np.multiply(dt / 6.0, k1, out=k1)
+    return np.add(np.multiply(exp_full, c, out=a), k1)
 
 
-def rk4_step(c, rhs_fn, dt):
-    """Classical RK4 on the full right-hand side."""
-    k1 = rhs_fn(c)
-    k2 = rhs_fn(c + 0.5 * dt * k1)
-    k3 = rhs_fn(c + 0.5 * dt * k2)
-    k4 = rhs_fn(c + dt * k3)
-    return c + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def rk4_step(c, rhs_fn, dt, work):
+    """Classical RK4 on the full right-hand side `rhs_fn(x, out=)`.
+
+    `work` is five arrays of c's shape, k1..k4 and a stage, which the
+    step overwrites; only the returned state is fresh.
+    """
+    k1, k2, k3, k4, a = work
+    rhs_fn(c, out=k1)
+    np.add(c, np.multiply(0.5 * dt, k1, out=a), out=a)
+    rhs_fn(a, out=k2)
+    np.add(c, np.multiply(0.5 * dt, k2, out=a), out=a)
+    rhs_fn(a, out=k3)
+    np.add(c, np.multiply(dt, k3, out=a), out=a)
+    rhs_fn(a, out=k4)
+    # c + dt/6 (k1 + 2 (k2 + k3) + k4)
+    np.add(k2, k3, out=k2)
+    np.multiply(2.0, k2, out=k2)
+    np.add(k1, k2, out=k1)
+    np.add(k1, k4, out=k1)
+    np.multiply(dt / 6.0, k1, out=k1)
+    return np.add(c, k1)
+
+
+def etd_factors(linear: np.ndarray, dt: float) -> tuple:
+    """The `factors` (exp(L dt/2), exp(L dt), dt exp(L dt/2), 2 exp(L dt/2)) of `etd_rk4_step`.
+
+    `linear` is the diagonal linear part L; the last two factors are the
+    products that the step's expression forms, computed once.
+    """
+    exp_half = np.exp(0.5 * dt * linear)
+    return exp_half, np.exp(dt * linear), dt * exp_half, 2.0 * exp_half
 
 
 class Integrator:
     """Steps of one model at a fixed dt, built once per (grid, params, dt, scheme).
 
-    Holds the model's RhsSplit, so it serves one thread, and, for etd-rk4
-    on a model with a linear part, the exact linear-flow factors
-    exp(L dt / 2) and exp(L dt).
-    Without a linear part both schemes are the same RK4 on the split.
+    Holds the model's RhsSplit, for etd-rk4 on a model with a linear part
+    the `etd_factors`, and the five work arrays of a step, all overwritten
+    by the next step; so an integrator serves one thread.  `advance`
+    returns a fresh array.  Without a linear part both schemes are the
+    same RK4 on the split.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, dt: float, scheme: str):
@@ -131,16 +180,17 @@ class Integrator:
             raise ValidationError(f"unknown scheme {scheme!r}")
         self.split = RhsSplit(grid, p)
         self.dt = dt
+        self.work = np.empty((5, *grid.shape), dtype=np.complex128)
         self.exp_factors = None
         if scheme == "etd-rk4" and self.split.linear is not None:
-            self.exp_factors = (np.exp(0.5 * dt * self.split.linear), np.exp(dt * self.split.linear))
+            self.exp_factors = etd_factors(self.split.linear, dt)
 
     def advance(self, c: np.ndarray, t: float) -> np.ndarray:
         """Coefficients one step after c; raises UnstableStep at time t past the sentinel."""
         if self.exp_factors is None:
-            out = rk4_step(c, self.split, self.dt)
+            out = rk4_step(c, self.split, self.dt, self.work)
         else:
-            out = etd_rk4_step(c, *self.exp_factors, self.split.nonlinear, self.dt)
+            out = etd_rk4_step(c, self.exp_factors, self.split.nonlinear, self.dt, self.work)
         peak = float(np.max(np.abs(out)))
         if not np.isfinite(peak) or peak > BLOWUP_SENTINEL:
             raise UnstableStep(t, peak)
@@ -264,13 +314,19 @@ def cumulative_simpson(values: np.ndarray, h: float, out: np.ndarray | None = No
 def _sup_hs_distance(grid: Grid, a: np.ndarray, b: np.ndarray, s: float) -> float:
     """sup over nodes of ||a - b||_s for stacked coefficient arrays that broadcast.
 
-    Node by node, so no temporary is larger than one state; a NaN at any
-    node makes the distance NaN.
+    Node by node in one reused pair of scratch arrays, so no temporary is
+    larger than one state; a NaN at any node makes the distance NaN.
     """
     w = grid.parseval_weights * grid.kabs_safe ** (2.0 * s)
     w[0, 0] = 0.0
-    d2 = np.max([np.sum(np.abs(x - y) ** 2 * w) for x, y in zip(*np.broadcast_arrays(a, b))])
-    return 2.0 * np.pi * math.sqrt(d2)
+    diff = np.empty(grid.shape, dtype=np.complex128)
+    term = np.empty(grid.shape)
+    sums = []
+    for x, y in zip(*np.broadcast_arrays(a, b)):  # |x - y|^2 w, as np.abs(x - y) ** 2 * w
+        np.square(np.abs(np.subtract(x, y, out=diff), out=term), out=term)
+        term *= w
+        sums.append(np.sum(term))
+    return 2.0 * np.pi * math.sqrt(np.max(sums))
 
 
 def _positive_finite(name: str, value: float) -> float:
@@ -279,19 +335,34 @@ def _positive_finite(name: str, value: float) -> float:
     return value
 
 
-def _picard_iterate(grid, nonlinear, c0, f0, nodes, T, s, tol, floor):
-    """Sweeps on `nodes` nodes from the constant guess theta(t) = theta_0.
+def _picard_work(grid: Grid, p: ModelParams) -> tuple:
+    """The RhsSplit and node arrays of Picard solves of `p` on `grid`.
 
-    Ends as `picard_solve` describes, with `floor` the round-off distance,
-    and returns (times, trajectory, ratios, converged, iterations,
-    quadrature estimate).
+    The arrays are three (PICARD_NODES, *grid.shape) stacks: the rhs
+    values at the nodes and the two trajectories that sweeps alternate
+    between.  A solve overwrites all of them, so solves that share them
+    run one after another.
     """
+    return RhsSplit(grid, p), [np.empty((PICARD_NODES, *grid.shape), dtype=np.complex128) for _ in range(3)]
+
+
+def _picard_iterate(grid, nonlinear, c0, T, s, tol, floor, stack):
+    """Sweeps on the nodes of `stack` from the constant guess theta(t) = theta_0.
+
+    `stack` holds the rhs values and the two trajectories, as
+    `_picard_work` makes them, for any number of nodes; the returned
+    trajectory is one of them.  Ends as `picard_solve` describes, with
+    `floor` the round-off distance, and returns (times, trajectory,
+    ratios, converged, iterations, quadrature estimate).
+    """
+    rhs_vals, *pair = stack  # sweeps alternate between the two trajectories
+    nodes = len(rhs_vals)
     times = np.linspace(0.0, T, nodes)
     h = times[1] - times[0]
     # the constant guess has rhs f0 at every node, so the first sweep evaluates nothing
-    rhs_vals = np.broadcast_to(f0, (nodes, *c0.shape)).copy()
+    nonlinear(c0, out=rhs_vals[0])
+    rhs_vals[1:] = rhs_vals[0]
     traj = c0[None]
-    pair = (np.empty_like(rhs_vals), np.empty_like(rhs_vals))  # sweeps alternate between them
     ratios = []
     diff = None
     iterations = 0
@@ -326,6 +397,8 @@ def picard_solve(
     s: float,
     tol: float = 1e-9,
     t_max: float | None = None,
+    *,
+    _work: tuple | None = None,
 ) -> tuple[PicardTrajectory, PicardCertificate]:
     """Fixed-point solve of the regularized model on its guaranteed horizon.
 
@@ -347,7 +420,9 @@ def picard_solve(
     same integral of the final sweep's rhs on the even nodes alone, with
     step 2h; they are compared on those nodes, so the check costs no
     evaluation.  `s` must be finite and exceed 1, `tol` and `t_max` must
-    be positive and finite, and ||theta_0||_s must be finite.
+    be positive and finite, and ||theta_0||_s must be finite.  The solve
+    works in a fresh `_picard_work`, or in `_work`, the one that
+    `continue_solution` hands every segment.
     """
     _positive_finite("tol", tol)
     if p.model != "regularized":
@@ -365,11 +440,11 @@ def picard_solve(
     if not np.isfinite(T):
         raise ValidationError("zero initial data needs an explicit t_max horizon")
 
-    c0 = theta0.coeffs
-    nonlinear = RhsSplit(grid, p).nonlinear
+    split, stack = _picard_work(grid, p) if _work is None else _work
     times, traj, ratios, converged, iters, quadrature = _picard_iterate(
-        grid, nonlinear, c0, nonlinear(c0), PICARD_NODES, T, s, tol, PICARD_ROUNDOFF * R
+        grid, split.nonlinear, theta0.coeffs, T, s, tol, PICARD_ROUNDOFF * R, stack
     )
+    del split, stack  # a fresh work's arrays, bar the trajectory, are freed before the states are copied
     cert = PicardCertificate(
         R=R, T=T, s=s, nodes=PICARD_NODES, iterations=iters,
         ratios=ratios, converged=converged, quadrature=quadrature,
@@ -404,6 +479,7 @@ def continue_solution(
     as `picard_solve` requires.
     """
     _positive_finite("horizon", horizon)
+    work = _picard_work(theta0.grid, p)  # one split and one set of node arrays for every segment
     times = [0.0]
     states = [theta0]
     certificates = []
@@ -411,7 +487,7 @@ def continue_solution(
     current = theta0
     while not certificates or t_reached < horizon - 1e-12:  # at least one segment
         try:
-            traj, cert = picard_solve(current, p, s, tol=tol, t_max=horizon - t_reached)
+            traj, cert = picard_solve(current, p, s, tol=tol, t_max=horizon - t_reached, _work=work)
         except NoContraction as exc:
             raise NoContraction(t_reached + exc.t, exc.ratio) from exc
         certificates.append(cert)

@@ -126,6 +126,22 @@ def test_norms_subcommand(tmp_path, capsys):
     assert "4.442882938" in out  # |cos|_2 = pi sqrt(2)
 
 
+def test_norms_prints_the_norms_of_the_library(tmp_path, capsys):
+    # one stacked transform serves the Lebesgue norms and q_inf
+    theta = qglab.from_init_string(qglab.Grid(32), "random:10,1.5", 2)
+    path = str(tmp_path / "s.qgw")
+    qglab.save_snapshot(qglab.Snapshot.from_state(0.0, theta, qglab.ModelParams("inviscid")), path)
+    assert cli_main(["norms", "--snapshot", path]) == 0
+    theta = qglab.load_snapshot(path).to_field()
+    physical = qglab.inverse_transform(theta)
+    lines = capsys.readouterr().out.splitlines()
+    for q in (2.0, 3.0, 4.0, np.inf):
+        assert f"|theta|_{q:g} = {qglab.lp_norm(physical, q):.12g}" in lines
+    assert f"energy = {qglab.lp_norm(physical, 2.0) ** 2:.12g}" in lines
+    q_inf = qglab.lp_norm(physical, np.inf) + qglab.diagnostics.velocity_sup(theta)
+    assert f"q_inf = {q_inf:.12g}" in lines
+
+
 @pytest.mark.parametrize("sigma", ["1", "0.5"])
 def test_norms_sigma_at_most_one_exits_1(tmp_path, capsys, sigma):
     path = str(tmp_path / "s.qgw")

@@ -1,8 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import qglab
-from qglab.diagnostics import HALF_SQUARE, SQRT1P, coarse_grained_flux, flux_scan
+from qglab.diagnostics import (
+    CELL_AREA_FACTOR,
+    HALF_SQUARE,
+    SQRT1P,
+    FluxEstimate,
+    _difference_symbol,
+    _padded_fields,
+    coarse_grained_flux,
+    flux_scan,
+)
 from qglab.spectral import Mollifier, PhysicalField, forward_transform, inverse_transform, mollify, pad_spectrum
 from qglab.errors import DegenerateFit
 from qglab.experiments import fit_loglog_slope, flux_decay_exponent
@@ -238,3 +249,81 @@ def test_flux_scan_validates_before_padding(grid32, monkeypatch):
         flux_scan(random_field(grid32, 8, 2.0, 5), [0.25, 0.125, np.nan])
     with pytest.raises(ValueError):
         flux_scan(random_field(grid32, 8, 2.0, 5), [])
+
+
+def _flux_at_scale_reference(grid, padded, mol, with_remainder, dr_profile):
+    """One scale of `flux_scan` as plain expressions, every field a fresh array."""
+    gf, fields_hat, (u1, u2, th), uth_hat = padded
+    m = mol.multiplier(gf)
+    u1_eps, u2_eps, th_eps = np.fft.irfft2(m * fields_hat, norm="forward")
+    dth1_eps, dth2_eps = np.fft.irfft2(gf.dealiased_gradient * (m * fields_hat[2]), norm="forward")
+    uth1_eps, uth2_eps = np.fft.irfft2(m * uth_hat, norm="forward")
+    sigma1 = u1_eps * th_eps - uth1_eps
+    sigma2 = u2_eps * th_eps - uth2_eps
+    flux = float(np.mean(sigma1 * dth1_eps + sigma2 * dth2_eps)) * CELL_AREA_FACTOR
+    sigma_l1 = float(np.mean(np.hypot(sigma1, sigma2))) * CELL_AREA_FACTOR
+    est = FluxEstimate(eps=mol.eps, profile=mol.profile, sigma_l1=sigma_l1, flux_integral=flux)
+    if with_remainder:
+        offsets, weights = mol.stencil(gf)
+        diff = _difference_symbol(gf, offsets, weights)
+        du1, du2, dth, duth1, duth2 = np.fft.irfft2(diff * np.concatenate([fields_hat, uth_hat]), norm="forward")
+        r1 = duth1 - u1 * dth - th * du1
+        r2 = duth2 - u2 * dth - th * du2
+        rmag = np.hypot(r1, r2)
+        est.r_l32 = (float(np.mean(rmag**1.5)) * CELL_AREA_FACTOR) ** (2.0 / 3.0)
+        d1 = (u1 - u1_eps) * (th - th_eps) - r1 - sigma1
+        d2 = (u2 - u2_eps) * (th - th_eps) - r2 - sigma2
+        est.decomposition_l1_error = float(np.mean(np.hypot(d1, d2))) * CELL_AREA_FACTOR
+    if dr_profile is not None:
+        dr = dr_profile(th_eps) * (dth1_eps * (-sigma1) + dth2_eps * (-sigma2))
+        est.dr_field = PhysicalField(grid, dr[::2, ::2])
+    return est
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("eps", [0.25, 0.0625])
+@pytest.mark.parametrize("profile", ["gaussian", "raised-cosine"])
+@pytest.mark.parametrize("with_remainder", [True, False])
+@pytest.mark.parametrize("dr_profile", [None, SQRT1P], ids=["no-dr", "sqrt1p"])
+def test_flux_workspace_matches_reference_expressions(n, eps, profile, with_remainder, dr_profile):
+    # the staged transforms into the workspace and the in-place elementwise
+    # work give the bits of the plain expressions
+    theta = random_field(qglab.Grid(n), n // 4, 2.5, n)
+    got = flux_scan(theta, [eps], profile, with_remainder, dr_profile)[0]
+    want = _flux_at_scale_reference(theta.grid, _padded_fields(theta), Mollifier(eps, profile),
+                                    with_remainder, dr_profile)
+    for name in ("sigma_l1", "flux_integral", "r_l32", "decomposition_l1_error"):
+        assert getattr(got, name) == getattr(want, name), name
+    if dr_profile is not None:
+        assert np.array_equal(got.dr_field.values, want.dr_field.values)
+
+
+def test_flux_scan_allocates_nothing_per_eps_beyond_multiplier(monkeypatch):
+    # at N = 256 the second eps allocates only the mollifier multiplier and
+    # its temporaries, measured 1.51 grid fields at peak, and keeps only
+    # its FluxEstimate; with fresh arrays per eps it peaked at 11.5 fields.
+    # The first eps also fills the doubled grid's cached symbols.
+    theta = random_field(qglab.Grid(128), 32, 2.5, 1)
+    field = 256 * 256 * 8
+    per_eps = []
+    at_scale = qglab.diagnostics._flux_at_scale
+
+    def measured(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        est = at_scale(*args)
+        current, peak = tracemalloc.get_traced_memory()
+        per_eps.append((peak - before, current - before))
+        return est
+
+    monkeypatch.setattr(qglab.diagnostics, "_flux_at_scale", measured)
+    flux_scan(theta, [0.25], with_remainder=False)  # warm-up: numpy's transform plans
+    per_eps.clear()
+    tracemalloc.start()
+    try:
+        flux_scan(theta, [0.25, 0.125], with_remainder=False)
+    finally:
+        tracemalloc.stop()
+    peak, kept = per_eps[1]
+    assert peak <= 2.0 * field
+    assert kept <= 1024
