@@ -27,7 +27,6 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     _irfft2,
-    _irfft2_into,
     _rfft2,
     inverse_transform,
     pad_spectrum,
@@ -125,12 +124,6 @@ def ladder_bracket(theta: SpectralField, sigma: float) -> float:
     h1 = sobolev_norm(theta, 1.0)
     hsig = sobolev_norm(theta, sigma)
     return 1.0 + h1 * math.sqrt(math.log1p(hsig ** (1.0 / (sigma - 1.0))))
-
-
-def velocity_sup(theta: SpectralField) -> float:
-    """Pointwise-Euclidean sup of the Riesz velocity."""
-    u1, u2, _ = state_fields(theta.grid, theta.coeffs)
-    return float(np.max(np.hypot(u1, u2)))
 
 
 def make_record(
@@ -435,7 +428,7 @@ def _padded_fields(theta: SpectralField):
     fine = pad_spectrum(theta, 2 * theta.grid.n)
     gf = fine.grid
     fields_hat = gf.state_multipliers * fine.coeffs
-    fields = _irfft2(fields_hat)
+    fields = _irfft2(fields_hat.copy())  # the inverse overwrites its input
     uth_hat = _rfft2(fields[:2] * fields[2])
     return gf, fields_hat, fields, uth_hat
 
@@ -477,8 +470,8 @@ def _flux_at_scale(grid, padded, mol, work, dr_profile) -> FluxEstimate:
     spectra = work.spectra
     x, y, z = work.scratch
 
-    u1_eps, u2_eps, th_eps = _irfft2_into(np.multiply(m, fields_hat, out=spectra[:3]), work.fields[:3])
-    sigma1, sigma2 = _irfft2_into(np.multiply(m, uth_hat, out=spectra[:2]), work.fields[3:5])
+    u1_eps, u2_eps, th_eps = _irfft2(np.multiply(m, fields_hat, out=spectra[:3]), work.fields[:3])
+    sigma1, sigma2 = _irfft2(np.multiply(m, uth_hat, out=spectra[:2]), work.fields[3:5])
     # sigma_eps = u_eps theta_eps - (u theta)_eps, in place of (u theta)_eps
     np.subtract(np.multiply(u1_eps, th_eps, out=x), sigma1, out=sigma1)
     np.subtract(np.multiply(u2_eps, th_eps, out=x), sigma2, out=sigma2)
@@ -490,7 +483,7 @@ def _flux_at_scale(grid, padded, mol, work, dr_profile) -> FluxEstimate:
         diff = _difference_symbol(gf, offsets, weights)
         np.multiply(diff, fields_hat, out=spectra[:3])
         np.multiply(diff, uth_hat, out=spectra[3:5])
-        du1, du2, dth, r1, r2 = _irfft2_into(spectra, work.fields[5:10])
+        du1, du2, dth, r1, r2 = _irfft2(spectra, work.fields[5:10])
         # r = D(u theta) - u D theta - theta D u, in place of D(u theta)
         for r, u, du in ((r1, u1, du1), (r2, u2, du2)):
             np.subtract(r, np.multiply(u, dth, out=x), out=r)
@@ -510,7 +503,7 @@ def _flux_at_scale(grid, padded, mol, work, dr_profile) -> FluxEstimate:
     np.multiply(m, fields_hat[2], out=spectra[2])
     for grad, spectrum in zip(gf.dealiased_gradient, spectra[:2]):
         np.multiply(grad, spectra[2], out=spectrum)
-    dth1_eps, dth2_eps = _irfft2_into(spectra[:2], work.fields[:2])
+    dth1_eps, dth2_eps = _irfft2(spectra[:2], work.fields[:2])
     np.add(np.multiply(sigma1, dth1_eps, out=x), np.multiply(sigma2, dth2_eps, out=y), out=x)
     flux = float(np.mean(x)) * CELL_AREA_FACTOR
 

@@ -53,8 +53,7 @@ class RunConfig:
     s: float = 2.0
 
     def validate(self):
-        if self.n % 2 != 0 or self.n < 8:
-            raise ValidationError(f"n must be even and >= 8, got {self.n}")
+        self.grid()  # n even and >= 8
         self.model_params()  # model-specific invariants
         self.stepper_config()  # dt, t_end, scheme, sigma and sampling invariants
         return self

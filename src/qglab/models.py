@@ -9,10 +9,11 @@ velocity u = (-R2 theta, R1 theta):
 
 The advection term is evaluated in divergence form div(u theta) with the
 product formed in physical space and always dealiased by the 2/3 rule.
-`advection_coeffs` takes (u1, u2, theta) from one stacked real inverse
-transform and does one stacked real forward transform for the two flux
-products per call, all inside a `spectral.TransformBuffers`, so a warm
-call allocates only the array it returns.  A forcing is an immutable
+`advection_coeffs` takes (u1, u2, theta) from one stacked
+`spectral._irfft2` and transforms the two flux products with one stacked
+`spectral._rfft2` per call, the one transform pair of the package, both
+writing into a `spectral.TransformBuffers`, so a warm call allocates only
+the array it returns.  A forcing is an immutable
 `SpectralField`, so it is the spectrum of a real field by construction;
 `ModelParams` also checks that it lies inside the 2/3 band.
 The regularized model inverts (1 + mu Lambda^(2 alpha)) diagonally; signs

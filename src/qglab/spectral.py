@@ -11,9 +11,11 @@ The domain is fixed to [0, 2pi]^2.  Conventions used throughout:
   (rows).  The k1 < 0 half is implied by c(-k) = conj(c(k)).
 * Coefficients are normalized so the k = 0 entry equals the mean of the
   field: the transform pair is ``rfft2/irfft2(..., norm="forward")``,
-  written once here as `_rfft2` and `_irfft2`, and no other module calls
-  ``np.fft``; `TransformBuffers` runs the same pair, bit for bit, as its
-  two 1-D stages into reused arrays.  With this choice Parseval reads
+  written once here as `_rfft2` and `_irfft2`, the only functions that
+  call an ``np.fft`` transform.  Each runs as its two 1-D stages, into a
+  caller's array when given one (the inverse overwrites its input), which
+  gives the bits of the 2-D numpy pair; `TransformBuffers` and the flux
+  scan pass them reused arrays.  With this choice Parseval reads
   ``integral |f|^2 dx = (2 pi)^2 sum_k |f_hat(k)|^2``; over the stored
   half the k1 = 0 and k1 = n/2 columns count once and every other column
   twice (`Grid.parseval_weights`), which is the one place that sum rule
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -57,13 +59,16 @@ STENCIL_POINTS = 21  # nodes per axis
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform n x n grid on [0, 2pi]^2 with its wavenumber bookkeeping."""
+    """Uniform n x n grid on [0, 2pi]^2 with its wavenumber bookkeeping.
+
+    n must be even and at least 8 (ValidationError otherwise).
+    """
 
     n: int
 
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 8:
-            raise ValueError(f"grid size must be even and >= 8, got {self.n}")
+            raise ValidationError(f"grid size must be even and >= 8, got {self.n}")
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -227,23 +232,25 @@ def _combination(grid: Grid, coeffs: np.ndarray) -> SpectralField:
     return f
 
 
-def _rfft2(values: np.ndarray) -> np.ndarray:
-    """Normalized half spectra of real (stacked) grid samples; k = 0 holds the mean."""
-    return np.fft.rfft2(values, norm="forward")
+def _rfft2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Normalized half spectra of real (stacked) grid samples; k = 0 holds the mean.
+
+    Runs as two 1-D stages, rows then columns, into `out` when given (else a
+    fresh array); the bits of ``np.fft.rfft2(values, norm="forward")``.
+    """
+    out = np.fft.rfft(values, axis=-1, norm="forward", out=out)
+    return np.fft.fft(out, axis=-2, norm="forward", out=out)
 
 
-def _irfft2(coeffs: np.ndarray) -> np.ndarray:
-    """Real grid samples of (stacked) normalized half spectra, the inverse of `_rfft2`."""
-    return np.fft.irfft2(coeffs, norm="forward")
+def _irfft2(spectra: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real grid samples of (stacked) normalized half spectra, the inverse of `_rfft2`.
 
-
-def _irfft2_into(spectra: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`_irfft2` of (stacked) half spectra by its two 1-D stages, written into `out`.
-
-    The bits of `_irfft2`; `spectra` is overwritten by the first stage.
+    Runs as two 1-D stages into `out` when given (else a fresh array); the
+    bits of ``np.fft.irfft2(spectra, norm="forward")``.  The first stage
+    overwrites `spectra`.
     """
     np.fft.ifft(spectra, axis=-2, norm="forward", out=spectra)
-    return np.fft.irfft(spectra, n=out.shape[-1], axis=-1, norm="forward", out=out)
+    return np.fft.irfft(spectra, axis=-1, norm="forward", out=out)
 
 
 def forward_transform(p: PhysicalField) -> SpectralField:
@@ -252,8 +259,8 @@ def forward_transform(p: PhysicalField) -> SpectralField:
 
 
 def inverse_transform(f: SpectralField) -> PhysicalField:
-    """Coefficients back to real grid samples."""
-    return PhysicalField(f.grid, _irfft2(f.coeffs))
+    """Coefficients back to real grid samples; `f` is left as it is."""
+    return PhysicalField(f.grid, _irfft2(f.coeffs.copy()))
 
 
 class TransformBuffers:
@@ -261,10 +268,9 @@ class TransformBuffers:
 
     Holds the state spectra and fields of (u1, u2, theta); the two flux
     products (u1 theta, u2 theta) and their spectra reuse the memory of
-    (u1, u2) and of the first two state spectra.  Each 2-D transform runs
-    as its two 1-D stages written into these arrays, which gives the bits
-    of `_rfft2` and `_irfft2`.  The arrays are overwritten by the next
-    call, so one object serves one thread.
+    (u1, u2) and of the first two state spectra.  `_rfft2` and `_irfft2`
+    write into these arrays, which are overwritten by the next call, so
+    one object serves one thread.
     """
 
     def __init__(self, grid: Grid):
@@ -280,17 +286,16 @@ class TransformBuffers:
         # row by row: numpy buffers a broadcast product of up to 8192 elements whole
         for m, spectrum in zip(self.grid.state_multipliers, self.spectra):
             np.multiply(m, coeffs, out=spectrum)
-        return _irfft2_into(self.spectra, self.fields)
+        return _irfft2(self.spectra, self.fields)
 
     def product_spectra(self) -> np.ndarray:
         """Half spectra of `products`, written into `flux`."""
-        np.fft.rfft(self.products, axis=-1, norm="forward", out=self.flux)
-        return np.fft.fft(self.flux, axis=-2, norm="forward", out=self.flux)
+        return _rfft2(self.products, self.flux)
 
 
 def state_fields(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Grid values of (u1, u2, theta), stacked, from theta_hat; a fresh array."""
-    return TransformBuffers(grid).state_fields(coeffs)
+    return _irfft2(grid.state_multipliers * coeffs)
 
 
 def apply_sqrt_laplacian(f: SpectralField, power: float) -> SpectralField:
@@ -380,6 +385,12 @@ def mollify(f: SpectralField, m: Mollifier) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * m.multiplier(f.grid))
 
 
+@cache
+def _shared_grid(n: int) -> Grid:
+    """One `Grid` per size for `pad_spectrum`, so a fine grid's symbols are built once."""
+    return Grid(n)
+
+
 def pad_spectrum(f: SpectralField, m: int) -> SpectralField:
     """Embed the coefficients into a finer m x m grid (m >= n, m even).
 
@@ -395,7 +406,7 @@ def pad_spectrum(f: SpectralField, m: int) -> SpectralField:
         return f
     half = n // 2
     slots = f.grid.wavenumbers.astype(int) % m  # source Nyquist lands on +n/2
-    fine = Grid(m)
+    fine = _shared_grid(m)
     out = np.zeros(fine.shape, dtype=np.complex128)
     cols = out[:, : half + 1]  # the source columns k1 = 0..n/2
     cols[slots] = f.coeffs

@@ -23,42 +23,60 @@ from qglab import (
     riesz_velocity,
 )
 from qglab.errors import NegativePowerOnMean, ValidationError
-from qglab.spectral import TransformBuffers, _irfft2, _rfft2
+from qglab.spectral import TransformBuffers, _irfft2, _rfft2, state_fields
 
 from conftest import full_spectrum, random_field
 
 
-def _numpy_fft_uses(tree):
-    """Line numbers of every np.fft / numpy.fft reference and every import from numpy.fft."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "fft":
-            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
-                yield node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith("numpy.fft") or (
-                node.module == "numpy" and any(a.name == "fft" for a in node.names)
-            ):
-                yield node.lineno
-        elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names):
-            yield node.lineno
+def _is_numpy_fft(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "fft"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    )
+
+
+def _numpy_fft_uses(node, scope="<module>"):
+    """(line, enclosing function, name read off np.fft or None) of every numpy.fft use under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _numpy_fft_uses(child, child.name)
+        elif isinstance(child, ast.Attribute) and _is_numpy_fft(child.value):
+            yield child.lineno, scope, child.attr
+        elif _is_numpy_fft(child):
+            yield child.lineno, scope, None
+        elif isinstance(child, ast.ImportFrom) and child.module and (
+            child.module.startswith("numpy.fft")
+            or (child.module == "numpy" and any(a.name == "fft" for a in child.names))
+        ):
+            yield child.lineno, scope, None
+        elif isinstance(child, ast.Import) and any(a.name.startswith("numpy.fft") for a in child.names):
+            yield child.lineno, scope, None
+        else:
+            yield from _numpy_fft_uses(child, scope)
 
 
 def test_only_spectral_calls_numpy_fft():
-    # the transform convention is written once, in spectral.py
+    # the transform convention is written once: every np.fft transform runs
+    # in spectral._rfft2 / _irfft2, and Grid.wavenumbers reads fftfreq
     src = Path(qglab.__file__).resolve().parent
-    offenders = [
-        f"{path.name}:{line}"
-        for path in sorted(src.glob("*.py"))
-        if path.name != "spectral.py"
-        for line in _numpy_fft_uses(ast.parse(path.read_text(encoding="utf-8")))
-    ]
+    allowed = {"_rfft2": {"rfft", "fft"}, "_irfft2": {"ifft", "irfft"}, "wavenumbers": {"fftfreq"}}
+    seen, offenders = set(), []
+    for path in sorted(src.glob("*.py")):
+        for line, scope, name in _numpy_fft_uses(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name == "spectral.py" and name in allowed.get(scope, ()):
+                seen.add(scope)
+            else:
+                offenders.append(f"{path.name}:{line} {scope} np.fft.{name}")
     assert offenders == []
+    assert seen == set(allowed)  # the walk finds the allowed uses
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Grid(7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Grid(6)
     assert Grid(8).n == 8
 
@@ -134,15 +152,24 @@ def test_round_trip(grid64):
 
 @pytest.mark.parametrize("n", [8, 30, 64])
 def test_transform_buffers_match_stacked_pair(n):
-    # the staged 1-D transforms give the bits of rfft2/irfft2, Nyquist lines included
+    # every transform site gives the bits of numpy's 2-D rfft2/irfft2, Nyquist lines included
     grid = Grid(n)
     rng = np.random.default_rng(n)
-    c = forward_transform(PhysicalField(grid, rng.standard_normal((n, n)))).coeffs
+    values = rng.standard_normal((n, n))
+    theta = forward_transform(PhysicalField(grid, values))
+    c = theta.coeffs
+    assert c.tobytes() == np.fft.rfft2(values, norm="forward").tobytes()
+    before = c.tobytes()
+    assert inverse_transform(theta).values.tobytes() == np.fft.irfft2(c, norm="forward").tobytes()
+    assert c.tobytes() == before  # the inverse stages overwrite a copy, not the field
+    oracle = np.fft.irfft2(grid.state_multipliers * c, norm="forward").tobytes()
+    assert state_fields(grid, c).tobytes() == oracle
+    assert _irfft2(grid.state_multipliers * c).tobytes() == oracle
     b = TransformBuffers(grid)
-    fields = b.state_fields(c)
-    assert fields.tobytes() == _irfft2(grid.state_multipliers * c).tobytes()
+    assert b.state_fields(c).tobytes() == oracle
     b.products[...] = rng.standard_normal((2, n, n))
-    assert b.product_spectra().tobytes() == _rfft2(b.products).tobytes()
+    assert b.product_spectra().tobytes() == np.fft.rfft2(b.products, norm="forward").tobytes()
+    assert _rfft2(b.products).tobytes() == np.fft.rfft2(b.products, norm="forward").tobytes()
 
 
 def test_sqrt_laplacian_single_modes(grid32):

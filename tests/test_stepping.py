@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,18 @@ def test_rk4_observed_order(model, kwargs, scheme, t_end, dts):
     errors = [qglab.sobolev_norm(f - reference, 0.0) for f in coarse]
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all((orders >= 3.7) & (orders <= 4.3)), orders
+
+
+def test_run_warns_above_the_advisory_cfl_bound(caplog):
+    # the bound 2.8 / (max|u| n/3), with max|u| formed here from the velocity fields
+    theta = qglab.cmt(qglab.Grid(32))
+    u1, u2 = (qglab.inverse_transform(u).values for u in qglab.riesz_velocity(theta))
+    limit = 2.8 / (np.max(np.hypot(u1, u2)) * 32 / 3.0)
+    for factor, warns in ((1.01, True), (0.99, False)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="qglab.stepping"):
+            run(theta, ModelParams("inviscid"), StepperConfig(dt=factor * limit, t_end=factor * limit))
+        assert ("exceeds advisory CFL bound" in caplog.text) == warns
 
 
 def test_spectral_convergence_under_n_doubling():
