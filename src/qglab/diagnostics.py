@@ -2,7 +2,12 @@
 
 Everything here is a pure function of its inputs and safe to evaluate
 concurrently across snapshots: `flux_scan` forms its per-eps fields in a
-workspace that each call allocates for itself.  Norm conventions follow
+workspace that each call allocates for itself.  The flux integral needs
+none of them.  u_eps is divergence free, so integral u_eps theta_eps .
+grad theta_eps dx = -1/2 integral (div u_eps) theta_eps^2 dx = 0 and the
+flux integral sigma_eps . grad theta_eps dx is -integral (u theta)_eps .
+grad theta_eps dx, a Parseval sum of m_eps(k)^2 times one eps-independent
+pairing of the spectra of u theta and grad theta.  Norm conventions follow
 the physical integral: |f|_q = (integral |f|^q dx)^(1/q) by exact grid
 quadrature and ||f||_s = |Lambda^s f|_2 = 2 pi sqrt(sum |k|^(2s)
 |f_hat|^2), the sum over all k taken on the stored half spectrum with
@@ -352,7 +357,7 @@ class FluxEstimate:
     eps: float
     profile: str
     sigma_l1: float  # |sigma_eps|_1, Euclidean magnitude under the integral
-    flux_integral: float  # integral sigma_eps . grad theta_eps dx
+    flux_integral: float  # integral sigma_eps . grad theta_eps dx = -integral (u theta)_eps . grad theta_eps dx
     r_l32: float | None = None  # |r_eps|_{3/2} from the stencil quadrature
     decomposition_l1_error: float | None = None
     dr_field: PhysicalField | None = None
@@ -371,6 +376,14 @@ def coarse_grained_flux(
     doubled grid N = 2n so the quadratic products are alias free.  The
     fields come from the half spectrum of that grid through real
     transforms of at most three stacked fields each.
+
+    The flux integral is the Parseval sum -(2 pi)^2 sum_k m_eps(k)^2 Re
+    sum_j F_j(k) conj(i k_j theta_hat(k)) over all k, F_j the spectrum of
+    u_j theta; no sigma_eps enters it.  The term integral u_eps theta_eps .
+    grad theta_eps dx that it leaves out is zero because u_eps is
+    divergence free, and its grid quadrature is exact to round-off on the
+    doubled grid: each factor lives in |k_i| <= n/2, so the triple product
+    lives in |k_i| <= 3n/2 < 2n and no mode of it aliases onto k = 0.
 
     When `with_remainder` is set, r_eps(u, theta) = integral of
     rho_eps(y) (u(x - y) - u(x)) (theta(x - y) - theta(x)) dy is evaluated
@@ -406,17 +419,42 @@ def flux_scan(
 ) -> list[FluxEstimate]:
     """`coarse_grained_flux` at every eps of `eps_list`, largest eps first.
 
-    Every eps is validated before the state is padded, and the padding and
-    the eps-independent transforms are done once for the whole list.  The
-    per-eps fields are formed in one workspace that this call allocates and
-    every eps overwrites, so concurrent calls share nothing.
+    Every eps is validated before the state is padded, and the padding,
+    the eps-independent transforms and the flux pairing are done once for
+    the whole list.  The per-eps fields are formed in one workspace that
+    this call allocates and every eps overwrites, so concurrent calls
+    share nothing.
+    """
+    mollifiers, padded, pairing = _flux_front(theta, eps_list, profile)
+    work = _FluxWork(padded[0], with_remainder)
+    return [_flux_at_scale(theta.grid, padded, pairing, mol, work, dr_profile) for mol in mollifiers]
+
+
+def _flux_front(theta: SpectralField, eps_list, profile: str):
+    """(mollifiers, padded, pairing): the eps-independent work of a flux scan.
+
+    The mollifiers of `eps_list`, largest eps first, are all built, so
+    every eps is validated (ValueError, also for an empty list) before
+    `theta` is padded to its `_padded_fields`.  `pairing` is P(k) = (2 pi)^2
+    w(k) Re sum_j F_j(k) conj(i k_j theta_hat(k)) on the doubled grid's
+    half spectrum, w its `parseval_weights`, so `_flux_integral` of a
+    multiplier m_eps is -sum_k m_eps(k)^2 P(k).
     """
     mollifiers = [Mollifier(eps, profile) for eps in sorted(eps_list, reverse=True)]
     if not mollifiers:
         raise ValueError("empty eps list")
-    padded = _padded_fields(theta)
-    work = _FluxWork(padded[0], with_remainder)
-    return [_flux_at_scale(theta.grid, padded, mol, work, dr_profile) for mol in mollifiers]
+    padded = gf, fields_hat, _, uth_hat = _padded_fields(theta)
+    # theta lives in |k_i| <= N/4, inside the dealias band of the doubled grid
+    grad = np.multiply(gf.dealiased_gradient, fields_hat[2])
+    np.multiply(uth_hat, np.conjugate(grad, out=grad), out=grad)
+    pairing = (CELL_AREA_FACTOR * gf.parseval_weights) * np.add(grad[0], grad[1], out=grad[0]).real
+    return mollifiers, padded, pairing
+
+
+def _flux_integral(m: np.ndarray, pairing: np.ndarray) -> float:
+    """integral sigma_eps . grad theta_eps dx from the multiplier m_eps and the `_flux_front` pairing."""
+    # 0 - x rather than -x: an exactly zero flux stays +0
+    return 0.0 - float(np.sum(m * m * pairing))
 
 
 def _padded_fields(theta: SpectralField):
@@ -447,9 +485,9 @@ def _difference_symbol(grid: Grid, offsets, weights) -> np.ndarray:
 class _FluxWork:
     """The per-eps arrays of `flux_scan` on the doubled grid, overwritten by every eps.
 
-    `fields` holds five grid fields, u_eps (later grad theta_eps),
-    theta_eps and sigma_eps, and with the remainder five more, the
-    D-fields of (u1, u2, theta, u1 theta, u2 theta).  `spectra` holds the
+    `fields` holds five grid fields, u_eps (later grad theta_eps for the
+    dr field), theta_eps and sigma_eps, and with the remainder five more,
+    the D-fields of (u1, u2, theta, u1 theta, u2 theta).  `spectra` holds the
     half spectra of the largest group transformed at once, three or five.
     A group's spectra are dead once transformed, so their memory also
     serves as `scratch`, three float grid fields for the elementwise work.
@@ -463,8 +501,8 @@ class _FluxWork:
         self.scratch = self.spectra.reshape(-1).view(np.float64)[: 3 * n * n].reshape(3, n, n)
 
 
-def _flux_at_scale(grid, padded, mol, work, dr_profile) -> FluxEstimate:
-    """`coarse_grained_flux` at one scale from the `_padded_fields` of its state, in `work`."""
+def _flux_at_scale(grid, padded, pairing, mol, work, dr_profile) -> FluxEstimate:
+    """`coarse_grained_flux` at one scale from the `_flux_front` of its state, in `work`."""
     gf, fields_hat, (u1, u2, th), uth_hat = padded
     m = mol.multiplier(gf)
     spectra = work.spectra
@@ -498,21 +536,17 @@ def _flux_at_scale(grid, padded, mol, work, dr_profile) -> FluxEstimate:
             np.subtract(d, sigma, out=d)
         decomposition = float(np.mean(np.hypot(x, y, out=x))) * CELL_AREA_FACTOR
 
-    # u_eps is dead: grad theta_eps takes its place.  theta_eps lives in
-    # |k_i| <= N/4, inside the dealias band of the doubled grid
-    np.multiply(m, fields_hat[2], out=spectra[2])
-    for grad, spectrum in zip(gf.dealiased_gradient, spectra[:2]):
-        np.multiply(grad, spectra[2], out=spectrum)
-    dth1_eps, dth2_eps = _irfft2(spectra[:2], work.fields[:2])
-    np.add(np.multiply(sigma1, dth1_eps, out=x), np.multiply(sigma2, dth2_eps, out=y), out=x)
-    flux = float(np.mean(x)) * CELL_AREA_FACTOR
-
     est = FluxEstimate(
-        eps=mol.eps, profile=mol.profile, sigma_l1=sigma_l1, flux_integral=flux,
+        eps=mol.eps, profile=mol.profile, sigma_l1=sigma_l1, flux_integral=_flux_integral(m, pairing),
         r_l32=r_l32, decomposition_l1_error=decomposition,
     )
 
     if dr_profile is not None:
+        # u_eps is dead: grad theta_eps takes its place
+        np.multiply(m, fields_hat[2], out=spectra[2])
+        for grad, spectrum in zip(gf.dealiased_gradient, spectra[:2]):
+            np.multiply(grad, spectra[2], out=spectrum)
+        dth1_eps, dth2_eps = _irfft2(spectra[:2], work.fields[:2])
         # (u theta)_eps - u_eps theta_eps = -sigma_eps
         np.multiply(dth1_eps, np.negative(sigma1, out=x), out=x)
         np.multiply(dth2_eps, np.negative(sigma2, out=y), out=y)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import flux_scan
+from .diagnostics import _flux_front, _flux_integral
 from .errors import DegenerateFit, ReferenceTooCoarse, ValidationError
 from .models import ModelParams
 from .spectral import SpectralField
@@ -145,8 +145,11 @@ def flux_decay_exponent(
     returned exponent with (3s - 1).  Raises
     DegenerateFit when the flux sits at the round-off floor (the field is
     too smooth, or steady, to carry a measurable transfer).  Each value is
-    `coarse_grained_flux(theta, eps, profile, with_remainder=False)`,
-    all of them from one `flux_scan`.
+    the bits of `coarse_grained_flux(theta, eps, profile).flux_integral`,
+    formed as that function forms it: one Parseval sum per eps over a
+    pairing that one forward and one inverse transform give for the whole
+    list, with no sigma_eps or other per-eps field.
     """
-    estimates = flux_scan(theta, eps_list, profile, with_remainder=False)
-    return fit_loglog_slope([e.eps for e in estimates], [abs(e.flux_integral) for e in estimates])
+    mollifiers, (gf, *_), pairing = _flux_front(theta, eps_list, profile)
+    fluxes = [_flux_integral(mol.multiplier(gf), pairing) for mol in mollifiers]
+    return fit_loglog_slope([mol.eps for mol in mollifiers], np.abs(fluxes))

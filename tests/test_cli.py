@@ -184,6 +184,17 @@ def test_flux_subcommand_synthetic(capsys):
     assert "profile = gaussian" in out
 
 
+def test_flux_single_mode_prints_positive_zero(capsys):
+    # a plane wave carries no flux; its exactly zero integral prints as +0
+    code = cli_main(["flux", "--init", "single:1,0", "--n", "32", "--eps", "0.25,0.125", "--no-remainder"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "eps = 0.25       profile = gaussian  |sigma|_1 = 0.71293  flux =  0.000000e+00\n"
+        "eps = 0.125      profile = gaussian  |sigma|_1 = 0.191186  flux =  0.000000e+00\n"
+        "fitted decay exponent: degenerate (flux at round-off floor)\n"
+    )
+
+
 def test_flux_needs_input(capsys):
     assert cli_main(["flux", "--eps", "0.25"]) == 1
 

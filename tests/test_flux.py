@@ -241,14 +241,91 @@ def test_eps_must_be_finite(grid32, eps):
 
 
 def test_flux_scan_validates_before_padding(grid32, monkeypatch):
-    def no_padding(*args):
-        raise AssertionError("padded before validating eps")
+    def too_early(*args):
+        raise AssertionError("padded or transformed before validating eps")
 
-    monkeypatch.setattr(qglab.diagnostics, "pad_spectrum", no_padding)
-    with pytest.raises(ValueError):
-        flux_scan(random_field(grid32, 8, 2.0, 5), [0.25, 0.125, np.nan])
-    with pytest.raises(ValueError):
-        flux_scan(random_field(grid32, 8, 2.0, 5), [])
+    for name in ("pad_spectrum", "_rfft2", "_irfft2"):
+        monkeypatch.setattr(qglab.diagnostics, name, too_early)
+    theta = random_field(grid32, 8, 2.0, 5)
+    for scan in (flux_scan, lambda theta, eps_list: flux_decay_exponent(theta, 0.5, eps_list)):
+        with pytest.raises(ValueError):
+            scan(theta, [0.25, 0.125, np.nan])
+        with pytest.raises(ValueError):
+            scan(theta, [])
+
+
+def _plain_flux_terms(theta, mol):
+    """Plain doubled-grid quadratures at one scale, every field from its own inverse transform.
+
+    Returns (integral u_eps theta_eps . grad theta_eps, |u_eps theta_eps|_2,
+    integral sigma_eps . grad theta_eps, |sigma_eps|_2, |grad theta_eps|_2).
+    """
+    gf, fields_hat, _, uth_hat = _padded_fields(theta)
+    m = mol.multiplier(gf)
+    u1, u2, th = np.fft.irfft2(m * fields_hat, norm="forward")
+    d1, d2 = np.fft.irfft2(gf.dealiased_gradient * (m * fields_hat[2]), norm="forward")
+    f1, f2 = np.fft.irfft2(m * uth_hat, norm="forward")
+    s1, s2 = u1 * th - f1, u2 * th - f2
+
+    def integral(f):
+        return float(np.mean(f)) * CELL_AREA_FACTOR
+
+    def l2(a, b):
+        return np.sqrt(integral(a * a + b * b))
+
+    return (integral(u1 * th * d1 + u2 * th * d2), l2(u1 * th, u2 * th),
+            integral(s1 * d1 + s2 * d2), l2(s1, s2), l2(d1, d2))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("profile", ["gaussian", "raised-cosine"])
+@pytest.mark.parametrize("data", ["random", "white"])
+def test_flux_integral_is_parseval_pairing(n, profile, data):
+    # u_eps is divergence free, so integral u_eps theta_eps . grad theta_eps
+    # vanishes and the flux is -integral (u theta)_eps . grad theta_eps.
+    # Measured worst cases over this grid: 1.3e-17 for the first, relative
+    # to |u_eps theta_eps|_2 |grad theta_eps|_2, and 1.5e-14 for the flux,
+    # relative to |sigma_eps|_2 |grad theta_eps|_2 (n = 16, eps = 1/64,
+    # where sigma_eps is the cancelling difference of the plain route).
+    # The smallest |flux| on that scale is 7e-5, so a flipped sign or a
+    # missing Parseval weight is far outside the bound.
+    theta = random_field(qglab.Grid(n), n // 2 - 1, 1.5, n) if data == "random" else _white_field(n, n)
+    for est in flux_scan(theta, [2.0**-k for k in range(2, 7)], profile, with_remainder=False):
+        advected, advected_l2, flux, sigma_l2, grad_l2 = _plain_flux_terms(theta, Mollifier(est.eps, profile))
+        assert abs(advected) <= 1e-15 * advected_l2 * grad_l2
+        assert abs(est.flux_integral - flux) <= 1e-13 * sigma_l2 * grad_l2
+
+
+def test_flux_decay_exponent_transforms_once(monkeypatch):
+    # one inverse transform of (u1, u2, theta) and one forward transform of
+    # the products for any number of scales, no per-eps workspace, and a
+    # traced peak at N = 256 of 11.1 grid fields (17.6 when every eps
+    # formed sigma_eps and grad theta_eps on the grid)
+    theta = random_field(qglab.Grid(128), 60, 1.5, 3)
+    field = 256 * 256 * 8
+    calls = {"_rfft2": 0, "_irfft2": 0}
+    for name in calls:
+        def counted(*args, _name=name, _transform=getattr(qglab.diagnostics, name)):
+            calls[_name] += 1
+            return _transform(*args)
+
+        monkeypatch.setattr(qglab.diagnostics, name, counted)
+
+    def no_workspace(*args):
+        raise AssertionError("flux_decay_exponent built a flux workspace")
+
+    monkeypatch.setattr(qglab.diagnostics, "_FluxWork", no_workspace)
+    flux_decay_exponent(theta, 0.5, [0.25, 0.125])  # warm-up: numpy's transform plans, grid symbols
+    for count in (2, 5, 11):
+        calls.update(_rfft2=0, _irfft2=0)
+        tracemalloc.start()
+        try:
+            flux_decay_exponent(theta, 0.5, [2.0**-k for k in range(1, count + 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == {"_rfft2": 1, "_irfft2": 1}
+        assert peak <= 12.0 * field
 
 
 def _flux_at_scale_reference(grid, padded, mol, with_remainder, dr_profile):
@@ -256,11 +333,13 @@ def _flux_at_scale_reference(grid, padded, mol, with_remainder, dr_profile):
     gf, fields_hat, (u1, u2, th), uth_hat = padded
     m = mol.multiplier(gf)
     u1_eps, u2_eps, th_eps = np.fft.irfft2(m * fields_hat, norm="forward")
-    dth1_eps, dth2_eps = np.fft.irfft2(gf.dealiased_gradient * (m * fields_hat[2]), norm="forward")
     uth1_eps, uth2_eps = np.fft.irfft2(m * uth_hat, norm="forward")
     sigma1 = u1_eps * th_eps - uth1_eps
     sigma2 = u2_eps * th_eps - uth2_eps
-    flux = float(np.mean(sigma1 * dth1_eps + sigma2 * dth2_eps)) * CELL_AREA_FACTOR
+    # -integral (u theta)_eps . grad theta_eps by Parseval over the half spectrum
+    pairing = CELL_AREA_FACTOR * gf.parseval_weights * np.sum(
+        uth_hat * np.conj(gf.dealiased_gradient * fields_hat[2]), axis=0).real
+    flux = -float(np.sum(m * m * pairing))
     sigma_l1 = float(np.mean(np.hypot(sigma1, sigma2))) * CELL_AREA_FACTOR
     est = FluxEstimate(eps=mol.eps, profile=mol.profile, sigma_l1=sigma_l1, flux_integral=flux)
     if with_remainder:
@@ -275,6 +354,7 @@ def _flux_at_scale_reference(grid, padded, mol, with_remainder, dr_profile):
         d2 = (u2 - u2_eps) * (th - th_eps) - r2 - sigma2
         est.decomposition_l1_error = float(np.mean(np.hypot(d1, d2))) * CELL_AREA_FACTOR
     if dr_profile is not None:
+        dth1_eps, dth2_eps = np.fft.irfft2(gf.dealiased_gradient * (m * fields_hat[2]), norm="forward")
         dr = dr_profile(th_eps) * (dth1_eps * (-sigma1) + dth2_eps * (-sigma2))
         est.dr_field = PhysicalField(grid, dr[::2, ::2])
     return est
