@@ -1,13 +1,18 @@
 """Norms, conservation residuals, inequality monitors and scale-local flux.
 
 Everything here is a pure function of its inputs and safe to evaluate
-concurrently across snapshots: `flux_scan` forms its per-eps fields in a
-workspace that each call allocates for itself.  The flux integral needs
-none of them.  u_eps is divergence free, so integral u_eps theta_eps .
-grad theta_eps dx = -1/2 integral (div u_eps) theta_eps^2 dx = 0 and the
-flux integral sigma_eps . grad theta_eps dx is -integral (u theta)_eps .
-grad theta_eps dx, a Parseval sum of m_eps(k)^2 times one eps-independent
-pairing of the spectra of u theta and grad theta.  Norm conventions follow
+concurrently across snapshots: `flux_scan` forms the doubled-grid arrays
+of its state and of every eps in one workspace that each call allocates
+for itself, and the flux front, which `flux_decay_exponent` also runs,
+writes each of its intermediates over a dead one.  The inverse
+transforms of spectra that derive wholly from the padded state run their
+column stage on the columns that padding fills, with the same bits.  The
+flux integral needs no per-eps field.  u_eps is divergence free, so
+integral u_eps theta_eps . grad theta_eps dx = -1/2 integral (div u_eps)
+theta_eps^2 dx = 0 and the flux integral sigma_eps . grad theta_eps dx is
+-integral (u theta)_eps . grad theta_eps dx, a Parseval sum of
+m_eps(k)^2 times one eps-independent pairing of the spectra of u theta
+and grad theta.  Norm conventions follow
 the physical integral: |f|_q = (integral |f|^q dx)^(1/q) by exact grid
 quadrature and ||f||_s = |Lambda^s f|_2 = 2 pi sqrt(sum |k|^(2s)
 |f_hat|^2), the sum over all k taken on the stored half spectrum with
@@ -33,6 +38,7 @@ from .spectral import (
     SpectralField,
     _irfft2,
     _rfft2,
+    _shared_grid,
     inverse_transform,
     pad_spectrum,
     state_fields,
@@ -421,34 +427,57 @@ def flux_scan(
 
     Every eps is validated before the state is padded, and the padding,
     the eps-independent transforms and the flux pairing are done once for
-    the whole list.  The per-eps fields are formed in one workspace that
-    this call allocates and every eps overwrites, so concurrent calls
-    share nothing.
+    the whole list.  They and the per-eps fields are formed in one
+    workspace that this call allocates and every eps overwrites, so
+    concurrent calls share nothing.
     """
-    mollifiers, padded, pairing = _flux_front(theta, eps_list, profile)
-    work = _FluxWork(padded[0], with_remainder)
-    return [_flux_at_scale(theta.grid, padded, pairing, mol, work, dr_profile) for mol in mollifiers]
+    mollifiers = _mollifiers(eps_list, profile)
+    work = _FluxWork(theta.grid, with_remainder)
+    pairing = _flux_front(theta, work)[1]
+    return [_flux_at_scale(theta.grid, pairing, mol, work, dr_profile) for mol in mollifiers]
 
 
-def _flux_front(theta: SpectralField, eps_list, profile: str):
-    """(mollifiers, padded, pairing): the eps-independent work of a flux scan.
-
-    The mollifiers of `eps_list`, largest eps first, are all built, so
-    every eps is validated (ValueError, also for an empty list) before
-    `theta` is padded to its `_padded_fields`.  `pairing` is P(k) = (2 pi)^2
-    w(k) Re sum_j F_j(k) conj(i k_j theta_hat(k)) on the doubled grid's
-    half spectrum, w its `parseval_weights`, so `_flux_integral` of a
-    multiplier m_eps is -sum_k m_eps(k)^2 P(k).
-    """
+def _mollifiers(eps_list, profile: str) -> list[Mollifier]:
+    """The mollifiers of `eps_list`, largest eps first; each is validated (ValueError, also for an empty list)."""
     mollifiers = [Mollifier(eps, profile) for eps in sorted(eps_list, reverse=True)]
     if not mollifiers:
         raise ValueError("empty eps list")
-    padded = gf, fields_hat, _, uth_hat = _padded_fields(theta)
+    return mollifiers
+
+
+def _flux_front(theta: SpectralField, work: _FluxWork | None = None):
+    """(grid, pairing): the eps-independent work of a flux scan on the doubled grid N = 2n.
+
+    `theta` is padded once; one inverse transform gives (u1, u2, theta) on
+    the grid, and one forward transform the spectra F_j of the products
+    u_j theta.  `pairing` is P(k) = (2 pi)^2 w(k) Re sum_j F_j(k) conj(i k_j
+    theta_hat(k)) on the doubled grid's half spectrum, w its
+    `parseval_weights`, so `_flux_integral` of a multiplier m_eps is
+    -sum_k m_eps(k)^2 P(k).
+
+    With `work`, the `_FluxWork` of a scan, the spectra and the fields of
+    (u1, u2, theta) and the products' spectra are kept in it for
+    `_flux_at_scale`.  Without it only the pairing is kept, and the
+    products' spectra overwrite the dead fields.  Either way the products
+    overwrite the dead input of the inverse, and so do the pairing's
+    terms after them.
+    """
+    fine = pad_spectrum(theta, 2 * theta.grid.n)
+    gf = fine.grid
+    if work is None:
+        spectra, fields = _block(gf, 3, 3)
+        uth_hat = _overlay(fields, np.complex128, (2, *gf.shape))
+    else:
+        spectra, fields, uth_hat = work.spectra[:3], work.state, work.uth_hat
+        np.multiply(gf.state_multipliers, fine.coeffs, out=work.state_hat)
+    np.multiply(gf.state_multipliers, fine.coeffs, out=spectra)
+    # the padded spectra are zero in every column beyond those of theta's grid
+    _irfft2(spectra, fields, theta.grid.shape[1])
+    _rfft2(np.multiply(fields[:2], fields[2], out=_overlay(spectra, np.float64, (2, gf.n, gf.n))), uth_hat)
     # theta lives in |k_i| <= N/4, inside the dealias band of the doubled grid
-    grad = np.multiply(gf.dealiased_gradient, fields_hat[2])
+    grad = np.multiply(gf.dealiased_gradient, fine.coeffs, out=spectra[:2])
     np.multiply(uth_hat, np.conjugate(grad, out=grad), out=grad)
-    pairing = (CELL_AREA_FACTOR * gf.parseval_weights) * np.add(grad[0], grad[1], out=grad[0]).real
-    return mollifiers, padded, pairing
+    return gf, (CELL_AREA_FACTOR * gf.parseval_weights) * np.add(grad[0], grad[1], out=grad[0]).real
 
 
 def _flux_integral(m: np.ndarray, pairing: np.ndarray) -> float:
@@ -457,18 +486,22 @@ def _flux_integral(m: np.ndarray, pairing: np.ndarray) -> float:
     return 0.0 - float(np.sum(m * m * pairing))
 
 
-def _padded_fields(theta: SpectralField):
-    """The eps-independent front end of `coarse_grained_flux` on the doubled grid.
+def _block(grid: Grid, spectra: int, fields: int):
+    """A stack of `spectra` half spectra and one of `fields` grid fields on `grid`, in one allocation.
 
-    Returns the grid, the spectra of (u1, u2, theta), those fields on the
-    grid, and the spectra of the products (u1 theta, u2 theta).
+    One block instead of one per stack: glibc's malloc serves a block from
+    the heap once it has unmapped one as large, and trims the heap only
+    when twice that is free at its top, so the arrays of a flux call reuse
+    the pages of the previous call instead of faulting them in anew.
     """
-    fine = pad_spectrum(theta, 2 * theta.grid.n)
-    gf = fine.grid
-    fields_hat = gf.state_multipliers * fine.coeffs
-    fields = _irfft2(fields_hat.copy())  # the inverse overwrites its input
-    uth_hat = _rfft2(fields[:2] * fields[2])
-    return gf, fields_hat, fields, uth_hat
+    split = spectra * grid.n * (grid.n + 2)  # float64 entries of the spectra
+    block = np.empty(split + fields * grid.n * grid.n)
+    return block[:split].view(np.complex128).reshape(spectra, *grid.shape), block[split:].reshape(fields, grid.n, grid.n)
+
+
+def _overlay(array: np.ndarray, dtype, shape) -> np.ndarray:
+    """An array of `dtype` and `shape` in the leading bytes of the contiguous `array`."""
+    return array.reshape(-1).view(dtype)[: math.prod(shape)].reshape(shape)
 
 
 def _difference_symbol(grid: Grid, offsets, weights) -> np.ndarray:
@@ -479,12 +512,18 @@ def _difference_symbol(grid: Grid, offsets, weights) -> np.ndarray:
     """
     e = np.expm1(-1j * np.outer(grid.wavenumbers, offsets))  # rows: k2
     e_half = e[: grid.n // 2 + 1]  # columns: k1 = 0..n/2
-    return e @ weights @ e_half.T + (e @ weights.sum(1))[:, None] + (e_half @ weights.sum(0))[None, :]
+    d = e @ weights @ e_half.T
+    d += (e @ weights.sum(1))[:, None]
+    d += (e_half @ weights.sum(0))[None, :]
+    return d
 
 
 class _FluxWork:
-    """The per-eps arrays of `flux_scan` on the doubled grid, overwritten by every eps.
+    """The arrays of one `flux_scan` on the doubled grid of its state on `grid`.
 
+    `state_hat`, `state` and `uth_hat` hold what `_flux_front` keeps for
+    every eps: the spectra and the grid fields of (u1, u2, theta) and the
+    spectra of (u1 theta, u2 theta).  The rest is overwritten by every eps.
     `fields` holds five grid fields, u_eps (later grad theta_eps for the
     dr field), theta_eps and sigma_eps, and with the remainder five more,
     the D-fields of (u1, u2, theta, u1 theta, u2 theta).  `spectra` holds the
@@ -494,21 +533,23 @@ class _FluxWork:
     """
 
     def __init__(self, grid: Grid, with_remainder: bool):
-        n = grid.n
+        self.grid = fine = _shared_grid(2 * grid.n)
         self.with_remainder = with_remainder
-        self.fields = np.empty((10 if with_remainder else 5, n, n))
-        self.spectra = np.empty((5 if with_remainder else 3, *grid.shape), dtype=np.complex128)
-        self.scratch = self.spectra.reshape(-1).view(np.float64)[: 3 * n * n].reshape(3, n, n)
+        spectra, fields = _block(fine, 10 if with_remainder else 8, 13 if with_remainder else 8)
+        self.state_hat, self.uth_hat, self.spectra = spectra[:3], spectra[3:5], spectra[5:]
+        self.state, self.fields = fields[:3], fields[3:]
+        self.scratch = _overlay(self.spectra, np.float64, (3, fine.n, fine.n))
 
 
-def _flux_at_scale(grid, padded, pairing, mol, work, dr_profile) -> FluxEstimate:
-    """`coarse_grained_flux` at one scale from the `_flux_front` of its state, in `work`."""
-    gf, fields_hat, (u1, u2, th), uth_hat = padded
+def _flux_at_scale(grid, pairing, mol, work, dr_profile) -> FluxEstimate:
+    """`coarse_grained_flux` at one scale from the `_flux_front` of its state on `grid`, in `work`."""
+    gf, fields_hat, (u1, u2, th), uth_hat = work.grid, work.state_hat, work.state, work.uth_hat
     m = mol.multiplier(gf)
     spectra = work.spectra
     x, y, z = work.scratch
+    columns = grid.shape[1]  # held by m_eps times the padded spectra
 
-    u1_eps, u2_eps, th_eps = _irfft2(np.multiply(m, fields_hat, out=spectra[:3]), work.fields[:3])
+    u1_eps, u2_eps, th_eps = _irfft2(np.multiply(m, fields_hat, out=spectra[:3]), work.fields[:3], columns)
     sigma1, sigma2 = _irfft2(np.multiply(m, uth_hat, out=spectra[:2]), work.fields[3:5])
     # sigma_eps = u_eps theta_eps - (u theta)_eps, in place of (u theta)_eps
     np.subtract(np.multiply(u1_eps, th_eps, out=x), sigma1, out=sigma1)
@@ -546,7 +587,7 @@ def _flux_at_scale(grid, padded, pairing, mol, work, dr_profile) -> FluxEstimate
         np.multiply(m, fields_hat[2], out=spectra[2])
         for grad, spectrum in zip(gf.dealiased_gradient, spectra[:2]):
             np.multiply(grad, spectra[2], out=spectrum)
-        dth1_eps, dth2_eps = _irfft2(spectra[:2], work.fields[:2])
+        dth1_eps, dth2_eps = _irfft2(spectra[:2], work.fields[:2], columns)
         # (u theta)_eps - u_eps theta_eps = -sigma_eps
         np.multiply(dth1_eps, np.negative(sigma1, out=x), out=x)
         np.multiply(dth2_eps, np.negative(sigma2, out=y), out=y)

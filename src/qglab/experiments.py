@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import _flux_front, _flux_integral
+from .diagnostics import _flux_front, _flux_integral, _mollifiers
 from .errors import DegenerateFit, ReferenceTooCoarse, ValidationError
 from .models import ModelParams
 from .spectral import SpectralField
@@ -150,6 +150,7 @@ def flux_decay_exponent(
     pairing that one forward and one inverse transform give for the whole
     list, with no sigma_eps or other per-eps field.
     """
-    mollifiers, (gf, *_), pairing = _flux_front(theta, eps_list, profile)
+    mollifiers = _mollifiers(eps_list, profile)
+    gf, pairing = _flux_front(theta)
     fluxes = [_flux_integral(mol.multiplier(gf), pairing) for mol in mollifiers]
     return fit_loglog_slope([mol.eps for mol in mollifiers], np.abs(fluxes))

@@ -160,7 +160,11 @@ class Snapshot:
 
 
 def save_snapshot(snap: Snapshot, path: str):
-    """Write the fixed binary layout; load(save(x)) is bit-identical."""
+    """Write the fixed binary layout; load(save(x)) is bit-identical.
+
+    A grid size that `Grid` rejects raises ValidationError.
+    """
+    Grid(snap.n)
     values = np.ascontiguousarray(snap.values, dtype="<f8")
     if values.shape != (snap.n, snap.n):
         raise ValidationError(f"snapshot values must be ({snap.n}, {snap.n})")
@@ -181,7 +185,7 @@ def save_snapshot(snap: Snapshot, path: str):
 
 
 def load_snapshot(path: str) -> Snapshot:
-    """Read and structurally validate a snapshot file."""
+    """Read and structurally validate a snapshot file; a grid size that `Grid` rejects is CorruptSnapshot("n")."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER_SIZE:
@@ -191,6 +195,10 @@ def load_snapshot(path: str) -> Snapshot:
         raise CorruptSnapshot("magic", f"got {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise CorruptSnapshot("version", f"got {version}")
+    try:
+        Grid(n)
+    except ValidationError as exc:
+        raise CorruptSnapshot("n", str(exc)) from None
     expected = _HEADER_SIZE + 8 * n * n
     if len(blob) != expected:
         raise CorruptSnapshot("length", f"expected {expected} bytes, got {len(blob)}")

@@ -15,7 +15,12 @@ The domain is fixed to [0, 2pi]^2.  Conventions used throughout:
   call an ``np.fft`` transform.  Each runs as its two 1-D stages, into a
   caller's array when given one (the inverse overwrites its input), which
   gives the bits of the 2-D numpy pair; `TransformBuffers` and the flux
-  scan pass them reused arrays.  With this choice Parseval reads
+  scan pass them reused arrays.  A spectrum padded to a finer grid
+  (`pad_spectrum`) is exactly zero in every column k1 > n/2 of its source
+  size n, and the inverse can be told so: its column stage then
+  transforms only the occupied columns, about half of them on the
+  doubled grid of the flux diagnostics, with the same bits.  With this
+  choice Parseval reads
   ``integral |f|^2 dx = (2 pi)^2 sum_k |f_hat(k)|^2``; over the stored
   half the k1 = 0 and k1 = n/2 columns count once and every other column
   twice (`Grid.parseval_weights`), which is the one place that sum rule
@@ -208,10 +213,10 @@ class SpectralField:
         return float(self.coeffs[0, 0].real)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        return _combination(self.grid, self.coeffs + other.coeffs)
+        return _derived_field(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return _combination(self.grid, self.coeffs - other.coeffs)
+        return _derived_field(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * scalar)
@@ -219,11 +224,13 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def _combination(grid: Grid, coeffs: np.ndarray) -> SpectralField:
-    """The sum or difference of two fields, which is real to their round-off.
+def _derived_field(grid: Grid, coeffs: np.ndarray) -> SpectralField:
+    """The field of `coeffs`, which it takes over: a sum, difference or padding of fields.
 
-    Not re-checked: when the operands nearly cancel, that round-off can
-    exceed DEFECT_REL_TOL of the result's own largest coefficient.
+    Not re-checked: these are real to the operands' round-off, which can
+    exceed DEFECT_REL_TOL of the result's own largest coefficient when the
+    operands nearly cancel or a padding halves the largest, on a Nyquist
+    line.
     """
     coeffs.flags.writeable = False
     f = object.__new__(SpectralField)
@@ -242,14 +249,19 @@ def _rfft2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.fft(out, axis=-2, norm="forward", out=out)
 
 
-def _irfft2(spectra: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _irfft2(spectra: np.ndarray, out: np.ndarray | None = None, columns: int | None = None) -> np.ndarray:
     """Real grid samples of (stacked) normalized half spectra, the inverse of `_rfft2`.
 
     Runs as two 1-D stages into `out` when given (else a fresh array); the
-    bits of ``np.fft.irfft2(spectra, norm="forward")``.  The first stage
-    overwrites `spectra`.
+    bits of ``np.fft.irfft2(spectra, norm="forward")``.  The first stage,
+    the columns' ``ifft``, overwrites `spectra`.  When only the leading
+    `columns` columns hold content (k1 < columns) and every later one is
+    exactly zero, as in a `pad_spectrum` and any multiple of it, that stage
+    runs on those columns alone: the inverse of a zero column is zero, so
+    the row stage sees the same bits.
     """
-    np.fft.ifft(spectra, axis=-2, norm="forward", out=spectra)
+    occupied = spectra[..., :columns]
+    np.fft.ifft(occupied, axis=-2, norm="forward", out=occupied)
     return np.fft.irfft(spectra, axis=-1, norm="forward", out=out)
 
 
@@ -413,7 +425,7 @@ def pad_spectrum(f: SpectralField, m: int) -> SpectralField:
     cols[half] *= 0.5
     cols[m - half] = cols[half]
     cols[:, half] *= 0.5
-    return SpectralField(fine, out)
+    return _derived_field(fine, out)
 
 
 def hermitian_defect(f: SpectralField) -> float:

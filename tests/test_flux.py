@@ -10,7 +10,6 @@ from qglab.diagnostics import (
     SQRT1P,
     FluxEstimate,
     _difference_symbol,
-    _padded_fields,
     coarse_grained_flux,
     flux_scan,
 )
@@ -254,13 +253,26 @@ def test_flux_scan_validates_before_padding(grid32, monkeypatch):
             scan(theta, [])
 
 
+def _padded_reference(theta):
+    """(grid, spectra and fields of (u1, u2, theta), spectra of (u1 theta, u2 theta)) on the doubled grid.
+
+    Formed by numpy's 2-D transform pair, whose bits the staged transforms
+    of the flux front reproduce.
+    """
+    fine = pad_spectrum(theta, 2 * theta.grid.n)
+    gf = fine.grid
+    fields_hat = gf.state_multipliers * fine.coeffs
+    fields = np.fft.irfft2(fields_hat, norm="forward")
+    return gf, fields_hat, fields, np.fft.rfft2(fields[:2] * fields[2], norm="forward")
+
+
 def _plain_flux_terms(theta, mol):
     """Plain doubled-grid quadratures at one scale, every field from its own inverse transform.
 
     Returns (integral u_eps theta_eps . grad theta_eps, |u_eps theta_eps|_2,
     integral sigma_eps . grad theta_eps, |sigma_eps|_2, |grad theta_eps|_2).
     """
-    gf, fields_hat, _, uth_hat = _padded_fields(theta)
+    gf, fields_hat, _, uth_hat = _padded_reference(theta)
     m = mol.multiplier(gf)
     u1, u2, th = np.fft.irfft2(m * fields_hat, norm="forward")
     d1, d2 = np.fft.irfft2(gf.dealiased_gradient * (m * fields_hat[2]), norm="forward")
@@ -299,15 +311,16 @@ def test_flux_integral_is_parseval_pairing(n, profile, data):
 def test_flux_decay_exponent_transforms_once(monkeypatch):
     # one inverse transform of (u1, u2, theta) and one forward transform of
     # the products for any number of scales, no per-eps workspace, and a
-    # traced peak at N = 256 of 11.1 grid fields (17.6 when every eps
-    # formed sigma_eps and grad theta_eps on the grid)
+    # traced peak at N = 256 of 7.67 grid fields: the padded spectrum, the
+    # inverse's input and its fields, which the products and their spectra
+    # overwrite, and the pairing
     theta = random_field(qglab.Grid(128), 60, 1.5, 3)
     field = 256 * 256 * 8
     calls = {"_rfft2": 0, "_irfft2": 0}
     for name in calls:
-        def counted(*args, _name=name, _transform=getattr(qglab.diagnostics, name)):
+        def counted(*args, _name=name, _transform=getattr(qglab.diagnostics, name), **kwargs):
             calls[_name] += 1
-            return _transform(*args)
+            return _transform(*args, **kwargs)
 
         monkeypatch.setattr(qglab.diagnostics, name, counted)
 
@@ -325,7 +338,25 @@ def test_flux_decay_exponent_transforms_once(monkeypatch):
         finally:
             tracemalloc.stop()
         assert calls == {"_rfft2": 1, "_irfft2": 1}
-        assert peak <= 12.0 * field
+        assert peak <= 8.0 * field
+
+
+@pytest.mark.parametrize("with_remainder", [True, False])
+def test_coarse_grained_flux_peak_memory(with_remainder):
+    # traced peak at N = 128 in grid fields, measured 26.60 with the
+    # remainder and 18.18 without: the workspace (23.1 or 16.1, the front's
+    # arrays included), the pairing, and the largest per-eps temporaries,
+    # with the remainder those of the stencil and the difference symbol
+    theta = random_field(qglab.Grid(64), 16, 2.5, 1)
+    field = 128 * 128 * 8
+    coarse_grained_flux(theta, 0.25, with_remainder=with_remainder)  # warm-up: plans, grid symbols
+    tracemalloc.start()
+    try:
+        coarse_grained_flux(theta, 0.0625, with_remainder=with_remainder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (27.0 if with_remainder else 18.6) * field
 
 
 def _flux_at_scale_reference(grid, padded, mol, with_remainder, dr_profile):
@@ -370,7 +401,7 @@ def test_flux_workspace_matches_reference_expressions(n, eps, profile, with_rema
     # work give the bits of the plain expressions
     theta = random_field(qglab.Grid(n), n // 4, 2.5, n)
     got = flux_scan(theta, [eps], profile, with_remainder, dr_profile)[0]
-    want = _flux_at_scale_reference(theta.grid, _padded_fields(theta), Mollifier(eps, profile),
+    want = _flux_at_scale_reference(theta.grid, _padded_reference(theta), Mollifier(eps, profile),
                                     with_remainder, dr_profile)
     for name in ("sigma_l1", "flux_integral", "r_l32", "decomposition_l1_error"):
         assert getattr(got, name) == getattr(want, name), name

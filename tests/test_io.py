@@ -1,3 +1,4 @@
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import qglab
 from qglab import ModelParams, Snapshot, load_config, load_snapshot, save_snapshot, write_series
 from qglab.errors import CorruptSnapshot, ParseError, ValidationError
-from qglab.io import _HEADER_SIZE, read_series
+from qglab.io import _HEADER_FMT, _HEADER_SIZE, read_series
 from qglab.stepping import run
 
 from conftest import random_field
@@ -223,6 +224,26 @@ def test_snapshot_bad_model_byte(tmp_path):
     with pytest.raises(CorruptSnapshot) as info:
         load_snapshot(path)
     assert info.value.check == "model"
+
+
+@pytest.mark.parametrize("n", [7, 0, 2])
+def test_save_snapshot_rejects_bad_grid_size(tmp_path, n):
+    path = tmp_path / "s.qgw"
+    snap = Snapshot(n=n, t=0.0, alpha=0.5, kappa=0.0, mu=0.0, model="inviscid", values=np.zeros((n, n)))
+    with pytest.raises(ValidationError):
+        save_snapshot(snap, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("n", [7, 0, 2])
+def test_load_snapshot_rejects_bad_grid_size(tmp_path, n):
+    # a well-formed file in every other respect, with the payload its header announces
+    path = tmp_path / "s.qgw"
+    header = struct.pack(_HEADER_FMT, b"QGW1", 1, n, 0.0, 0.5, 0.0, 0.0, 0)
+    path.write_bytes(header + np.zeros((n, n), dtype="<f8").tobytes())
+    with pytest.raises(CorruptSnapshot) as info:
+        load_snapshot(str(path))
+    assert info.value.check == "n"
 
 
 # -- CSV series -----------------------------------------------------------------

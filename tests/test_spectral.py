@@ -172,6 +172,25 @@ def test_transform_buffers_match_stacked_pair(n):
     assert _rfft2(b.products).tobytes() == np.fft.rfft2(b.products, norm="forward").tobytes()
 
 
+@pytest.mark.parametrize("n", [8, 16, 64, 128])
+def test_irfft2_on_occupied_columns_matches_stacked_pair(n):
+    # a padded spectrum is zero beyond the source's columns k1 <= n/2, and
+    # its inverse on those columns alone gives the bytes of the full one
+    rng = np.random.default_rng(n)
+    theta = forward_transform(PhysicalField(Grid(n), rng.standard_normal((n, n))))
+    fine = pad_spectrum(theta, 2 * n)
+    columns = theta.grid.shape[1]
+    stack = fine.grid.state_multipliers * fine.coeffs
+    assert np.count_nonzero(stack[2, :, columns - 1]) > 0  # the source Nyquist line has content
+    assert not np.any(stack[..., columns:])
+    for spectra in (stack, fine.coeffs):
+        oracle = np.fft.irfft2(spectra, norm="forward").tobytes()
+        assert _irfft2(spectra.copy(), columns=columns).tobytes() == oracle
+        out = np.empty(spectra.shape[:-1] + (2 * n,))
+        assert _irfft2(spectra.copy(), out, columns) is out
+        assert out.tobytes() == oracle
+
+
 def test_sqrt_laplacian_single_modes(grid32):
     g = grid32
     f = qglab.single_mode(g, 2, 0)
