@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativePowerOnMean, Violation
+from .errors import NegativePowerOnMean, ValidationError, Violation
 from .models import ModelParams
 from .presets import random_shell_field
 from .spectral import (
@@ -61,7 +61,7 @@ def _lp(values: np.ndarray, q) -> float:
     if q == np.inf or q == math.inf:
         return float(np.max(np.abs(values)))
     if not q >= 1.0:  # also rejects NaN
-        raise ValueError(f"lp_norm requires q >= 1, got {q}")
+        raise ValidationError(f"lp_norm requires q >= 1, got {q}")
     moment = float(np.mean(np.abs(values) ** q))
     return (CELL_AREA_FACTOR * moment) ** (1.0 / q)
 
@@ -74,7 +74,7 @@ def _q_inf(u1: np.ndarray, u2: np.ndarray, th: np.ndarray) -> float:
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm |Lambda^s f|_2; the mean participates only at s = 0.  `s` must be finite."""
     if not math.isfinite(s):
-        raise ValueError(f"sobolev_norm requires a finite s, got {s}")
+        raise ValidationError(f"sobolev_norm requires a finite s, got {s}")
     c2 = np.abs(f.coeffs) ** 2
     w = f.grid.parseval_weights
     if s == 0.0:
@@ -129,9 +129,9 @@ class NormRecord:
 
 
 def ladder_bracket(theta: SpectralField, sigma: float) -> float:
-    """The log-interpolation bracket controlling |theta|_inf; needs sigma > 1 (ValueError otherwise)."""
+    """The log-interpolation bracket controlling |theta|_inf; needs sigma > 1 (ValidationError otherwise)."""
     if not sigma > 1.0:
-        raise ValueError(f"sigma must exceed 1, got {sigma}")
+        raise ValidationError(f"sigma must exceed 1, got {sigma}")
     h1 = sobolev_norm(theta, 1.0)
     hsig = sobolev_norm(theta, sigma)
     return 1.0 + h1 * math.sqrt(math.log1p(hsig ** (1.0 / (sigma - 1.0))))
@@ -212,13 +212,13 @@ def max_principle_check(
 
     `forcing_lq` is the (constant-in-time) |f|_q.  The slack absorbs
     spectral pointwise overshoot and defaults to 1e-3 |theta_0|_q.
-    Raises Violation at the first failing sample, and ValueError when the
+    Raises Violation at the first failing sample, and ValidationError when the
     records hold no |theta|_q for this q.
     """
     if not records:
-        raise ValueError("empty record series")
+        raise ValidationError("empty record series")
     if q not in records[0].lp:
-        raise ValueError(f"records hold no |theta|_q for q={q}; recorded exponents: {list(records[0].lp)}")
+        raise ValidationError(f"records hold no |theta|_q for q={q}; recorded exponents: {list(records[0].lp)}")
     base = records[0].lp[q]
     slack = slack_rel * base
     worst = -math.inf
@@ -240,7 +240,7 @@ def energy_balance_residual(records: list[NormRecord]) -> float:
     the diagnostic samples.
     """
     if not records:
-        raise ValueError("empty record series")
+        raise ValidationError("empty record series")
     e0 = records[0].energy
     return max(abs(rec.energy + rec.diss_integral - rec.work_integral - e0) / e0 for rec in records)
 
@@ -257,11 +257,11 @@ def critical_monitor(theta: SpectralField, p: ModelParams, c0: float, sigma: flo
     """Evaluate the critical-case smallness monitors with a user-supplied constant c0.
 
     c0 is an input, not a derived quantity, and must be positive and
-    finite (ValueError otherwise); the flags simply compare against
+    finite (ValidationError otherwise); the flags simply compare against
     kappa / c0 and c0 kappa.
     """
     if not 0.0 < c0 < math.inf:
-        raise ValueError(f"c0 must be positive and finite, got {c0}")
+        raise ValidationError(f"c0 must be positive and finite, got {c0}")
     q = _q_inf(*state_fields(theta.grid, theta.coeffs))
     lad = ladder_bracket(theta, sigma)
     return CriticalReport(
@@ -275,7 +275,7 @@ def critical_monitor(theta: SpectralField, p: ModelParams, c0: float, sigma: flo
 def _check_lab_controls(trials: int, mode_cap: int) -> None:
     for name, value in (("trials", trials), ("mode_cap", mode_cap)):
         if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+            raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
 def log_interpolation_constant(trials: int, sigma: float = 2.0, mode_cap: int = 32, seed: int = 0) -> float:
@@ -285,7 +285,7 @@ def log_interpolation_constant(trials: int, sigma: float = 2.0, mode_cap: int = 
     magnitudes (gamma uniform in [1, 3], modes up to `mode_cap`) on the
     grid n = max(8, 4 mode_cap) and returns the largest observed ratio
     |F|_inf / bracket.  `trials` and `mode_cap` must be at least 1 and
-    sigma above 1 (ValueError otherwise).
+    sigma above 1 (ValidationError otherwise).
     """
     _check_lab_controls(trials, mode_cap)
     grid = Grid(max(8, 4 * mode_cap))
@@ -305,7 +305,7 @@ def gn_constant(trials: int, mode_cap: int = 32, seed: int = 0) -> float:
     shell field with modes up to `mode_cap`, then s in [0, 2], alpha in
     [0.2, 1.5] and beta = alpha * U[0.1, 0.9]; the trial's value is
     gn_residual over the right-hand side.  The result is nonpositive up to
-    round-off.  `trials` and `mode_cap` must be at least 1 (ValueError
+    round-off.  `trials` and `mode_cap` must be at least 1 (ValidationError
     otherwise).
     """
     _check_lab_controls(trials, mode_cap)
@@ -326,7 +326,7 @@ def gn_constant(trials: int, mode_cap: int = 32, seed: int = 0) -> float:
 def _gn_sides(f: SpectralField, s: float, alpha: float, beta: float) -> tuple[float, float]:
     """(lhs, rhs) of the inequality that `gn_residual` checks, each norm evaluated once."""
     if not 0.0 < beta < alpha:
-        raise ValueError(f"need 0 < beta < alpha, got beta={beta}, alpha={alpha}")
+        raise ValidationError(f"need 0 < beta < alpha, got beta={beta}, alpha={alpha}")
     frac = beta / alpha
     return sobolev_norm(f, s + beta), sobolev_norm(f, s + alpha) ** frac * sobolev_norm(f, s) ** (1.0 - frac)
 
@@ -438,10 +438,10 @@ def flux_scan(
 
 
 def _mollifiers(eps_list, profile: str) -> list[Mollifier]:
-    """The mollifiers of `eps_list`, largest eps first; each is validated (ValueError, also for an empty list)."""
+    """The mollifiers of `eps_list`, largest eps first; each is validated (ValidationError, also for an empty list)."""
     mollifiers = [Mollifier(eps, profile) for eps in sorted(eps_list, reverse=True)]
     if not mollifiers:
-        raise ValueError("empty eps list")
+        raise ValidationError("empty eps list")
     return mollifiers
 
 
@@ -558,7 +558,7 @@ def _flux_at_scale(grid, pairing, mol, work, dr_profile) -> FluxEstimate:
 
     r_l32 = decomposition = None
     if work.with_remainder:
-        offsets, weights = mol.stencil(gf)
+        offsets, weights = mol.stencil(gf, _multiplier=m)
         diff = _difference_symbol(gf, offsets, weights)
         np.multiply(diff, fields_hat, out=spectra[:3])
         np.multiply(diff, uth_hat, out=spectra[3:5])

@@ -47,8 +47,8 @@ class ParseError(QGLabError):
         self.line_no = line_no
 
 
-class ValidationError(QGLabError):
-    """A configuration or parameter invariant does not hold."""
+class ValidationError(QGLabError, ValueError):
+    """A configuration or parameter invariant does not hold; also a ValueError, as invalid input."""
 
 
 class CorruptSnapshot(QGLabError):

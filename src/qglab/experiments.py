@@ -25,13 +25,13 @@ ROUNDOFF_FLOOR = 1e-14
 def fit_loglog_slope(x, y) -> float:
     """Least-squares slope of log y against log x, ignoring y within 10x of ROUNDOFF_FLOOR.
 
-    Raises ValueError when an x is not positive and finite or a y is not
+    Raises ValidationError when an x is not positive and finite or a y is not
     finite.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not (np.all(np.isfinite(y)) and np.all((x > 0.0) & (x < np.inf))):
-        raise ValueError("fit needs finite ordinates and positive finite abscissae")
+        raise ValidationError("fit needs finite ordinates and positive finite abscissae")
     keep = y > 10.0 * ROUNDOFF_FLOOR
     if np.count_nonzero(keep) < 2:
         raise DegenerateFit("fewer than two points above the round-off floor")

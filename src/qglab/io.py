@@ -221,7 +221,7 @@ def _fmt(x: float) -> str:
 def write_series(path: str, records, s: float):
     """Write NormRecords as CSV; `s` selects the hs column's Sobolev index."""
     if not records:
-        raise ValueError("refusing to write an empty series")
+        raise ValidationError("refusing to write an empty series")
     lines = [CSV_HEADER]
     for r in records:
         lines.append(

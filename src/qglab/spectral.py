@@ -177,9 +177,9 @@ class PhysicalField:
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)
         if v.shape != (self.grid.n, self.grid.n):
-            raise ValueError(f"expected shape {(self.grid.n,) * 2}, got {v.shape}")
+            raise ValidationError(f"expected shape {(self.grid.n,) * 2}, got {v.shape}")
         if not np.all(np.isfinite(v)):
-            raise ValueError("physical field contains non-finite values")
+            raise ValidationError("physical field contains non-finite values")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -202,7 +202,7 @@ class SpectralField:
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=np.complex128)
         if c.shape != self.grid.shape:
-            raise ValueError(f"expected shape {self.grid.shape}, got {c.shape}")
+            raise ValidationError(f"expected shape {self.grid.shape}, got {c.shape}")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
         if not np.all(np.isfinite(c)) or hermitian_defect(self) > DEFECT_REL_TOL * np.max(np.abs(c)):
@@ -362,9 +362,9 @@ class Mollifier:
 
     def __post_init__(self):
         if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"mollifier scale must be positive and finite, got {self.eps}")
+            raise ValidationError(f"mollifier scale must be positive and finite, got {self.eps}")
         if self.profile not in MOLLIFIER_PROFILES:
-            raise ValueError(f"unknown mollifier profile {self.profile!r}")
+            raise ValidationError(f"unknown mollifier profile {self.profile!r}")
 
     def multiplier(self, grid: Grid) -> np.ndarray:
         r = self.eps * grid.kabs
@@ -372,17 +372,19 @@ class Mollifier:
             return np.exp(-0.5 * r * r)
         return np.cos(0.5 * np.pi * np.clip(r, 0.0, 1.0)) ** 2
 
-    def stencil(self, grid: Grid):
+    def stencil(self, grid: Grid, *, _multiplier: np.ndarray | None = None):
         """Quadrature stencil for physical-space convolution with this kernel.
 
         Returns (offsets, weights): a 1d array of STENCIL_POINTS per-axis
         offsets covering [-STENCIL_HALF_WIDTH eps, STENCIL_HALF_WIDTH eps]
         and the square weight array sampled from the periodized kernel,
         renormalized to sum to 1.  weights[b, a] belongs to the offset
-        (offsets[a], offsets[b]).
+        (offsets[a], offsets[b]).  `_multiplier` is this mollifier's
+        `multiplier(grid)` when the caller already holds it; it is not
+        written to.
         """
         d = self.eps * np.linspace(-STENCIL_HALF_WIDTH, STENCIL_HALF_WIDTH, STENCIL_POINTS)
-        m = self.multiplier(grid) * grid.parseval_weights
+        m = (self.multiplier(grid) if _multiplier is None else _multiplier) * grid.parseval_weights
         e = np.exp(1j * np.outer(grid.wavenumbers, d))  # exp(i k d): (n, STENCIL_POINTS)
         # The stored Nyquist entry stands for both k = +n/2 and k = -n/2, so it
         # takes the mean of their phases, cos(n d / 2); being real, it keeps the
@@ -413,7 +415,7 @@ def pad_spectrum(f: SpectralField, m: int) -> SpectralField:
     """
     n = f.grid.n
     if m < n:
-        raise ValueError(f"target size {m} smaller than source {n}")
+        raise ValidationError(f"target size {m} smaller than source {n}")
     if m == n:
         return f
     half = n // 2

@@ -72,7 +72,7 @@ def test_picard_prints_certificate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "converged = True" in out
     (line,) = [line for line in out.splitlines() if line.startswith("nodes = ")]
-    assert line.startswith("nodes = 33   iterations = ")
+    assert line.startswith("nodes = 7   iterations = ")
     assert 0.0 <= float(line.rsplit("quadrature = ", 1)[1]) <= 1e-9
     ratios = line.split("ratios = ", 1)[1].split("   quadrature", 1)[0].split()
     assert len(ratios) >= 2 and all(0.0 < float(r) <= 0.55 for r in ratios)

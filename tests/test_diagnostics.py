@@ -18,7 +18,7 @@ from qglab.diagnostics import (
     max_principle_check,
     sobolev_norm,
 )
-from qglab.errors import Violation
+from qglab.errors import ValidationError, Violation
 from qglab.spectral import inverse_transform
 
 from conftest import random_field
@@ -328,3 +328,37 @@ def test_inequality_constants_reject_empty_trials(trials):
         log_interpolation_constant(trials)
     with pytest.raises(ValueError, match="trials"):
         gn_constant(trials)
+
+
+# -- invalid input -------------------------------------------------------------
+
+
+_INVALID_INPUTS = {
+    "lp_norm q < 1": lambda f, path: lp_norm(inverse_transform(f), 0.5),
+    "sobolev_norm s = nan": lambda f, path: sobolev_norm(f, math.nan),
+    "ladder_bracket sigma = 1": lambda f, path: ladder_bracket(f, 1.0),
+    "max_principle_check empty": lambda f, path: max_principle_check([], 2.0),
+    "max_principle_check q not recorded": lambda f, path: max_principle_check(
+        [qglab.diagnostics.make_record(f, 0.0, ModelParams("inviscid"))], 1.5),
+    "energy_balance_residual empty": lambda f, path: energy_balance_residual([]),
+    "critical_monitor c0 = 0": lambda f, path: critical_monitor(f, ModelParams("inviscid"), c0=0.0),
+    "log_interpolation_constant trials = 0": lambda f, path: log_interpolation_constant(0),
+    "gn_residual beta = alpha": lambda f, path: gn_residual(f, 0.0, 0.5, 0.5),
+    "flux_scan empty eps list": lambda f, path: qglab.flux_scan(f, []),
+    "PhysicalField shape": lambda f, path: qglab.PhysicalField(f.grid, np.zeros((3, 3))),
+    "PhysicalField nan": lambda f, path: qglab.PhysicalField(f.grid, np.full((f.grid.n,) * 2, np.nan)),
+    "SpectralField shape": lambda f, path: qglab.SpectralField(f.grid, np.zeros((3, 3), dtype=complex)),
+    "Mollifier eps = 0": lambda f, path: qglab.Mollifier(0.0),
+    "Mollifier profile": lambda f, path: qglab.Mollifier(0.1, "box"),
+    "pad_spectrum m < n": lambda f, path: qglab.pad_spectrum(f, f.grid.n - 2),
+    "fit_loglog_slope x < 0": lambda f, path: qglab.fit_loglog_slope([1.0, -1.0], [1.0, 2.0]),
+    "write_series empty": lambda f, path: qglab.write_series(str(path / "empty.csv"), [], s=2.0),
+}
+
+
+@pytest.mark.parametrize("call", _INVALID_INPUTS.values(), ids=_INVALID_INPUTS.keys())
+def test_invalid_input_raises_validation_error(grid16, tmp_path, call):
+    # one type for invalid input, which is also a ValueError
+    with pytest.raises(ValidationError) as info:
+        call(qglab.single_mode(grid16, 1, 0), tmp_path)
+    assert isinstance(info.value, ValueError)

@@ -23,7 +23,7 @@ from qglab import (
     riesz_velocity,
 )
 from qglab.errors import NegativePowerOnMean, ValidationError
-from qglab.spectral import TransformBuffers, _irfft2, _rfft2, state_fields
+from qglab.spectral import STENCIL_HALF_WIDTH, STENCIL_POINTS, TransformBuffers, _irfft2, _rfft2, state_fields
 
 from conftest import full_spectrum, random_field
 
@@ -417,6 +417,25 @@ def test_stencil_weights_mirror_symmetric(n, eps, profile):
     _, w = Mollifier(eps, profile).stencil(Grid(n))
     assert np.max(np.abs(w - w[::-1])) <= 1e-14 * np.max(w)
     assert np.max(np.abs(w - w[:, ::-1])) <= 1e-14 * np.max(w)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("eps", [0.25, 0.0625])
+@pytest.mark.parametrize("profile", ["gaussian", "raised-cosine"])
+def test_stencil_from_held_multiplier_matches_expression(n, eps, profile):
+    # the flux hands the stencil the multiplier it already holds; the
+    # weights keep the bits of the expression that builds the multiplier itself
+    grid, mol = Grid(n), Mollifier(eps, profile)
+    d = eps * np.linspace(-STENCIL_HALF_WIDTH, STENCIL_HALF_WIDTH, STENCIL_POINTS)
+    e = np.exp(1j * np.outer(grid.wavenumbers, d))
+    e[n // 2] = e[n // 2].real
+    w = (e.T @ (mol.multiplier(grid) * grid.parseval_weights) @ e[: n // 2 + 1]).real
+    m = mol.multiplier(grid)
+    held = m.copy()
+    for offsets, weights in (mol.stencil(grid), mol.stencil(grid, _multiplier=m)):
+        assert offsets.tobytes() == d.tobytes()
+        assert weights.tobytes() == (w / w.sum()).tobytes()
+    assert m.tobytes() == held.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

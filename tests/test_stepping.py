@@ -433,7 +433,7 @@ def test_picard_steady_datum_converges_immediately(grid32):
     traj, cert = picard_solve(qglab.single_mode(grid32, 1, 0), p, s=2.0)
     assert cert.converged
     assert cert.iterations == 1
-    assert cert.nodes == 33
+    assert cert.nodes == 7
     assert cert.T == pytest.approx(p.mu / (4.0 * cert.R))
 
 
@@ -442,7 +442,7 @@ def test_picard_contraction_certificate(grid64, alpha):
     p = ModelParams("regularized", alpha=alpha, mu=1.0)
     traj, cert = picard_solve(qglab.cmt(grid64), p, s=2.0, tol=1e-10)
     assert cert.converged
-    assert cert.nodes == 33
+    assert cert.nodes == 7
     assert cert.ratios and all(r <= 0.55 for r in cert.ratios)
 
 
@@ -456,7 +456,7 @@ def test_picard_certificates_keep_measured_ratios(request, n, alpha):
     _, cert = picard_solve(theta, p, s=2.0, tol=1e-10)
     sol = continue_solution(theta, p, s=2.0, horizon=0.05)
     assert len(sol.certificates) > 1
-    assert sol.certificates[-1].nodes == 33
+    assert sol.certificates[-1].nodes == 7
     for c in [cert, *sol.certificates]:
         assert len(c.ratios) >= 2
         assert c.iterations == len(c.ratios) + 1
@@ -487,15 +487,15 @@ def test_picard_evaluates_theta0_once(grid64, nonlinear_args):
     assert sum(calls) == 1
 
 
-@pytest.mark.parametrize("datum, n, calls", [("steady", 16, 1), ("cmt", 64, 97)])
+@pytest.mark.parametrize("datum, n, calls", [("steady", 16, 1), ("cmt", 64, 19)])
 def test_picard_call_budget(request, nonlinear_args, datum, n, calls):
     # a constant guess that converges on its first sweep costs the one
-    # rhs(theta_0); cmt takes 4 sweeps, 1 + 3 x 32 calls
+    # rhs(theta_0); cmt takes 4 sweeps, 1 + 3 x 6 calls
     grid = request.getfixturevalue(f"grid{n}")
     theta = qglab.single_mode(grid, 1, 0) if datum == "steady" else qglab.cmt(grid)
     _, cert = picard_solve(theta, ModelParams("regularized", alpha=0.5, mu=1.0), s=2.0, tol=1e-10)
     assert len(nonlinear_args) == calls
-    assert cert.converged and cert.nodes == 33
+    assert cert.converged and cert.nodes == 7
 
 
 def _quadrature_gap(theta, p, T, tol):
@@ -526,10 +526,32 @@ def test_picard_quadrature_estimate_tracks_65_node_gap(grid32, alpha, stretch, l
     assert low <= estimate / gap <= high
 
 
+# Measured on cmt at tol = 1e-9: the same sweeps (3 or 4) and convergence in
+# all 18 cases, end-state gaps up to 6.8e-15 R (n = 64, alpha = 0.5,
+# mu = 300) and 7-node estimates up to 6.8e-17 R; R = 15.4 throughout.
+@pytest.mark.parametrize("mu", [0.01, 1.0, 300.0])
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("n", [32, 64])
+def test_picard_seven_nodes_match_33_node_reference(request, n, alpha, mu):
+    grid = request.getfixturevalue(f"grid{n}")
+    p = ModelParams("regularized", alpha=alpha, mu=mu)
+    theta = qglab.cmt(grid)
+    traj, cert = picard_solve(theta, p, s=2.0)
+    _, ref, _, converged, iterations, _ = _picard_iterate(
+        grid, RhsSplit(grid, p).nonlinear, theta.coeffs, cert.T, 2.0, 1e-9, PICARD_ROUNDOFF * cert.R,
+        np.empty((3, 33, *grid.shape), dtype=np.complex128),
+    )
+    assert cert.nodes == 7 and cert.converged and converged
+    assert cert.iterations == iterations
+    assert _sup_hs_distance(grid, traj.states[-1].coeffs, ref[-1], 2.0) <= 5e-14 * cert.R
+    assert cert.quadrature <= 5e-16 * cert.R
+
+
 def test_picard_solve_peak_memory(grid64):
-    # about 3.45 trajectories are live at the peak: the rhs stack, the two
-    # trajectories that sweeps alternate between and the split's buffers;
-    # one more held anywhere in the solve would add 1.0 to the ratio
+    # about 4.43 trajectories are live at the peak: the rhs stack, the two
+    # trajectories that sweeps alternate between and the split's buffers,
+    # which do not scale with the nodes; one more held anywhere in the
+    # solve would add 1.0 to the ratio
     p = ModelParams("regularized", alpha=0.5, mu=1.0)
     theta = qglab.cmt(grid64)
     picard_solve(theta, p, s=2.0, tol=1e-10)  # warm-up: the grid's cached symbols
@@ -539,7 +561,7 @@ def test_picard_solve_peak_memory(grid64):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.0 * 33 * theta.coeffs.nbytes
+    assert peak <= 5.0 * 7 * theta.coeffs.nbytes
 
 
 def test_picard_cross_validates_against_run(grid64):
@@ -604,10 +626,11 @@ def test_picard_tol_below_roundoff_ends_unconverged(grid32):
 
 
 def test_picard_ratio_at_roundoff_does_not_raise():
-    # the distance falls to 1.4e-12, just above tol, where round-off
-    # measures a ratio of 0.71; the solve ends unconverged instead of raising
-    theta = 30.0 * qglab.from_init_string(qglab.Grid(128), "random:42,1.0", 5)
-    _, cert = picard_solve(theta, ModelParams("regularized", alpha=0.5, mu=1.0), s=2.0, tol=1e-12)
+    # tol lies below what round-off resolves: on the ninth sweep, at a
+    # distance below PICARD_ROUNDOFF R, round-off measures a ratio of 1.78;
+    # the solve ends unconverged instead of raising
+    theta = qglab.cmt(qglab.Grid(32))
+    _, cert = picard_solve(theta, ModelParams("regularized", alpha=0.5, mu=1.0), s=2.0, tol=1e-17)
     assert cert.ratios[-1] > PICARD_RATIO_LIMIT
     assert not cert.converged
 
