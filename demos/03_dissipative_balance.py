@@ -1,11 +1,9 @@
-"""Dissipative model: energy balance, maximum principle, critical monitors.
+"""Dissipative model: energy balance and maximum principle.
 
 With kappa > 0 the energy identity
     |theta(t)|_2^2 + 2 kappa int_0^t ||theta||_alpha^2 = |theta_0|_2^2
 closes to quadrature accuracy, and every L^q norm obeys the maximum
-principle.  At the critical index alpha = 1/2 the regularity theory hinges
-on the smallness monitors Q = |theta|_inf + |u|_inf and the ladder bracket,
-both of which are tracked along the run.
+principle.
 """
 
 import numpy as np
@@ -31,13 +29,3 @@ print("max balance residual:", qglab.energy_balance_residual(res.records))
 for q in (2.0, np.inf):
     rep = qglab.max_principle_check(res.records, q)
     print(f"maximum principle q={q}: worst margin {rep.worst_margin:.3e} (slack {rep.slack:.1e})")
-
-print()
-print("critical-case monitors at t_end (constants are configuration inputs):")
-rep = qglab.critical_monitor(res.final, p, c0=1.0, sigma=2.0)
-print(f"  Q = |theta|_inf + |u|_inf = {rep.q_inf:.4f}   (flag Q < kappa/c0: {rep.q_small})")
-print(f"  ladder bracket = {rep.ladder:.4f}            (flag <= c kappa: {rep.ladder_small})")
-print("the flags compare against kappa =", p.kappa, "so this run is far from the")
-print("small-data regime; rescaling theta0 by 1e-3 flips them:")
-rep = qglab.critical_monitor(1e-3 * res.final, p, c0=1.0, sigma=2.0)
-print(f"  Q = {rep.q_inf:.6f}  -> flag {rep.q_small}")

@@ -3,8 +3,8 @@
 A numpy library for simulating and verifying the inviscid, fractionally
 dissipative and BBM-style regularized QG equations on the periodic square:
 conservation laws, maximum principles, contraction-mapping local solves,
-critical-case regularity monitors, scale-local energy fluxes and the
-mu -> 0 convergence of the regularized model.
+scale-local energy fluxes and the mu -> 0 convergence of the regularized
+model.
 """
 
 from .diagnostics import (
@@ -14,7 +14,6 @@ from .diagnostics import (
     NormRecord,
     besov_norm,
     coarse_grained_flux,
-    critical_monitor,
     energy_balance_residual,
     flux_scan,
     gn_constant,

@@ -72,20 +72,22 @@ def _q_inf(u1: np.ndarray, u2: np.ndarray, th: np.ndarray) -> float:
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
-    """H^s norm |Lambda^s f|_2; the mean participates only at s = 0.  `s` must be finite."""
+    """H^s norm |Lambda^s f|_2, weighted by the symbol `Grid.sqrt_laplacian(2 s)`.
+
+    The mean participates only at s = 0, where the symbol is 1 at k = 0;
+    at any other s it is weighted by 0, so no size of mean can absorb the
+    other modes.  `s` must be finite, and a negative s needs a zero mean
+    (NegativePowerOnMean otherwise).
+    """
     if not math.isfinite(s):
         raise ValidationError(f"sobolev_norm requires a finite s, got {s}")
     c2 = np.abs(f.coeffs) ** 2
-    w = f.grid.parseval_weights
-    if s == 0.0:
-        total = float(np.sum(w * c2))
-    else:
-        if s < 0.0:
-            scale = 1.0 + float(np.sqrt(np.max(c2)))
-            if abs(f.coeffs[0, 0]) > 1e-13 * scale:
-                raise NegativePowerOnMean(f"H^{s} norm of field with nonzero mean")
-        total = float(np.sum(w * f.grid.kabs_safe ** (2.0 * s) * c2)) - float(c2[0, 0])
-    return TWO_PI * math.sqrt(max(total, 0.0))
+    if s < 0.0:
+        scale = 1.0 + float(np.sqrt(np.max(c2)))
+        if abs(f.coeffs[0, 0]) > 1e-13 * scale:
+            raise NegativePowerOnMean(f"H^{s} norm of field with nonzero mean")
+    total = float(np.sum(f.grid.parseval_weights * f.grid.sqrt_laplacian(2.0 * s) * c2))
+    return TWO_PI * math.sqrt(total)
 
 
 def dyadic_shell(f: SpectralField, j: int) -> SpectralField:
@@ -243,33 +245,6 @@ def energy_balance_residual(records: list[NormRecord]) -> float:
         raise ValidationError("empty record series")
     e0 = records[0].energy
     return max(abs(rec.energy + rec.diss_integral - rec.work_integral - e0) / e0 for rec in records)
-
-
-@dataclass
-class CriticalReport:
-    q_inf: float
-    ladder: float
-    q_small: bool  # q_inf < kappa / c0
-    ladder_small: bool  # ladder <= c0 * kappa
-
-
-def critical_monitor(theta: SpectralField, p: ModelParams, c0: float, sigma: float = 2.0) -> CriticalReport:
-    """Evaluate the critical-case smallness monitors with a user-supplied constant c0.
-
-    c0 is an input, not a derived quantity, and must be positive and
-    finite (ValidationError otherwise); the flags simply compare against
-    kappa / c0 and c0 kappa.
-    """
-    if not 0.0 < c0 < math.inf:
-        raise ValidationError(f"c0 must be positive and finite, got {c0}")
-    q = _q_inf(*state_fields(theta.grid, theta.coeffs))
-    lad = ladder_bracket(theta, sigma)
-    return CriticalReport(
-        q_inf=q,
-        ladder=lad,
-        q_small=bool(q < p.kappa / c0),
-        ladder_small=bool(lad <= c0 * p.kappa),
-    )
 
 
 def _check_lab_controls(trials: int, mode_cap: int) -> None:

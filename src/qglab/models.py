@@ -16,8 +16,11 @@ writing into a `spectral.TransformBuffers`, so a warm call allocates only
 the array it returns.  A forcing is an immutable
 `SpectralField`, so it is the spectrum of a real field by construction;
 `ModelParams` also checks that it lies inside the 2/3 band.
-The regularized model inverts (1 + mu Lambda^(2 alpha)) diagonally; signs
-are fixed so that it reduces to the inviscid model as mu -> 0.
+The regularized model applies `regularized_gradient_kernel`, the
+multiplier (1 + mu Lambda^(2 alpha))^(-1) grad, to the flux spectra in
+place of the gradient, so the bound |G| <= 1/mu that criterion 6 checks
+is on the multiplier the solver runs; signs are fixed so that the model
+reduces to the inviscid one as mu -> 0.
 
 `RhsSplit` is the one place a model's right-hand side is written down, as
 a stiff diagonal linear part plus a nonlinear part; the field-level entry
@@ -90,23 +93,30 @@ class ModelParams:
 
 
 def advection_coeffs(
-    grid: Grid, coeffs: np.ndarray, buffers: TransformBuffers | None = None, out: np.ndarray | None = None
+    grid: Grid,
+    coeffs: np.ndarray,
+    buffers: TransformBuffers | None = None,
+    out: np.ndarray | None = None,
+    gradient: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Normalized half-spectrum coefficients of div(u theta); array-level hot path.
+    """Normalized half-spectrum coefficients of G . (u theta); array-level hot path.
 
     `buffers.state_fields` gives (u1, u2, theta) on the grid,
-    `buffers.product_spectra` the spectra of the products (u1 theta,
-    u2 theta), and i (k1 f1 + k2 f2) is formed inside the 2/3 dealias band
-    with the mean zeroed.  The work happens in `buffers`, or in fresh ones
-    when None; the result is written to `out`, a complex128 array of the
-    grid's shape, or to a fresh array when None.
+    `buffers.product_spectra` the spectra (f1, f2) of the products
+    (u1 theta, u2 theta), and G1 f1 + G2 f2 is formed with the mean
+    zeroed.  G is the stack `gradient`, zero outside the 2/3 dealias band;
+    None means `grid.dealiased_gradient`, which gives div(u theta).  The
+    work happens in `buffers`, or in fresh ones when None; the result is
+    written to `out`, a complex128 array of the grid's shape, or to a
+    fresh array when None.
     """
     b = TransformBuffers(grid) if buffers is None else buffers
     h = grid.n // 2 + 1
     fields = b.state_fields(coeffs)
     for u, product in zip(fields[:2], b.products):  # row by row, as in `state_fields`
         np.multiply(u, fields[2], out=product)  # `b.products` is (u1, u2) itself
-    flux = np.multiply(grid.dealiased_gradient, b.product_spectra(), out=b.flux)
+    g = grid.dealiased_gradient if gradient is None else gradient
+    flux = np.multiply(g, b.product_spectra(), out=b.flux)
     adv = np.add(flux[0], flux[1], out=out)
     adv[0, 0] = 0.0
     # rfft2 leaves the k1 = 0 column Hermitian only to round-off: mirror k2 > 0 onto k2 < 0
@@ -118,7 +128,8 @@ def regularized_gradient_kernel(k1, k2, mu: float, alpha: float):
     """Spectral kernel i (k1, k2) / (1 + mu |k|^(2 alpha)), zero at k = 0.
 
     Accepts scalars or arrays; returns the two components.  Its magnitude
-    is bounded by 1/mu whenever alpha >= 1/2.
+    is bounded by 1/mu whenever alpha >= 1/2.  `RhsSplit` applies it, inside
+    the 2/3 band, as the regularized model's gradient.
     """
     k1 = np.asarray(k1, dtype=np.float64)
     k2 = np.asarray(k2, dtype=np.float64)
@@ -131,25 +142,27 @@ class RhsSplit:
 
     Acts on bare coefficient arrays.  `linear` is the stiff diagonal part
     -kappa |k|^(2 alpha), present for the dissipative model only (None
-    otherwise).  `nonlinear` is -div(u theta), times the diagonal inverse
-    (1 + mu Lambda^(2 alpha))^(-1) for the regularized model, plus the
-    forcing when there is one.  The split owns the kernel's
-    `TransformBuffers`, so it serves one thread; the arrays it returns
-    are fresh unless `nonlinear` is given `out`.
+    otherwise).  `nonlinear` is -G . (u theta), plus the forcing when there
+    is one, where `gradient` is the stack G that `advection_coeffs` applies:
+    `grid.dealiased_gradient` for the inviscid and dissipative models, and
+    for the regularized model `regularized_gradient_kernel` inside the 2/3
+    band.  The split owns the kernel's `TransformBuffers`, so it serves one
+    thread; the arrays it returns are fresh unless `nonlinear` is given
+    `out`.
     """
 
     def __init__(self, grid: Grid, p: ModelParams):
         self.grid = grid
         self.buffers = TransformBuffers(grid)
         self.linear = None
-        self.inverse = None
-        if p.model == "dissipative":  # the k = 0 mode is excluded, also when alpha = 0
-            sym = p.kappa * grid.kabs_safe ** (2.0 * p.alpha)
-            sym[0, 0] = 0.0
+        self.gradient = grid.dealiased_gradient
+        if p.model == "dissipative":
+            sym = p.kappa * grid.sqrt_laplacian(2.0 * p.alpha)
+            sym[0, 0] = 0.0  # the mean stays undamped, also when alpha = 0
             self.linear = -sym
         elif p.model == "regularized":
-            # complex like the kernel's output, so `nonlinear` multiplies in place without a cast buffer
-            self.inverse = (1.0 / (1.0 + p.mu * grid.kabs ** (2.0 * p.alpha))).astype(np.complex128)
+            g1, g2 = regularized_gradient_kernel(grid.k1, grid.k2, p.mu, p.alpha)
+            self.gradient = np.stack([g1, g2]) * grid.dealias_mask
         self.forcing = None
         if p.forcing is not None:
             if p.forcing.grid.n != grid.n:
@@ -160,10 +173,8 @@ class RhsSplit:
 
     def nonlinear(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The nonlinear part at c, written to `out` when given, else to a fresh array."""
-        out = advection_coeffs(self.grid, c, self.buffers, out)
+        out = advection_coeffs(self.grid, c, self.buffers, out, self.gradient)
         np.negative(out, out=out)
-        if self.inverse is not None:
-            out *= self.inverse
         if self.forcing is not None:
             out += self.forcing
         return out

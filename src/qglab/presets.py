@@ -55,7 +55,7 @@ def random_shell_field(grid: Grid, kmax: float, gamma: float, rng) -> SpectralFi
     partner = np.conj(np.roll(phases[::-1, ::-1], 1, axis=(0, 1)))  # conj phase at -k
     h = grid.n // 2 + 1
     in_band = (grid.kabs > 0) & (grid.kabs <= kmax)
-    amp = np.where(in_band, grid.kabs_safe**-gamma, 0.0)
+    amp = np.where(in_band, grid.sqrt_laplacian(-gamma), 0.0)
     return SpectralField(grid, amp * np.where(grid.k2 >= 0, phases[:, :h], partner[:, :h]))
 
 

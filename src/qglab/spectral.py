@@ -130,6 +130,17 @@ class Grid:
         k[0, 0] = 1.0
         return k
 
+    def sqrt_laplacian(self, power: float) -> np.ndarray:
+        """Symbol |k|^power of Lambda^power, a fresh array: 1 at k = 0 for power 0, else 0 there.
+
+        The one place |k|^beta is formed; not cached, since callers draw powers freely.
+        """
+        if power == 0.0:
+            return np.ones(self.shape)
+        sym = self.kabs_safe**power
+        sym[0, 0] = 0.0
+        return sym
+
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """True where max(|k1|, |k2|) <= n/3 (two-thirds rule keeps equality)."""
@@ -311,10 +322,11 @@ def state_fields(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def apply_sqrt_laplacian(f: SpectralField, power: float) -> SpectralField:
-    """Apply the |k|^power multiplier (power beta of the square-root Laplacian).
+    """Apply Lambda^power, the `Grid.sqrt_laplacian` multiplier |k|^power.
 
-    The k = 0 coefficient is annihilated for power > 0.  A negative power on
-    a field with nonzero mean is ill posed and raises NegativePowerOnMean.
+    Power 0 returns `f` itself; any other power annihilates the k = 0
+    coefficient.  A negative power on a field with nonzero mean is ill
+    posed and raises NegativePowerOnMean.
     """
     if power == 0.0:
         return f
@@ -324,9 +336,7 @@ def apply_sqrt_laplacian(f: SpectralField, power: float) -> SpectralField:
             raise NegativePowerOnMean(
                 f"power {power} requested on field with mean {f.mean:.3e}"
             )
-    out = f.coeffs * f.grid.kabs_safe**power
-    out[0, 0] = 0.0
-    return SpectralField(f.grid, out)
+    return SpectralField(f.grid, f.coeffs * f.grid.sqrt_laplacian(power))
 
 
 def riesz_velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:

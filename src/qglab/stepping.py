@@ -311,11 +311,11 @@ def cumulative_simpson(values: np.ndarray, h: float, out: np.ndarray | None = No
 def _sup_hs_distance(grid: Grid, a: np.ndarray, b: np.ndarray, s: float) -> float:
     """sup over nodes of ||a - b||_s for stacked coefficient arrays that broadcast.
 
-    Node by node in one reused pair of scratch arrays, so no temporary is
-    larger than one state; a NaN at any node makes the distance NaN.
+    Weighted as in `sobolev_norm`, so the mean counts at s = 0.  Node by
+    node in one reused pair of scratch arrays, so no temporary is larger
+    than one state; a NaN at any node makes the distance NaN.
     """
-    w = grid.parseval_weights * grid.kabs_safe ** (2.0 * s)
-    w[0, 0] = 0.0
+    w = grid.parseval_weights * grid.sqrt_laplacian(2.0 * s)
     diff = np.empty(grid.shape, dtype=np.complex128)
     term = np.empty(grid.shape)
     sums = []

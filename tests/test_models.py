@@ -323,6 +323,19 @@ def test_rhs_regularized_vanishes_for_large_mu(grid32):
     assert np.max(np.abs(big.coeffs)) <= 2e-8 * np.max(np.abs(small.coeffs))
 
 
+def test_rhs_regularized_applies_the_gradient_kernel(grid32, monkeypatch):
+    # criterion 6 bounds regularized_gradient_kernel, so the solver must run that very function
+    theta = qglab.cmt(grid32)
+    p = ModelParams("regularized", alpha=0.75, mu=0.5)
+    base = rhs(theta, p).coeffs
+    kernel = qglab.models.regularized_gradient_kernel
+    monkeypatch.setattr(
+        qglab.models, "regularized_gradient_kernel", lambda *a, **k: tuple(2.0 * g for g in kernel(*a, **k))
+    )
+    assert np.array_equal(rhs(theta, p).coeffs, 2.0 * base)
+    assert np.max(np.abs(base)) > 0.01  # not vacuous
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_advection_skew_symmetry(grid64, seed):
     # integral div(u theta) theta dx = 0 for dealiased products

@@ -73,6 +73,69 @@ def test_only_spectral_calls_numpy_fft():
     assert seen == set(allowed)  # the walk finds the allowed uses
 
 
+_SYMBOL_BASES = {"kabs", "kabs_safe", "hypot"}
+
+
+def _reads_symbol_base(node):
+    return any(
+        (isinstance(n, ast.Attribute) and n.attr in _SYMBOL_BASES) or (isinstance(n, ast.Name) and n.id in _SYMBOL_BASES)
+        for n in ast.walk(node)
+    )
+
+
+def _symbol_powers(node, scope="<module>"):
+    """(line, enclosing class.function) of every power under `node` whose base reads kabs, kabs_safe or hypot."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+            yield from _symbol_powers(child, inner)
+            continue
+        base = None
+        if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow):
+            base = child.left
+        elif isinstance(child, ast.AugAssign) and isinstance(child.op, ast.Pow):
+            base = child.target
+        elif isinstance(child, ast.Call) and child.args:
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("power", "float_power"):
+                base = child.args[0]
+        if base is not None and _reads_symbol_base(base):
+            yield child.lineno, scope
+        yield from _symbol_powers(child, scope)
+
+
+def test_only_the_symbol_raises_kabs_to_a_power():
+    # |k|^beta is written once, in Grid.sqrt_laplacian, and once more in the
+    # regularized kernel, which takes bare wavenumbers
+    src = Path(qglab.__file__).resolve().parent
+    allowed = {("spectral.py", "Grid.sqrt_laplacian"), ("models.py", "regularized_gradient_kernel")}
+    seen, offenders = set(), []
+    for path in sorted(src.glob("*.py")):
+        for line, scope in _symbol_powers(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.name, scope) in allowed:
+                seen.add((path.name, scope))
+            else:
+                offenders.append(f"{path.name}:{line} {scope}")
+    assert offenders == []
+    assert seen == allowed  # the walk finds the allowed uses
+
+
+@pytest.mark.parametrize("power", [0.0, 0.5, 1.0, 2.0, -1.5])
+def test_grid_sqrt_laplacian_symbol(grid16, power):
+    sym = grid16.sqrt_laplacian(power)
+    assert sym.shape == grid16.shape and sym.dtype == np.float64
+    assert sym[0, 0] == (1.0 if power == 0.0 else 0.0)
+    k = np.hypot(grid16.k1, grid16.k2)
+    assert np.array_equal(sym[k > 0], k[k > 0] ** power)
+    # a fresh writable array per call, sharing no memory with the grid's arrays
+    again = grid16.sqrt_laplacian(power)
+    assert sym.flags.writeable and again is not sym
+    assert not any(np.shares_memory(sym, a) for a in (again, grid16.kabs, grid16.kabs_safe))
+    sym[...] = -1.0
+    assert np.array_equal(grid16.sqrt_laplacian(power), again)
+
+
 def test_grid_validation():
     with pytest.raises(ValidationError):
         Grid(7)

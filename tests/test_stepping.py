@@ -645,11 +645,11 @@ def test_sup_hs_distance_propagates_nan(grid16):
 
 @pytest.mark.parametrize("s", [0.0, 1.5, 2.0])
 def test_sup_hs_distance_matches_reference_expression(grid16, s):
-    # node by node in reused scratch, with the bits of the whole-array expression
+    # node by node in reused scratch, with the bits of the whole-array expression;
+    # weighted like sobolev_norm, so the mean counts at s = 0
     rng = np.random.default_rng(3)
     a, b = (rng.standard_normal((5, *grid16.shape)) + 1j * rng.standard_normal((5, *grid16.shape)) for _ in "ab")
-    w = grid16.parseval_weights * grid16.kabs_safe ** (2.0 * s)
-    w[0, 0] = 0.0
+    w = grid16.parseval_weights * grid16.sqrt_laplacian(2.0 * s)
     for x, y in ((a, b), (a, b[2][None])):
         d2 = np.max([np.sum(np.abs(u - v) ** 2 * w) for u, v in zip(*np.broadcast_arrays(x, y))])
         assert _sup_hs_distance(grid16, x, y, s) == 2.0 * np.pi * np.sqrt(d2)

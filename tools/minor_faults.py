@@ -12,6 +12,13 @@ repeats divided by their number: the pages that a repeat touches for the
 first time, mostly the large arrays that the allocator returned to the
 system since the previous repeat.  The last stdout line is the JSON result;
 nothing under `benchmarks/` is changed.
+
+The mu_sweep count depends on how its interpreter is invoked: on one tree
+it read 349 with the study run by absolute path, as `main` runs it, and
+439 by a relative path with stdout piped, because the argv and path
+strings move the heap layout.  Compare mu_sweep counts only between runs
+of this script without `--workload`; a gap under about 110 pages per
+repeat shows nothing.  The other three studies did not move this way.
 """
 
 from __future__ import annotations
