@@ -137,11 +137,13 @@ def _cmd_norms(args) -> int:
     lines = [f"snapshot t={snap.t:g} model={snap.model} n={snap.n}"]
     for q in args.q or [2.0, 3.0, 4.0, np.inf]:
         lines.append(f"|theta|_{q:g} = {diagnostics.lp_norm(physical, q):.12g}")
-    for s in args.s or [1.0, 2.0]:
-        lines.append(f"||theta||_{s:g} = {diagnostics.sobolev_norm(theta, s):.12g}")
+    indices = args.s or [1.0, 2.0]
+    norms, ladder = diagnostics._norms_and_ladder(theta, indices, args.sigma)
+    for s in indices:
+        lines.append(f"||theta||_{s:g} = {norms[s]:.12g}")
     lines.append(f"energy = {diagnostics.lp_norm(physical, 2.0) ** 2:.12g}")
     lines.append(f"q_inf = {diagnostics._q_inf(*fields):.12g}")
-    lines.append(f"ladder(sigma={args.sigma:g}) = {diagnostics.ladder_bracket(theta, args.sigma):.12g}")
+    lines.append(f"ladder(sigma={args.sigma:g}) = {ladder:.12g}")
     print("\n".join(lines))
     return 0
 

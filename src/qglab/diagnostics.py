@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativePowerOnMean, ValidationError, Violation
+from .errors import ValidationError, Violation
 from .models import ModelParams
 from .presets import random_shell_field
 from .spectral import (
@@ -36,6 +36,7 @@ from .spectral import (
     Mollifier,
     PhysicalField,
     SpectralField,
+    _check_negative_power,
     _irfft2,
     _rfft2,
     _shared_grid,
@@ -79,15 +80,25 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     other modes.  `s` must be finite, and a negative s needs a zero mean
     (NegativePowerOnMean otherwise).
     """
-    if not math.isfinite(s):
-        raise ValidationError(f"sobolev_norm requires a finite s, got {s}")
+    return _sobolev_norms(f, (s,))[s]
+
+
+def _sobolev_norms(f: SpectralField, indices) -> dict:
+    """{s: `sobolev_norm(f, s)`} over the distinct `indices`, bit for bit.
+
+    |f_hat|^2 is formed once and one symbol per distinct index; every
+    index is checked as `sobolev_norm` checks it before any is summed.
+    """
+    indices = dict.fromkeys(indices)
+    for s in indices:
+        if not math.isfinite(s):
+            raise ValidationError(f"sobolev_norm requires a finite s, got {s}")
+        _check_negative_power(f, s)
     c2 = np.abs(f.coeffs) ** 2
-    if s < 0.0:
-        scale = 1.0 + float(np.sqrt(np.max(c2)))
-        if abs(f.coeffs[0, 0]) > 1e-13 * scale:
-            raise NegativePowerOnMean(f"H^{s} norm of field with nonzero mean")
-    total = float(np.sum(f.grid.parseval_weights * f.grid.sqrt_laplacian(2.0 * s) * c2))
-    return TWO_PI * math.sqrt(total)
+    return {
+        s: TWO_PI * math.sqrt(float(np.sum(f.grid.parseval_weights * f.grid.sqrt_laplacian(2.0 * s) * c2)))
+        for s in indices
+    }
 
 
 def dyadic_shell(f: SpectralField, j: int) -> SpectralField:
@@ -131,12 +142,24 @@ class NormRecord:
 
 
 def ladder_bracket(theta: SpectralField, sigma: float) -> float:
-    """The log-interpolation bracket controlling |theta|_inf; needs sigma > 1 (ValidationError otherwise)."""
-    if not sigma > 1.0:
+    """The log-interpolation bracket 1 + ||theta||_1 sqrt(log(1 + ||theta||_sigma^(1/(sigma-1)))).
+
+    It controls |theta|_inf.  Both norms come from one `_sobolev_norms`
+    pass; needs sigma > 1 (ValidationError otherwise).
+    """
+    return _norms_and_ladder(theta, (), sigma)[1]
+
+
+def _norms_and_ladder(theta: SpectralField, indices, sigma: float) -> tuple[dict, float]:
+    """(norms, ladder): `_sobolev_norms` at `indices`, 1 and sigma, and the bracket built from them.
+
+    sigma must exceed 1 (ValidationError otherwise), which is checked
+    before any norm is formed.
+    """
+    if not sigma > 1.0:  # also rejects NaN
         raise ValidationError(f"sigma must exceed 1, got {sigma}")
-    h1 = sobolev_norm(theta, 1.0)
-    hsig = sobolev_norm(theta, sigma)
-    return 1.0 + h1 * math.sqrt(math.log1p(hsig ** (1.0 / (sigma - 1.0))))
+    norms = _sobolev_norms(theta, (*indices, 1.0, sigma))
+    return norms, 1.0 + norms[1.0] * math.sqrt(math.log1p(norms[sigma] ** (1.0 / (sigma - 1.0))))
 
 
 def make_record(
@@ -148,14 +171,19 @@ def make_record(
     prev: NormRecord | None = None,
     initial: NormRecord | None = None,
 ) -> NormRecord:
-    """Assemble a NormRecord; running integrals continue from `prev` by trapezoid."""
+    """Assemble a NormRecord; running integrals continue from `prev` by trapezoid.
+
+    `hs` holds ||theta||_s at 1, `s` and, unless inviscid, alpha.  Those
+    norms and the ladder's ||theta||_sigma come from one `_sobolev_norms`
+    pass, so each distinct index costs one symbol and |theta_hat|^2 is
+    formed once; every value is bit for bit what `sobolev_norm` and
+    `ladder_bracket` return.  sigma must exceed 1 (ValidationError).
+    """
     fields = state_fields(theta.grid, theta.coeffs)
     lp = {q: _lp(fields[2], q) for q in (2.0, 3.0, 4.0, np.inf)}
-    hs = {1.0: sobolev_norm(theta, 1.0)}
-    if s not in hs:
-        hs[s] = sobolev_norm(theta, s)
-    if p.model != "inviscid" and p.alpha not in hs:
-        hs[p.alpha] = sobolev_norm(theta, p.alpha)
+    indices = (1.0, s, p.alpha) if p.model != "inviscid" else (1.0, s)
+    norms, ladder = _norms_and_ladder(theta, indices, sigma)
+    hs = {index: norms[index] for index in indices}
 
     energy = lp[2.0] ** 2
     mod_energy = energy + (p.mu * hs[p.alpha] ** 2 if p.model == "regularized" else 0.0)
@@ -183,7 +211,7 @@ def make_record(
         mod_energy=mod_energy,
         diss_integral=diss_integral,
         q_inf=_q_inf(*fields),
-        ladder=ladder_bracket(theta, sigma),
+        ladder=ladder,
         forcing_power=forcing_power,
         work_integral=work_integral,
     )
@@ -191,8 +219,7 @@ def make_record(
         if p.model == "regularized":
             record.balance_residual = abs(record.mod_energy - initial.mod_energy) / initial.mod_energy
         else:
-            drift = record.energy + record.diss_integral - record.work_integral - initial.energy
-            record.balance_residual = abs(drift) / initial.energy
+            record.balance_residual = _energy_defect(record, initial.energy)
     return record
 
 
@@ -243,8 +270,12 @@ def energy_balance_residual(records: list[NormRecord]) -> float:
     """
     if not records:
         raise ValidationError("empty record series")
-    e0 = records[0].energy
-    return max(abs(rec.energy + rec.diss_integral - rec.work_integral - e0) / e0 for rec in records)
+    return max(_energy_defect(rec, records[0].energy) for rec in records)
+
+
+def _energy_defect(rec: NormRecord, e0: float) -> float:
+    """|E + 2 kappa int ||theta||_alpha^2 - 2 int (theta, f) - e0| / e0 of one record."""
+    return abs(rec.energy + rec.diss_integral - rec.work_integral - e0) / e0
 
 
 def _check_lab_controls(trials: int, mode_cap: int) -> None:
@@ -303,7 +334,8 @@ def _gn_sides(f: SpectralField, s: float, alpha: float, beta: float) -> tuple[fl
     if not 0.0 < beta < alpha:
         raise ValidationError(f"need 0 < beta < alpha, got beta={beta}, alpha={alpha}")
     frac = beta / alpha
-    return sobolev_norm(f, s + beta), sobolev_norm(f, s + alpha) ** frac * sobolev_norm(f, s) ** (1.0 - frac)
+    norms = _sobolev_norms(f, (s + beta, s + alpha, s))
+    return norms[s + beta], norms[s + alpha] ** frac * norms[s] ** (1.0 - frac)
 
 
 def gn_residual(f: SpectralField, s: float, alpha: float, beta: float) -> float:

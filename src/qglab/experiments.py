@@ -25,11 +25,13 @@ ROUNDOFF_FLOOR = 1e-14
 def fit_loglog_slope(x, y) -> float:
     """Least-squares slope of log y against log x, ignoring y within 10x of ROUNDOFF_FLOOR.
 
-    Raises ValidationError when an x is not positive and finite or a y is not
-    finite.
+    Raises ValidationError unless x and y are 1-D and of one length, every
+    x positive and finite and every y finite.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValidationError(f"fit needs 1-D x and y of one length, got shapes {x.shape} and {y.shape}")
     if not (np.all(np.isfinite(y)) and np.all((x > 0.0) & (x < np.inf))):
         raise ValidationError("fit needs finite ordinates and positive finite abscissae")
     keep = y > 10.0 * ROUNDOFF_FLOOR

@@ -222,6 +222,8 @@ def write_series(path: str, records, s: float):
     """Write NormRecords as CSV; `s` selects the hs column's Sobolev index."""
     if not records:
         raise ValidationError("refusing to write an empty series")
+    if s not in records[0].hs:
+        raise ValidationError(f"records hold no ||theta||_s for s={s}; recorded indices: {list(records[0].hs)}")
     lines = [CSV_HEADER]
     for r in records:
         lines.append(

@@ -330,13 +330,18 @@ def apply_sqrt_laplacian(f: SpectralField, power: float) -> SpectralField:
     """
     if power == 0.0:
         return f
-    if power < 0.0:
-        scale = 1.0 + float(np.max(np.abs(f.coeffs)))
-        if abs(f.coeffs[0, 0]) > 1e-13 * scale:
-            raise NegativePowerOnMean(
-                f"power {power} requested on field with mean {f.mean:.3e}"
-            )
+    _check_negative_power(f, power)
     return SpectralField(f.grid, f.coeffs * f.grid.sqrt_laplacian(power))
+
+
+def _check_negative_power(f: SpectralField, power: float) -> None:
+    """Raise NegativePowerOnMean for a negative power on f unless its mean is round-off.
+
+    Round-off is 1e-13 of one plus the largest coefficient; this is the one
+    guard of `apply_sqrt_laplacian` and `sobolev_norm`.
+    """
+    if power < 0.0 and abs(f.coeffs[0, 0]) > 1e-13 * (1.0 + float(np.max(np.abs(f.coeffs)))):
+        raise NegativePowerOnMean(f"power {power} requested on field with mean {f.mean:.3e}")
 
 
 def riesz_velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:

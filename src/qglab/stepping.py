@@ -1,11 +1,15 @@
 """Time integration and the contraction-mapping local solver.
 
-Two marching schemes are provided: plain RK4 on the full right-hand side
-and an integrating-factor RK4 ("etd-rk4") that advances the stiff
-fractional dissipation exactly through the factor exp(-kappa |k|^(2 alpha) dt).
-`Integrator` applies either one to the model's `RhsSplit` and checks the
-blow-up sentinel; `run` and `compare_mu` march with it.  For the inviscid and
-regularized models, which have no linear part, the two schemes coincide.
+Two marching schemes are provided: an integrating-factor RK4 ("etd-rk4")
+that advances the stiff fractional dissipation exactly through the factor
+exp(-kappa |k|^(2 alpha) dt), and plain RK4 on the full right-hand side.
+`etd_rk4_step` forms the one RK4 tableau; plain RK4 is that step with the
+unit factors (1, 1, dt, 2).  It equals the classical expressions value for
+value: a complex product with 1 is exact bar the sign of a zero, which can
+turn from -0 to +0.  `Integrator` holds the factors and right-hand side of
+either scheme for the model's `RhsSplit` and checks the blow-up sentinel;
+`run` and `compare_mu` march with it.  For the inviscid and regularized
+models, which have no linear part, the two schemes coincide.
 An integrator owns the stage arrays k1..k4 and a stage, which every step
 overwrites, so it serves one thread; `advance` returns a fresh array.
 
@@ -98,10 +102,11 @@ class StepperConfig:
 def etd_rk4_step(c, factors, nonlinear, dt, work):
     """One integrating-factor RK4 step; the linear flow is applied exactly.
 
-    `factors` are the `etd_factors` of the linear part and `work` five
-    arrays of c's shape, k1..k4 and a stage, which `nonlinear(x, out=)`
-    and the stage combinations overwrite.  Only the returned state is
-    fresh.
+    `factors` are the `etd_factors` of the linear part, or the unit
+    factors of none, which make the step classical RK4 (`rk4_step`).
+    `work` is five arrays of c's shape, k1..k4 and a stage, which
+    `nonlinear(x, out=)` and the stage combinations overwrite.  Only the
+    returned state is fresh.
     """
     exp_half, exp_full, dt_exp_half, two_exp_half = factors
     k1, k2, k3, k4, a = work
@@ -131,24 +136,18 @@ def etd_rk4_step(c, factors, nonlinear, dt, work):
 def rk4_step(c, rhs_fn, dt, work):
     """Classical RK4 on the full right-hand side `rhs_fn(x, out=)`.
 
-    `work` is five arrays of c's shape, k1..k4 and a stage, which the
-    step overwrites; only the returned state is fresh.
+    It is `etd_rk4_step` with the unit factors (1, 1, dt, 2), which give
+    the classical stages and combination value for value; only the sign
+    of a zero can differ from the plain expressions.  `work` is five
+    arrays of c's shape, k1..k4 and a stage, which the step overwrites;
+    only the returned state is fresh.
     """
-    k1, k2, k3, k4, a = work
-    rhs_fn(c, out=k1)
-    np.add(c, np.multiply(0.5 * dt, k1, out=a), out=a)
-    rhs_fn(a, out=k2)
-    np.add(c, np.multiply(0.5 * dt, k2, out=a), out=a)
-    rhs_fn(a, out=k3)
-    np.add(c, np.multiply(dt, k3, out=a), out=a)
-    rhs_fn(a, out=k4)
-    # c + dt/6 (k1 + 2 (k2 + k3) + k4)
-    np.add(k2, k3, out=k2)
-    np.multiply(2.0, k2, out=k2)
-    np.add(k1, k2, out=k1)
-    np.add(k1, k4, out=k1)
-    np.multiply(dt / 6.0, k1, out=k1)
-    return np.add(c, k1)
+    return etd_rk4_step(c, _unit_factors(dt), rhs_fn, dt, work)
+
+
+def _unit_factors(dt: float) -> tuple:
+    """The `etd_factors` of a zero linear part: they reduce the step to classical RK4."""
+    return 1.0, 1.0, dt, 2.0
 
 
 def etd_factors(linear: np.ndarray, dt: float) -> tuple:
@@ -164,11 +163,12 @@ def etd_factors(linear: np.ndarray, dt: float) -> tuple:
 class Integrator:
     """Steps of one model at a fixed dt, built once per (grid, params, dt, scheme).
 
-    Holds the model's RhsSplit, for etd-rk4 on a model with a linear part
-    the `etd_factors`, and the five work arrays of a step, all overwritten
-    by the next step; so an integrator serves one thread.  `advance`
-    returns a fresh array.  Without a linear part both schemes are the
-    same RK4 on the split.
+    Holds the model's RhsSplit, one (factors, rhs) pair of `etd_rk4_step`
+    and the five work arrays of a step, all overwritten by the next step;
+    so an integrator serves one thread.  For etd-rk4 on a model with a
+    linear part the pair is the `etd_factors` with the nonlinear part,
+    otherwise the unit factors with the full split, which is plain RK4.
+    `advance` returns a fresh array.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, dt: float, scheme: str):
@@ -177,16 +177,14 @@ class Integrator:
         self.split = RhsSplit(grid, p)
         self.dt = dt
         self.work = np.empty((5, *grid.shape), dtype=np.complex128)
-        self.exp_factors = None
         if scheme == "etd-rk4" and self.split.linear is not None:
-            self.exp_factors = etd_factors(self.split.linear, dt)
+            self.factors, self.rhs = etd_factors(self.split.linear, dt), self.split.nonlinear
+        else:
+            self.factors, self.rhs = _unit_factors(dt), self.split
 
     def advance(self, c: np.ndarray, t: float) -> np.ndarray:
         """Coefficients one step after c; raises UnstableStep at time t past the sentinel."""
-        if self.exp_factors is None:
-            out = rk4_step(c, self.split, self.dt, self.work)
-        else:
-            out = etd_rk4_step(c, self.exp_factors, self.split.nonlinear, self.dt, self.work)
+        out = etd_rk4_step(c, self.factors, self.rhs, self.dt, self.work)
         peak = float(np.max(np.abs(out)))
         if not np.isfinite(peak) or peak > BLOWUP_SENTINEL:
             raise UnstableStep(t, peak)

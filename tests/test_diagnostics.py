@@ -293,6 +293,36 @@ def test_ladder_bracket_rejects_sigma_at_most_one(grid16, sigma):
         ladder_bracket(qglab.single_mode(grid16, 1, 0), sigma)
 
 
+@pytest.mark.parametrize(
+    "p, symbols",
+    [
+        (ModelParams("inviscid"), 2),
+        (ModelParams("dissipative", alpha=0.5, kappa=0.1), 3),
+        (ModelParams("regularized", alpha=0.5, mu=1.0), 3),
+    ],
+    ids=["inviscid", "dissipative", "regularized"],
+)
+def test_make_record_forms_one_symbol_per_distinct_index(grid32, monkeypatch, p, symbols):
+    # at s = sigma = 2 the indices are 1, 2 and alpha; the norms and the ladder
+    # keep the bits of the public functions that evaluate them one at a time
+    theta = random_field(grid32, 10, 2.0, 7)
+    indices = (1.0, 2.0) if p.model == "inviscid" else (1.0, 2.0, p.alpha)
+    want_hs = {index: sobolev_norm(theta, index) for index in indices}
+    want_ladder = ladder_bracket(theta, 2.0)
+    powers = []
+    symbol = qglab.Grid.sqrt_laplacian
+
+    def counted(grid, power):
+        powers.append(power)
+        return symbol(grid, power)
+
+    monkeypatch.setattr(qglab.Grid, "sqrt_laplacian", counted)
+    record = qglab.diagnostics.make_record(theta, 0.0, p)
+    assert len(powers) == len(set(powers)) == symbols
+    assert record.hs == want_hs
+    assert record.ladder == want_ladder
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_inequality_constants_reject_empty_trials(trials):
     with pytest.raises(ValueError, match="trials"):
@@ -322,7 +352,11 @@ _INVALID_INPUTS = {
     "Mollifier profile": lambda f, path: qglab.Mollifier(0.1, "box"),
     "pad_spectrum m < n": lambda f, path: qglab.pad_spectrum(f, f.grid.n - 2),
     "fit_loglog_slope x < 0": lambda f, path: qglab.fit_loglog_slope([1.0, -1.0], [1.0, 2.0]),
+    "fit_loglog_slope lengths differ": lambda f, path: qglab.fit_loglog_slope([1.0, 2.0, 3.0], [1.0, 2.0]),
+    "fit_loglog_slope x 2-D": lambda f, path: qglab.fit_loglog_slope([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0]),
     "write_series empty": lambda f, path: qglab.write_series(str(path / "empty.csv"), [], s=2.0),
+    "write_series s not recorded": lambda f, path: qglab.write_series(
+        str(path / "series.csv"), [qglab.diagnostics.make_record(f, 0.0, ModelParams("inviscid"))], s=1.5),
 }
 
 

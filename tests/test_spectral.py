@@ -276,6 +276,8 @@ def test_sqrt_laplacian_negative_power_requires_zero_mean(grid16):
     f = forward_transform(PhysicalField(grid16, 1.0 + np.cos(grid16.x1)))
     with pytest.raises(NegativePowerOnMean):
         apply_sqrt_laplacian(f, -0.5)
+    with pytest.raises(NegativePowerOnMean):  # the norm shares the guard
+        qglab.sobolev_norm(f, -0.5)
     zero_mean = qglab.single_mode(grid16, 1, 0)
     out = apply_sqrt_laplacian(zero_mean, -0.5)  # |k| = 1: unchanged
     assert np.max(np.abs(out.coeffs - zero_mean.coeffs)) < 1e-15

@@ -181,6 +181,27 @@ def test_schemes_coincide_without_linear_part(grid32, p):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("scheme", ["etd-rk4", "rk4"])
+@pytest.mark.parametrize(
+    "p",
+    [ModelParams("inviscid"), ModelParams("dissipative", kappa=0.1), ModelParams("regularized", alpha=0.5, mu=1.0)],
+    ids=["inviscid", "dissipative", "regularized"],
+)
+def test_advance_makes_one_step_call_per_step(grid16, monkeypatch, p, scheme):
+    # a counter on both step functions, as the benchmark tracer hangs them, sees one per step
+    calls = []
+    for name in ("rk4_step", "etd_rk4_step"):
+        step = getattr(qglab.stepping, name)
+        monkeypatch.setattr(
+            qglab.stepping, name, lambda *args, _name=name, _step=step: calls.append(_name) or _step(*args)
+        )
+    integrator = Integrator(grid16, p, 1e-2, scheme)
+    c = random_field(grid16, 5, 2.0, 2).coeffs
+    for i in range(1, 4):
+        c = integrator.advance(c, i * 1e-2)
+    assert calls == ["etd_rk4_step"] * 3
+
+
 def test_step_unstable_past_sentinel(grid16):
     # a steady single mode whose coefficients already exceed the sentinel
     theta = 1e13 * qglab.single_mode(grid16, 1, 0)
