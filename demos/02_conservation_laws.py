@@ -36,3 +36,4 @@ print("plain energy moves around, the modified energy does not:")
 energies = np.array([r.energy for r in res.records])
 print(f"  energy spread {energies.max() - energies.min():.3e}, "
       f"modified-energy drift {max(abs(r.mod_energy / m0 - 1) for r in res.records):.3e}")
+print(f"balance residual of the energy law: {qglab.energy_balance_residual(res.records):.3e}")

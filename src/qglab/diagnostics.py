@@ -126,7 +126,13 @@ def besov_norm(f: SpectralField, s: float) -> float:
 
 @dataclass
 class NormRecord:
-    """Sampled diagnostics of a single state along a run."""
+    """Sampled diagnostics of a single state along a run.
+
+    `balance_residual` is the defect of the energy law that all three
+    models obey, |mod_energy + diss_integral - work_integral - E_mu(0)|
+    over E_mu(0), the initial `mod_energy`, or the absolute defect from
+    rest (E_mu(0) = 0); it is 0.0 at t = 0.
+    """
 
     t: float
     lp: dict  # q -> |theta|_q for q in {2, 3, 4, inf}
@@ -178,6 +184,8 @@ def make_record(
     pass, so each distinct index costs one symbol and |theta_hat|^2 is
     formed once; every value is bit for bit what `sobolev_norm` and
     `ladder_bracket` return.  sigma must exceed 1 (ValidationError).
+    With `initial`, the run's first record, it sets `balance_residual`, the
+    one energy-law defect of every model (see NormRecord).
     """
     fields = state_fields(theta.grid, theta.coeffs)
     lp = {q: _lp(fields[2], q) for q in (2.0, 3.0, 4.0, np.inf)}
@@ -216,10 +224,8 @@ def make_record(
         work_integral=work_integral,
     )
     if initial is not None:
-        if p.model == "regularized":
-            record.balance_residual = abs(record.mod_energy - initial.mod_energy) / initial.mod_energy
-        else:
-            record.balance_residual = _energy_defect(record, initial.energy)
+        defect = abs(mod_energy + diss_integral - work_integral - initial.mod_energy)
+        record.balance_residual = defect / initial.mod_energy if initial.mod_energy else defect
     return record
 
 
@@ -242,10 +248,13 @@ def max_principle_check(
     `forcing_lq` is the (constant-in-time) |f|_q.  The slack absorbs
     spectral pointwise overshoot and defaults to 1e-3 |theta_0|_q.
     Raises Violation at the first failing sample, and ValidationError when the
-    records hold no |theta|_q for this q.
+    records hold no |theta|_q for this q or `forcing_lq` or `slack_rel` is
+    negative or not finite.
     """
     if not records:
         raise ValidationError("empty record series")
+    if not (0.0 <= forcing_lq < math.inf and 0.0 <= slack_rel < math.inf):  # also rejects NaN
+        raise ValidationError(f"forcing_lq and slack_rel must be finite and >= 0, got {forcing_lq}, {slack_rel}")
     if q not in records[0].lp:
         raise ValidationError(f"records hold no |theta|_q for q={q}; recorded exponents: {list(records[0].lp)}")
     base = records[0].lp[q]
@@ -262,20 +271,18 @@ def max_principle_check(
 
 
 def energy_balance_residual(records: list[NormRecord]) -> float:
-    """Max relative defect of |theta|_2^2 + 2 kappa int ||theta||_alpha^2 - 2 int (theta, f) = const.
+    """Max `balance_residual` of the records: the defect of the energy law E_mu + D - W = E_mu(0).
 
-    Valid for inviscid and dissipative runs, forced or not: the forcing
-    work is subtracted.  The running integrals use the trapezoid rule over
-    the diagnostic samples.
+    E_mu = |theta|_2^2 + mu ||theta||_alpha^2 (mu = 0 outside the
+    regularized model), D = 2 kappa int ||theta||_alpha^2 and
+    W = 2 int (theta, f), each integral by the trapezoid rule over the
+    diagnostic samples.  Every record holds its defect against the run's
+    initial state, relative to E_mu(0), or absolute when the run starts from
+    rest, so a slice of a run is judged against that state too.
     """
     if not records:
         raise ValidationError("empty record series")
-    return max(_energy_defect(rec, records[0].energy) for rec in records)
-
-
-def _energy_defect(rec: NormRecord, e0: float) -> float:
-    """|E + 2 kappa int ||theta||_alpha^2 - 2 int (theta, f) - e0| / e0 of one record."""
-    return abs(rec.energy + rec.diss_integral - rec.work_integral - e0) / e0
+    return max(rec.balance_residual for rec in records)
 
 
 def _check_lab_controls(trials: int, mode_cap: int) -> None:

@@ -7,7 +7,11 @@ class QGLabError(Exception):
     """Base class for all qglab errors."""
 
 
-class NegativePowerOnMean(QGLabError):
+class ValidationError(QGLabError, ValueError):
+    """A configuration or parameter invariant does not hold; also a ValueError, as invalid input."""
+
+
+class NegativePowerOnMean(ValidationError):
     """Negative fractional-Laplacian power requested on a field with nonzero mean."""
 
 
@@ -39,7 +43,7 @@ class Violation(QGLabError):
         self.t = t
 
 
-class ParseError(QGLabError):
+class ParseError(ValidationError):
     """Malformed config file."""
 
     def __init__(self, line_no, message):
@@ -47,11 +51,7 @@ class ParseError(QGLabError):
         self.line_no = line_no
 
 
-class ValidationError(QGLabError, ValueError):
-    """A configuration or parameter invariant does not hold; also a ValueError, as invalid input."""
-
-
-class CorruptSnapshot(QGLabError):
+class CorruptSnapshot(ValidationError):
     """Snapshot file failed a structural check."""
 
     def __init__(self, check, message=""):

@@ -66,12 +66,17 @@ STENCIL_POINTS = 21  # nodes per axis
 class Grid:
     """Uniform n x n grid on [0, 2pi]^2 with its wavenumber bookkeeping.
 
-    n must be even and at least 8 (ValidationError otherwise).
+    n must be an integer (a Python int or a numpy integer), even and at
+    least 8 (ValidationError otherwise).  It is held as a Python int, so
+    sizes derived from it, such as the doubled grid 2n, cannot wrap.
     """
 
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValidationError(f"grid size must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))  # frozen dataclass
         if self.n % 2 != 0 or self.n < 8:
             raise ValidationError(f"grid size must be even and >= 8, got {self.n}")
 

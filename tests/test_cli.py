@@ -40,6 +40,17 @@ def test_simulate_steady_datum_flat_series(tmp_path, capsys):
     assert snap.t == pytest.approx(0.1)
 
 
+def test_simulate_from_rest_snapshot(tmp_path, capsys):
+    # a zeros snapshot as init: E(0) = 0, so the balance residual is the absolute defect
+    init, out = tmp_path / "rest.qgw", tmp_path / "out"
+    zeros = np.zeros((16, 16))
+    qglab.save_snapshot(qglab.Snapshot(16, 0.0, 0.5, 0.0, 0.0, "inviscid", zeros), str(init))
+    cfg = write_cfg(tmp_path, f"model=inviscid\nn=16\ndt=0.01\nt_end=0.1\ninit={init}\noutput_dir={out}\n")
+    assert cli_main(["simulate", "--config", cfg]) == 0
+    assert "balance residual = 0.000e+00" in capsys.readouterr().out
+    assert np.array_equal(qglab.load_snapshot(str(out / "final.qgw")).values, zeros)
+
+
 def test_simulate_bad_config_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "model=regularized\nmu=1\nalpha=0.4\n")
     assert cli_main(["simulate", "--config", cfg]) == 1

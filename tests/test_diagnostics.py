@@ -144,6 +144,9 @@ def test_max_principle_violation_raises(grid32):
     with pytest.raises(Violation) as info:
         max_principle_check(records + [bad], np.inf)
     assert info.value.t == pytest.approx(bad.t)
+    for kwargs in ({"forcing_lq": math.nan}, {"forcing_lq": math.inf}, {"slack_rel": math.nan}):
+        with pytest.raises(ValidationError):  # a bound of NaN or inf would let the series pass
+            max_principle_check(records + [bad], np.inf, **kwargs)
 
 
 def test_max_principle_inviscid_cmt(inviscid_cmt_run):
@@ -191,6 +194,48 @@ def test_inviscid_balance_reduces_to_drift(grid32):
     res = run(qglab.cmt(grid32), ModelParams("inviscid"), StepperConfig(dt=1e-2, t_end=0.3, diag_every=10))
     drift = max(abs(r.energy / res.records[0].energy - 1.0) for r in res.records)
     assert energy_balance_residual(res.records) == pytest.approx(drift, rel=1e-6)
+
+
+def test_regularized_balance_reduces_to_modified_energy_drift(grid32):
+    # the conserved quantity is E_mu = |theta|_2^2 + mu ||theta||_alpha^2, whose
+    # drift here is time error (~5e-9), far above round-off and far below the
+    # plain energy's drift (~3e-4)
+    p = ModelParams("regularized", alpha=0.5, mu=1.0)
+    cfg = StepperConfig(dt=0.04, t_end=0.4, scheme="rk4", diag_every=5)
+    res = run(random_field(grid32, 10, 1.5, 3), p, cfg)
+    drift = max(abs(r.mod_energy / res.records[0].mod_energy - 1.0) for r in res.records)
+    assert energy_balance_residual(res.records) == pytest.approx(drift, rel=1e-6)
+
+
+def _zero(grid):
+    return qglab.SpectralField(grid, np.zeros(grid.shape, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        ModelParams("inviscid"),
+        ModelParams("dissipative", alpha=0.5, kappa=0.2),
+        ModelParams("regularized", alpha=0.5, mu=1.0),
+    ],
+    ids=["inviscid", "dissipative", "regularized"],
+)
+def test_run_from_rest_balances_exactly(grid16, p):
+    # E_mu(0) = 0: the residual is the absolute defect, and a state at rest stays there
+    res = run(_zero(grid16), p, StepperConfig(dt=1e-2, t_end=0.1, diag_every=2))
+    assert [r.balance_residual for r in res.records] == [0.0] * 6
+    assert energy_balance_residual(res.records) == 0.0
+
+
+def test_forced_spin_up_from_rest_quadrature_order(grid32):
+    # from rest the defect is absolute; halving the sampling step shrinks it ~4x
+    p = ModelParams("dissipative", alpha=0.5, kappa=0.2, forcing=0.05 * qglab.single_mode(grid32, 0, 1))
+    coarse, fine = (
+        run(_zero(grid32), p, StepperConfig(dt=1e-3, t_end=0.5, diag_every=every)) for every in (50, 25)
+    )
+    assert fine.records[-1].energy > 0.0  # the forcing spins the state up
+    ratio = energy_balance_residual(coarse.records) / energy_balance_residual(fine.records)
+    assert 2.5 <= ratio <= 6.0
 
 
 # -- log-interpolation bound ---------------------------------------------------
@@ -334,6 +379,10 @@ def test_inequality_constants_reject_empty_trials(trials):
 # -- invalid input -------------------------------------------------------------
 
 
+def _max_principle_q2(f, **kwargs):
+    return max_principle_check([qglab.diagnostics.make_record(f, 0.0, ModelParams("inviscid"))], 2.0, **kwargs)
+
+
 _INVALID_INPUTS = {
     "lp_norm q < 1": lambda f, path: lp_norm(inverse_transform(f), 0.5),
     "sobolev_norm s = nan": lambda f, path: sobolev_norm(f, math.nan),
@@ -341,6 +390,12 @@ _INVALID_INPUTS = {
     "max_principle_check empty": lambda f, path: max_principle_check([], 2.0),
     "max_principle_check q not recorded": lambda f, path: max_principle_check(
         [qglab.diagnostics.make_record(f, 0.0, ModelParams("inviscid"))], 1.5),
+    "max_principle_check forcing_lq = nan": lambda f, path: _max_principle_q2(f, forcing_lq=math.nan),
+    "max_principle_check forcing_lq = inf": lambda f, path: _max_principle_q2(f, forcing_lq=math.inf),
+    "max_principle_check forcing_lq < 0": lambda f, path: _max_principle_q2(f, forcing_lq=-1.0),
+    "max_principle_check slack_rel = nan": lambda f, path: _max_principle_q2(f, slack_rel=math.nan),
+    "max_principle_check slack_rel = inf": lambda f, path: _max_principle_q2(f, slack_rel=math.inf),
+    "max_principle_check slack_rel < 0": lambda f, path: _max_principle_q2(f, slack_rel=-1e-3),
     "energy_balance_residual empty": lambda f, path: energy_balance_residual([]),
     "log_interpolation_constant trials = 0": lambda f, path: log_interpolation_constant(0),
     "gn_residual beta = alpha": lambda f, path: gn_residual(f, 0.0, 0.5, 0.5),

@@ -45,6 +45,15 @@ def test_compare_mu_steady_datum(grid32):
     assert np.isnan(res.slope_l2)  # nothing above the floor to fit
 
 
+def test_compare_mu_zero_datum(grid32):
+    # every run starts and stays at rest
+    cfg = StepperConfig(dt=1e-2, t_end=0.1, scheme="rk4")
+    zero = qglab.SpectralField(grid32, np.zeros(grid32.shape, dtype=complex))
+    res = compare_mu(zero, 0.5, [1e-1, 1e-2], 0.1, cfg)
+    assert np.all(res.err_l2 == 0.0) and np.all(res.err_modified == 0.0)
+    assert np.isnan(res.slope_l2) and np.isnan(res.slope_modified)
+
+
 def test_compare_mu_requires_decreasing_list(grid32):
     cfg = StepperConfig(dt=1e-2, t_end=0.1, scheme="rk4")
     with pytest.raises(ValidationError):

@@ -65,6 +65,33 @@ def test_config_bad_value(tmp_path):
         load_config(write(tmp_path, "dealias=maybe\n"))
 
 
+def _negative_power_on_mean(tmp_path):
+    qglab.sobolev_norm(qglab.SpectralField(qglab.Grid(8), np.ones((8, 5), dtype=complex)), -0.5)
+
+
+def _corrupt_snapshot(tmp_path):
+    path = tmp_path / "s.qgw"
+    path.write_bytes(b"QGW1")
+    load_snapshot(str(path))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (_negative_power_on_mean, qglab.NegativePowerOnMean),
+        (lambda tmp_path: load_config(write(tmp_path, "n=32\nn=64\n")), ParseError),
+        (_corrupt_snapshot, CorruptSnapshot),
+    ],
+    ids=["NegativePowerOnMean", "ParseError", "CorruptSnapshot"],
+)
+def test_typed_input_errors_are_value_errors(tmp_path, call, error):
+    # each keeps its own type, and is a ValidationError and so a ValueError
+    with pytest.raises(ValueError) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert isinstance(info.value, ValidationError)
+
+
 def test_config_missing_model_invariants(tmp_path):
     with pytest.raises(ValidationError):
         load_config(write(tmp_path, "model=dissipative\n"))  # kappa defaults to 0

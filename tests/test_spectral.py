@@ -144,6 +144,18 @@ def test_grid_validation():
     assert Grid(8).n == 8
 
 
+def test_grid_size_must_be_integral():
+    # a Python int or any numpy integer, held as an int; a float that `cmt`
+    # cannot range over is invalid input
+    for n in (64, np.int64(64), np.int32(64), np.uint16(64)):
+        assert qglab.cmt(Grid(n)).coeffs.shape == (64, 33)
+        assert type(Grid(n).n) is int and Grid(n) == Grid(64)
+    assert Grid(np.uint8(128)).n * 2 == 256  # no wrap of the doubled grid
+    for n in (64.0, np.float64(64.0), 64.5, "64", None):
+        with pytest.raises(ValidationError, match="integer"):
+            Grid(n)
+
+
 def test_grid_arrays_are_read_only(grid16):
     for name in ("x1", "x2", "k1", "k2"):
         assert not getattr(grid16, name).flags.writeable
