@@ -15,6 +15,8 @@ from .diagnostics import (
     besov_norm,
     coarse_grained_flux,
     energy_balance_residual,
+    fit_loglog_slope,
+    flux_decay_exponent,
     flux_scan,
     gn_constant,
     gn_residual,
@@ -36,12 +38,7 @@ from .errors import (
     ValidationError,
     Violation,
 )
-from .experiments import (
-    MuSweepResult,
-    compare_mu,
-    fit_loglog_slope,
-    flux_decay_exponent,
-)
+from .experiments import MuSweepResult, compare_mu
 from .io import RunConfig, Snapshot, load_config, load_snapshot, save_snapshot, write_series
 from .models import ModelParams, regularized_gradient_kernel, rhs
 from .presets import cmt, from_init_string, random_shell_field, single_mode

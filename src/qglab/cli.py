@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
     Violation,
 )
-from .spectral import Grid, PhysicalField, state_fields
+from .spectral import Grid
 
 _RUNTIME_ERRORS = (UnstableStep, NoContraction, Violation, ReferenceTooCoarse, DegenerateFit)
 
@@ -130,19 +130,16 @@ def _cmd_picard(args) -> int:
 
 def _cmd_norms(args) -> int:
     snap = io.load_snapshot(args.snapshot)
-    theta = snap.to_field()
-    fields = state_fields(theta.grid, theta.coeffs)  # (u1, u2, theta) on the grid
-    physical = PhysicalField(theta.grid, fields[2])
-    # every line is computed before any is printed, so a bad index leaves no partial output
-    lines = [f"snapshot t={snap.t:g} model={snap.model} n={snap.n}"]
-    for q in args.q or [2.0, 3.0, 4.0, np.inf]:
-        lines.append(f"|theta|_{q:g} = {diagnostics.lp_norm(physical, q):.12g}")
+    qs = args.q or [2.0, 3.0, 4.0, np.inf]
     indices = args.s or [1.0, 2.0]
-    norms, ladder = diagnostics._norms_and_ladder(theta, indices, args.sigma)
-    for s in indices:
-        lines.append(f"||theta||_{s:g} = {norms[s]:.12g}")
-    lines.append(f"energy = {diagnostics.lp_norm(physical, 2.0) ** 2:.12g}")
-    lines.append(f"q_inf = {diagnostics._q_inf(*fields):.12g}")
+    # every value, with the |theta|_2 of the energy line whatever --q asks for, is
+    # computed before any line is printed, so a bad index leaves no partial output
+    lp, hs, q_inf, ladder = diagnostics.state_norms(snap.to_field(), (*qs, 2.0), indices, args.sigma)
+    lines = [f"snapshot t={snap.t:g} model={snap.model} n={snap.n}"]
+    lines += [f"|theta|_{q:g} = {lp[q]:.12g}" for q in qs]
+    lines += [f"||theta||_{s:g} = {hs[s]:.12g}" for s in indices]
+    lines.append(f"energy = {lp[2.0] ** 2:.12g}")
+    lines.append(f"q_inf = {q_inf:.12g}")
     lines.append(f"ladder(sigma={args.sigma:g}) = {ladder:.12g}")
     print("\n".join(lines))
     return 0
@@ -167,7 +164,7 @@ def _cmd_flux(args) -> int:
         )
     if len(estimates) >= 2:
         try:
-            slope = experiments.fit_loglog_slope(
+            slope = diagnostics.fit_loglog_slope(
                 [est.eps for est in estimates], [abs(est.flux_integral) for est in estimates]
             )
             line = f"fitted decay exponent: {slope:.4f}"

@@ -1,5 +1,10 @@
 """Norms, conservation residuals, inequality monitors and scale-local flux.
 
+Every number qglab reports about a state is formed here: `state_norms`
+is the one summary of a state, which each `NormRecord` and `qglab norms`
+report, and `flux_decay_exponent` is the `fit_loglog_slope` of the flux
+over a list of scales, built on the same flux front as `flux_scan`.
+
 Everything here is a pure function of its inputs and safe to evaluate
 concurrently across snapshots: `flux_scan` forms the doubled-grid arrays
 of its state and of every eps in one workspace that each call allocates
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, Violation
+from .errors import DegenerateFit, ValidationError, Violation
 from .models import ModelParams
 from .presets import random_shell_field
 from .spectral import (
@@ -42,10 +47,10 @@ from .spectral import (
     _shared_grid,
     inverse_transform,
     pad_spectrum,
-    state_fields,
 )
 
 CELL_AREA_FACTOR = TWO_PI * TWO_PI  # integral f dx = (2 pi)^2 * mean of samples
+ROUNDOFF_FLOOR = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +70,6 @@ def _lp(values: np.ndarray, q) -> float:
         raise ValidationError(f"lp_norm requires q >= 1, got {q}")
     moment = float(np.mean(np.abs(values) ** q))
     return (CELL_AREA_FACTOR * moment) ** (1.0 / q)
-
-
-def _q_inf(u1: np.ndarray, u2: np.ndarray, th: np.ndarray) -> float:
-    """|theta|_inf + |u|_inf from the grid values of `state_fields`."""
-    return _lp(th, np.inf) + float(np.max(np.hypot(u1, u2)))
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -168,6 +168,26 @@ def _norms_and_ladder(theta: SpectralField, indices, sigma: float) -> tuple[dict
     return norms, 1.0 + norms[1.0] * math.sqrt(math.log1p(norms[sigma] ** (1.0 / (sigma - 1.0))))
 
 
+def state_norms(theta: SpectralField, qs, indices, sigma: float) -> tuple[dict, dict, float, float]:
+    """(lp, hs, q_inf, ladder): the summary of one state that a record and `qglab norms` report.
+
+    lp maps each q of `qs` to |theta|_q and hs each index of `indices` to
+    ||theta||_s; q_inf is |theta|_inf + |u|_inf and ladder the
+    `ladder_bracket` at sigma.  theta and u come from one stacked inverse
+    transform and the Sobolev norms from one `_sobolev_norms` pass, so
+    every value is bit for bit what `lp_norm`, `sobolev_norm` and
+    `ladder_bracket` return.  A q below 1, an index that `sobolev_norm`
+    rejects or sigma <= 1 raises ValidationError.
+    """
+    # not a fresh `TransformBuffers`: its fields, allocated before the column
+    # stage's temporary, raised the n = 128 march benchmark's peak RSS by 0.4 MB
+    u1, u2, th = _irfft2(theta.grid.state_multipliers * theta.coeffs)
+    lp = {q: _lp(th, q) for q in qs}
+    norms, ladder = _norms_and_ladder(theta, indices, sigma)
+    hs = {index: norms[index] for index in indices}
+    return lp, hs, _lp(th, np.inf) + float(np.max(np.hypot(u1, u2))), ladder
+
+
 def make_record(
     theta: SpectralField,
     t: float,
@@ -179,19 +199,14 @@ def make_record(
 ) -> NormRecord:
     """Assemble a NormRecord; running integrals continue from `prev` by trapezoid.
 
-    `hs` holds ||theta||_s at 1, `s` and, unless inviscid, alpha.  Those
-    norms and the ladder's ||theta||_sigma come from one `_sobolev_norms`
-    pass, so each distinct index costs one symbol and |theta_hat|^2 is
-    formed once; every value is bit for bit what `sobolev_norm` and
-    `ladder_bracket` return.  sigma must exceed 1 (ValidationError).
-    With `initial`, the run's first record, it sets `balance_residual`, the
-    one energy-law defect of every model (see NormRecord).
+    `lp`, `hs`, `q_inf` and `ladder` are the `state_norms` of theta at
+    q in {2, 3, 4, inf} and at the indices 1, `s` and, unless inviscid,
+    alpha.  sigma must exceed 1 (ValidationError).  With `initial`, the
+    run's first record, it sets `balance_residual`, the one energy-law
+    defect of every model (see NormRecord).
     """
-    fields = state_fields(theta.grid, theta.coeffs)
-    lp = {q: _lp(fields[2], q) for q in (2.0, 3.0, 4.0, np.inf)}
     indices = (1.0, s, p.alpha) if p.model != "inviscid" else (1.0, s)
-    norms, ladder = _norms_and_ladder(theta, indices, sigma)
-    hs = {index: norms[index] for index in indices}
+    lp, hs, q_inf, ladder = state_norms(theta, (2.0, 3.0, 4.0, np.inf), indices, sigma)
 
     energy = lp[2.0] ** 2
     mod_energy = energy + (p.mu * hs[p.alpha] ** 2 if p.model == "regularized" else 0.0)
@@ -218,7 +233,7 @@ def make_record(
         energy=energy,
         mod_energy=mod_energy,
         diss_integral=diss_integral,
-        q_inf=_q_inf(*fields),
+        q_inf=q_inf,
         ladder=ladder,
         forcing_power=forcing_power,
         work_integral=work_integral,
@@ -449,6 +464,49 @@ def flux_scan(
     work = _FluxWork(theta.grid, with_remainder)
     pairing = _flux_front(theta, work)[1]
     return [_flux_at_scale(theta.grid, pairing, mol, work, dr_profile) for mol in mollifiers]
+
+
+def fit_loglog_slope(x, y) -> float:
+    """Least-squares slope of log y against log x, ignoring y within 10x of ROUNDOFF_FLOOR.
+
+    Raises ValidationError unless x and y are 1-D and of one length, every
+    x positive and finite and every y finite.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValidationError(f"fit needs 1-D x and y of one length, got shapes {x.shape} and {y.shape}")
+    if not (np.all(np.isfinite(y)) and np.all((x > 0.0) & (x < np.inf))):
+        raise ValidationError("fit needs finite ordinates and positive finite abscissae")
+    keep = y > 10.0 * ROUNDOFF_FLOOR
+    if np.count_nonzero(keep) < 2:
+        raise DegenerateFit("fewer than two points above the round-off floor")
+    return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
+
+
+def flux_decay_exponent(
+    theta: SpectralField,
+    s: float,
+    eps_list,
+    profile: str = "gaussian",
+) -> float:
+    """Fitted decay exponent of |flux_integral(eps)| as eps -> 0.
+
+    For a field of Besov regularity s the theory bounds the flux by
+    eps^(3s-1); smooth fields decay at least quadratically.  `s` does not
+    enter the fit: it only names the regularity a caller compares the
+    returned exponent with (3s - 1).  Raises
+    DegenerateFit when the flux sits at the round-off floor (the field is
+    too smooth, or steady, to carry a measurable transfer).  Each value is
+    the bits of `coarse_grained_flux(theta, eps, profile).flux_integral`,
+    formed as that function forms it: one Parseval sum per eps over a
+    pairing that one forward and one inverse transform give for the whole
+    list, with no sigma_eps or other per-eps field.
+    """
+    mollifiers = _mollifiers(eps_list, profile)
+    gf, pairing = _flux_front(theta)
+    fluxes = [_flux_integral(mol.multiplier(gf), pairing) for mol in mollifiers]
+    return fit_loglog_slope([mol.eps for mol in mollifiers], np.abs(fluxes))
 
 
 def _mollifiers(eps_list, profile: str) -> list[Mollifier]:

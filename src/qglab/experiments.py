@@ -1,8 +1,8 @@
-"""Multi-run studies: the mu -> 0 limit and flux scaling.
+"""Multi-run studies: the mu -> 0 limit of the regularized model.
 
-Slope fits use least squares on log-log pairs after dropping any point
-within 10x of the 1e-14 round-off floor.  Per-mu runs are independent of
-each other; aggregation is order independent.
+The convergence slopes are `diagnostics.fit_loglog_slope` fits, which drop
+any error within 10x of the round-off floor.  Per-mu runs are independent
+of each other; aggregation is order independent.
 """
 
 from __future__ import annotations
@@ -13,31 +13,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import _flux_front, _flux_integral, _mollifiers
+from .diagnostics import ROUNDOFF_FLOOR, fit_loglog_slope
 from .errors import DegenerateFit, ReferenceTooCoarse, ValidationError
 from .models import ModelParams
 from .spectral import SpectralField
 from .stepping import StepperConfig, run
-
-ROUNDOFF_FLOOR = 1e-14
-
-
-def fit_loglog_slope(x, y) -> float:
-    """Least-squares slope of log y against log x, ignoring y within 10x of ROUNDOFF_FLOOR.
-
-    Raises ValidationError unless x and y are 1-D and of one length, every
-    x positive and finite and every y finite.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValidationError(f"fit needs 1-D x and y of one length, got shapes {x.shape} and {y.shape}")
-    if not (np.all(np.isfinite(y)) and np.all((x > 0.0) & (x < np.inf))):
-        raise ValidationError("fit needs finite ordinates and positive finite abscissae")
-    keep = y > 10.0 * ROUNDOFF_FLOOR
-    if np.count_nonzero(keep) < 2:
-        raise DegenerateFit("fewer than two points above the round-off floor")
-    return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
 
 
 @dataclass
@@ -131,28 +111,3 @@ def compare_mu(
         reference_dt=0.5 * cfg.dt,
         reference_self_error=self_err,
     )
-
-
-def flux_decay_exponent(
-    theta: SpectralField,
-    s: float,
-    eps_list,
-    profile: str = "gaussian",
-) -> float:
-    """Fitted decay exponent of |flux_integral(eps)| as eps -> 0.
-
-    For a field of Besov regularity s the theory bounds the flux by
-    eps^(3s-1); smooth fields decay at least quadratically.  `s` does not
-    enter the fit: it only names the regularity a caller compares the
-    returned exponent with (3s - 1).  Raises
-    DegenerateFit when the flux sits at the round-off floor (the field is
-    too smooth, or steady, to carry a measurable transfer).  Each value is
-    the bits of `coarse_grained_flux(theta, eps, profile).flux_integral`,
-    formed as that function forms it: one Parseval sum per eps over a
-    pairing that one forward and one inverse transform give for the whole
-    list, with no sigma_eps or other per-eps field.
-    """
-    mollifiers = _mollifiers(eps_list, profile)
-    gf, pairing = _flux_front(theta)
-    fluxes = [_flux_integral(mol.multiplier(gf), pairing) for mol in mollifiers]
-    return fit_loglog_slope([mol.eps for mol in mollifiers], np.abs(fluxes))

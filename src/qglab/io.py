@@ -8,6 +8,7 @@ digits so a reload reproduces the exact doubles.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -162,9 +163,15 @@ class Snapshot:
 def save_snapshot(snap: Snapshot, path: str):
     """Write the fixed binary layout; load(save(x)) is bit-identical.
 
-    A grid size that `Grid` rejects raises ValidationError.
+    A grid size that `Grid` rejects, an unknown model or a t, alpha, kappa
+    or mu that is not finite raises ValidationError.
     """
     Grid(snap.n)
+    if snap.model not in MODEL_CODES:
+        raise ValidationError(f"unknown model {snap.model!r}; expected one of {sorted(MODEL_CODES)}")
+    for name in ("t", "alpha", "kappa", "mu"):
+        if not math.isfinite(getattr(snap, name)):
+            raise ValidationError(f"snapshot {name} must be finite, got {getattr(snap, name)}")
     values = np.ascontiguousarray(snap.values, dtype="<f8")
     if values.shape != (snap.n, snap.n):
         raise ValidationError(f"snapshot values must be ({snap.n}, {snap.n})")
@@ -251,8 +258,18 @@ def write_series(path: str, records, s: float):
 
 
 def read_series(path: str) -> dict[str, np.ndarray]:
-    """Load a series CSV back into column arrays keyed by header name."""
+    """Load a series CSV back into column arrays keyed by header name.
+
+    A file with no data rows, or a row whose field count differs from the
+    header's, raises ValidationError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        rows = [line for line in fh.read().splitlines() if line.strip()]
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    for i, row in enumerate(rows, start=1):
+        if row.count(",") + 1 != len(header):
+            raise ValidationError(f"{path}: data row {i} has {row.count(',') + 1} fields, the header {len(header)}")
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
     return {name: data[:, i] for i, name in enumerate(header)}

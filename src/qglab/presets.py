@@ -10,6 +10,8 @@ Three families are supported, matching the config grammar:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -17,7 +19,9 @@ from .spectral import Grid, PhysicalField, SpectralField, forward_transform
 
 
 def single_mode(grid: Grid, k1: int, k2: int) -> SpectralField:
-    """cos(k1 x1 + k2 x2) built exactly in spectral space."""
+    """cos(k1 x1 + k2 x2) built exactly in spectral space; k1 and k2 must be integers."""
+    if not all(isinstance(k, (int, np.integer)) for k in (k1, k2)):
+        raise ValidationError(f"single mode needs integer wavenumbers, got ({k1!r}, {k2!r})")
     half = grid.n // 2
     if max(abs(k1), abs(k2)) >= half:
         raise ValidationError(f"mode ({k1}, {k2}) does not fit below Nyquist on n={grid.n}")
@@ -39,15 +43,20 @@ def cmt(grid: Grid) -> SpectralField:
 def random_shell_field(grid: Grid, kmax: float, gamma: float, rng) -> SpectralField:
     """Zero-mean field with |theta_hat| = |k|^(-gamma) on 0 < |k| <= kmax.
 
-    Phases are drawn from `rng` (an int seed or a numpy Generator); the
-    spectrum is kept strictly below the Nyquist lines so every operator in
-    the package acts exactly on it.
+    Phases are drawn from `rng` (a non-negative int seed or a numpy
+    Generator); the spectrum is kept strictly below the Nyquist lines so
+    every operator in the package acts exactly on it.  kmax must be at
+    least 1 and gamma finite (ValidationError otherwise).
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     half = grid.n // 2
-    if kmax >= half:
-        raise ValidationError(f"kmax={kmax} does not fit below Nyquist on n={grid.n}")
+    if not 1.0 <= kmax < half:  # also rejects NaN
+        raise ValidationError(f"kmax={kmax} is below 1 or does not fit below Nyquist on n={grid.n}")
+    if not math.isfinite(gamma):
+        raise ValidationError(f"gamma must be finite, got {gamma}")
+    if not isinstance(rng, np.random.Generator):
+        if not (isinstance(rng, (int, np.integer)) and rng >= 0):
+            raise ValidationError(f"seed must be a non-negative integer, got {rng!r}")
+        rng = np.random.default_rng(rng)
     # One phase per wavenumber of the full (n, n) spectrum; a mode in the
     # upper half plane (k2 > 0, or k2 = 0 < k1) takes its own phase and a
     # mode below it the conjugate of its partner's, so the field is real.
@@ -76,5 +85,5 @@ def from_init_string(grid: Grid, init: str, seed: int = 0) -> SpectralField:
             smax, gamma = float(smax_s), float(gamma_s)
         except ValueError as exc:
             raise ValidationError(f"bad random preset {init!r}") from exc
-        return random_shell_field(grid, smax, gamma, np.random.default_rng(seed))
+        return random_shell_field(grid, smax, gamma, seed)
     raise ValidationError(f"unknown preset {init!r}")

@@ -32,10 +32,10 @@ The domain is fixed to [0, 2pi]^2.  Conventions used throughout:
   the 2/3 dealias band, where those lines are empty and the identity
   R1^2 + R2^2 = -I holds exactly.
 * Quadratic products are formed on the grid and always dealiased by the
-  2/3 rule: `state_fields` gives (u1, u2, theta) from one stacked inverse
-  transform, `TransformBuffers.product_spectra` transforms the products,
-  and `Grid.dealiased_gradient` takes the spectrum of a flux to its
-  divergence.
+  2/3 rule: `TransformBuffers.state_fields` gives (u1, u2, theta) from one
+  stacked inverse transform, `TransformBuffers.product_spectra`
+  transforms the products, and `Grid.dealiased_gradient` takes the
+  spectrum of a flux to its divergence.
 
 Grids and fields are immutable: a field keeps its own read-only copy of
 the array it was built from, and a `SpectralField` is the spectrum of a
@@ -319,11 +319,6 @@ class TransformBuffers:
     def product_spectra(self) -> np.ndarray:
         """Half spectra of `products`, written into `flux`."""
         return _rfft2(self.products, self.flux)
-
-
-def state_fields(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Grid values of (u1, u2, theta), stacked, from theta_hat; a fresh array."""
-    return _irfft2(grid.state_multipliers * coeffs)
 
 
 def apply_sqrt_laplacian(f: SpectralField, power: float) -> SpectralField:

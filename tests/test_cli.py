@@ -154,6 +154,20 @@ def test_norms_prints_the_norms_of_the_library(tmp_path, capsys):
     assert f"q_inf = {q_inf:.12g}" in lines
 
 
+def test_norms_prints_the_record_of_the_state(tmp_path, capsys):
+    # `qglab norms` and a run's records report one summary of a state
+    theta = qglab.from_init_string(qglab.Grid(32), "random:10,1.5", 4)
+    path = str(tmp_path / "s.qgw")
+    qglab.save_snapshot(qglab.Snapshot.from_state(0.0, theta, qglab.ModelParams("inviscid")), path)
+    assert cli_main(["norms", "--snapshot", path, "--s", "1", "--s", "2", "--sigma", "2"]) == 0
+    theta = qglab.load_snapshot(path).to_field()
+    record = qglab.diagnostics.make_record(theta, 0.0, qglab.ModelParams("inviscid"), s=2.0, sigma=2.0)
+    expected = [f"|theta|_{q:g} = {value:.12g}" for q, value in record.lp.items()]
+    expected += [f"||theta||_{s:g} = {value:.12g}" for s, value in record.hs.items()]
+    expected += [f"energy = {record.energy:.12g}", f"q_inf = {record.q_inf:.12g}", f"ladder(sigma=2) = {record.ladder:.12g}"]
+    assert capsys.readouterr().out.splitlines()[1:] == expected
+
+
 @pytest.mark.parametrize("sigma", ["1", "0.5"])
 def test_norms_sigma_at_most_one_exits_1(tmp_path, capsys, sigma):
     path = str(tmp_path / "s.qgw")

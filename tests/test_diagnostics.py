@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -383,6 +384,16 @@ def _max_principle_q2(f, **kwargs):
     return max_principle_check([qglab.diagnostics.make_record(f, 0.0, ModelParams("inviscid"))], 2.0, **kwargs)
 
 
+def _save_snapshot(f, path, **fields):
+    snap = dataclasses.replace(qglab.Snapshot.from_state(0.0, f, ModelParams("inviscid")), **fields)
+    qglab.save_snapshot(snap, str(path / "s.qgw"))
+
+
+def _read_series(path, text):
+    (path / "series.csv").write_text(qglab.io.CSV_HEADER + "\n" + text)
+    return qglab.io.read_series(str(path / "series.csv"))
+
+
 _INVALID_INPUTS = {
     "lp_norm q < 1": lambda f, path: lp_norm(inverse_transform(f), 0.5),
     "sobolev_norm s = nan": lambda f, path: sobolev_norm(f, math.nan),
@@ -412,6 +423,20 @@ _INVALID_INPUTS = {
     "write_series empty": lambda f, path: qglab.write_series(str(path / "empty.csv"), [], s=2.0),
     "write_series s not recorded": lambda f, path: qglab.write_series(
         str(path / "series.csv"), [qglab.diagnostics.make_record(f, 0.0, ModelParams("inviscid"))], s=1.5),
+    "read_series no data rows": lambda f, path: _read_series(path, ""),
+    "read_series row field count": lambda f, path: _read_series(path, ",".join(["1.0"] * 12) + "\n"),
+    "save_snapshot model unknown": lambda f, path: _save_snapshot(f, path, model="foo"),
+    "save_snapshot t = nan": lambda f, path: _save_snapshot(f, path, t=math.nan),
+    "save_snapshot alpha = inf": lambda f, path: _save_snapshot(f, path, alpha=math.inf),
+    "save_snapshot kappa = nan": lambda f, path: _save_snapshot(f, path, kappa=math.nan),
+    "save_snapshot mu = -inf": lambda f, path: _save_snapshot(f, path, mu=-math.inf),
+    "random preset kmax = nan": lambda f, path: qglab.from_init_string(f.grid, "random:nan,1.5"),
+    "random preset kmax = 0": lambda f, path: qglab.from_init_string(f.grid, "random:0,1.5"),
+    "random preset kmax < 0": lambda f, path: qglab.from_init_string(f.grid, "random:-3,1.5"),
+    "random preset gamma = inf": lambda f, path: qglab.from_init_string(f.grid, "random:4,inf"),
+    "random preset seed < 0": lambda f, path: qglab.from_init_string(f.grid, "random:4,1.5", -1),
+    "random_shell_field seed not integral": lambda f, path: qglab.random_shell_field(f.grid, 4, 1.5, 1.5),
+    "single_mode k1 = 1.5": lambda f, path: qglab.single_mode(f.grid, 1.5, 0),
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 import qglab
 from qglab import StepperConfig, compare_mu
 from qglab.errors import DegenerateFit, ValidationError
-from qglab.experiments import fit_loglog_slope
+from qglab.diagnostics import fit_loglog_slope
 
 
 def test_fit_loglog_slope_recovers_power_law():

@@ -11,11 +11,12 @@ from qglab.diagnostics import (
     FluxEstimate,
     _difference_symbol,
     coarse_grained_flux,
+    fit_loglog_slope,
+    flux_decay_exponent,
     flux_scan,
 )
 from qglab.spectral import Mollifier, PhysicalField, forward_transform, inverse_transform, mollify, pad_spectrum
 from qglab.errors import DegenerateFit
-from qglab.experiments import fit_loglog_slope, flux_decay_exponent
 
 from conftest import full_spectrum, random_field
 
