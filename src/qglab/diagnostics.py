@@ -181,7 +181,7 @@ def state_norms(theta: SpectralField, qs, indices, sigma: float) -> tuple[dict, 
     """
     # not a fresh `TransformBuffers`: its fields, allocated before the column
     # stage's temporary, raised the n = 128 march benchmark's peak RSS by 0.4 MB
-    u1, u2, th = _irfft2(theta.grid.state_multipliers * theta.coeffs)
+    u1, u2, th = _irfft2(theta.grid.state_spectra(theta.coeffs))
     lp = {q: _lp(th, q) for q in qs}
     norms, ladder = _norms_and_ladder(theta, indices, sigma)
     hs = {index: norms[index] for index in indices}
@@ -541,8 +541,8 @@ def _flux_front(theta: SpectralField, work: _FluxWork | None = None):
         uth_hat = _overlay(fields, np.complex128, (2, *gf.shape))
     else:
         spectra, fields, uth_hat = work.spectra[:3], work.state, work.uth_hat
-        np.multiply(gf.state_multipliers, fine.coeffs, out=work.state_hat)
-    np.multiply(gf.state_multipliers, fine.coeffs, out=spectra)
+        gf.state_spectra(fine.coeffs, work.state_hat)
+    gf.state_spectra(fine.coeffs, spectra)
     # the padded spectra are zero in every column beyond those of theta's grid
     _irfft2(spectra, fields, theta.grid.shape[1])
     _rfft2(np.multiply(fields[:2], fields[2], out=_overlay(spectra, np.float64, (2, gf.n, gf.n))), uth_hat)

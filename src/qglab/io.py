@@ -160,18 +160,41 @@ class Snapshot:
         return forward_transform(PhysicalField(Grid(self.n), self.values))
 
 
+# the ranges a header value must lie in: those of every run's time and ModelParams
+_HEADER_BOUNDS = {"t": (-math.inf, math.inf), "alpha": (0.0, 1.0), "kappa": (0.0, math.inf), "mu": (0.0, math.inf)}
+
+
+def _header_fault(n, model, t, alpha, kappa, mu) -> tuple[str, str] | None:
+    """(check, reason) for the first header value that no run writes, or None for a valid header.
+
+    The one header rule of `save_snapshot` and `load_snapshot`: n must be a
+    size that `Grid` accepts ("n"), the model known ("model"), and t, alpha,
+    kappa and mu finite and inside `_HEADER_BOUNDS` (each its own check).
+    """
+    try:
+        Grid(n)
+    except ValidationError as exc:
+        return "n", str(exc)
+    if model not in MODEL_CODES:
+        return "model", f"unknown model {model!r}; expected one of {sorted(MODEL_CODES)}"
+    for name, value in (("t", t), ("alpha", alpha), ("kappa", kappa), ("mu", mu)):
+        lo, hi = _HEADER_BOUNDS[name]
+        if not (math.isfinite(value) and lo <= value <= hi):
+            return name, f"snapshot {name} must be finite and in [{lo}, {hi}], got {value}"
+    return None
+
+
 def save_snapshot(snap: Snapshot, path: str):
     """Write the fixed binary layout; load(save(x)) is bit-identical.
 
-    A grid size that `Grid` rejects, an unknown model or a t, alpha, kappa
-    or mu that is not finite raises ValidationError.
+    A header that `_header_fault` rejects (a grid size that `Grid` rejects,
+    an unknown model, a t that is not finite, or an alpha, kappa or mu
+    outside the range of any model) raises ValidationError, and so do
+    values that are not n x n; nothing is written then.
     """
-    Grid(snap.n)
-    if snap.model not in MODEL_CODES:
-        raise ValidationError(f"unknown model {snap.model!r}; expected one of {sorted(MODEL_CODES)}")
-    for name in ("t", "alpha", "kappa", "mu"):
-        if not math.isfinite(getattr(snap, name)):
-            raise ValidationError(f"snapshot {name} must be finite, got {getattr(snap, name)}")
+    fault = _header_fault(snap.n, snap.model, snap.t, snap.alpha, snap.kappa, snap.mu)
+    if fault is not None:
+        raise ValidationError(fault[1])
     values = np.ascontiguousarray(snap.values, dtype="<f8")
     if values.shape != (snap.n, snap.n):
         raise ValidationError(f"snapshot values must be ({snap.n}, {snap.n})")
@@ -192,7 +215,12 @@ def save_snapshot(snap: Snapshot, path: str):
 
 
 def load_snapshot(path: str) -> Snapshot:
-    """Read and structurally validate a snapshot file; a grid size that `Grid` rejects is CorruptSnapshot("n")."""
+    """Read and structurally validate a snapshot file.
+
+    A header that `_header_fault` rejects raises CorruptSnapshot with that
+    check ("n", "model", "t", "alpha", "kappa" or "mu"), as do a bad magic,
+    version or length.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER_SIZE:
@@ -202,19 +230,15 @@ def load_snapshot(path: str) -> Snapshot:
         raise CorruptSnapshot("magic", f"got {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise CorruptSnapshot("version", f"got {version}")
-    try:
-        Grid(n)
-    except ValidationError as exc:
-        raise CorruptSnapshot("n", str(exc)) from None
+    model = MODEL_NAMES.get(model_code, model_code)  # an unknown code stays a number
+    fault = _header_fault(n, model, t, alpha, kappa, mu)
+    if fault is not None:
+        raise CorruptSnapshot(*fault)
     expected = _HEADER_SIZE + 8 * n * n
     if len(blob) != expected:
         raise CorruptSnapshot("length", f"expected {expected} bytes, got {len(blob)}")
-    if model_code not in MODEL_NAMES:
-        raise CorruptSnapshot("model", f"unknown code {model_code}")
     values = np.frombuffer(blob, dtype="<f8", offset=_HEADER_SIZE).reshape(n, n).copy()
-    return Snapshot(
-        n=n, t=t, alpha=alpha, kappa=kappa, mu=mu, model=MODEL_NAMES[model_code], values=values
-    )
+    return Snapshot(n=n, t=t, alpha=alpha, kappa=kappa, mu=mu, model=model, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -103,22 +103,21 @@ def advection_coeffs(
 
     `buffers.state_fields` gives (u1, u2, theta) on the grid,
     `buffers.product_spectra` the spectra (f1, f2) of the products
-    (u1 theta, u2 theta), and G1 f1 + G2 f2 is formed with the mean
-    zeroed.  G is the stack `gradient`, zero outside the 2/3 dealias band;
-    None means `grid.dealiased_gradient`, which gives div(u theta).  The
-    work happens in `buffers`, or in fresh ones when None; the result is
-    written to `out`, a complex128 array of the grid's shape, or to a
-    fresh array when None.
+    (u1 theta, u2 theta), and G1 f1 + G2 f2 is formed.  G is the stack
+    `gradient`, zero at k = 0 (so the result has zero mean) and outside
+    the 2/3 dealias band; None means `grid.dealiased_gradient`, which
+    gives div(u theta).  The work happens in `buffers`, or in fresh ones
+    when None; the result is written to `out`, a complex128 array of the
+    grid's shape, or to a fresh array when None.
     """
     b = TransformBuffers(grid) if buffers is None else buffers
     h = grid.n // 2 + 1
     fields = b.state_fields(coeffs)
-    for u, product in zip(fields[:2], b.products):  # row by row, as in `state_fields`
+    for u, product in zip(fields[:2], b.products):  # plane by plane, as in `Grid.state_spectra`
         np.multiply(u, fields[2], out=product)  # `b.products` is (u1, u2) itself
     g = grid.dealiased_gradient if gradient is None else gradient
     flux = np.multiply(g, b.product_spectra(), out=b.flux)
     adv = np.add(flux[0], flux[1], out=out)
-    adv[0, 0] = 0.0
     # rfft2 leaves the k1 = 0 column Hermitian only to round-off: mirror k2 > 0 onto k2 < 0
     np.conjugate(adv[h - 2 : 0 : -1, 0], out=adv[h:, 0])
     return adv

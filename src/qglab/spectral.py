@@ -32,23 +32,30 @@ The domain is fixed to [0, 2pi]^2.  Conventions used throughout:
   the 2/3 dealias band, where those lines are empty and the identity
   R1^2 + R2^2 = -I holds exactly.
 * Quadratic products are formed on the grid and always dealiased by the
-  2/3 rule: `TransformBuffers.state_fields` gives (u1, u2, theta) from one
-  stacked inverse transform, `TransformBuffers.product_spectra`
-  transforms the products, and `Grid.dealiased_gradient` takes the
-  spectrum of a flux to its divergence.
+  2/3 rule: `Grid.state_spectra` writes the spectra of (u1, u2, theta),
+  `TransformBuffers.state_fields` takes them to the grid in one stacked
+  inverse transform, `TransformBuffers.product_spectra` transforms the
+  products, and `Grid.dealiased_gradient` takes the spectrum of a flux to
+  its divergence.
 
-Grids and fields are immutable: a field keeps its own read-only copy of
-the array it was built from, and a `SpectralField` is the spectrum of a
-real field by construction (finite, Hermitian on its self-conjugate
-columns).  Operations return new fields, so fields and grids are safe to
-share across threads; a `TransformBuffers` is not.
+Grids and fields are immutable.  A grid builds each symbol once, on first
+use, and holds it read-only for its life; one grid per size is shared by
+the flux diagnostics on the doubled grid (`pad_spectrum`), so a write into
+a symbol would reach every later caller.  Each symbol is held once: the
+Riesz pair is the one (2, n, n/2+1) stack `velocity_multipliers`, and the
+spectra of (u1, u2, theta) are formed from it plane by plane.  A field
+keeps its own read-only copy of the array it was built from, and a
+`SpectralField` is the spectrum of a real field by construction (finite,
+Hermitian on its self-conjugate columns).  Operations return new fields,
+so fields and grids are safe to share across threads; a
+`TransformBuffers` is not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 
 import numpy as np
 
@@ -60,6 +67,18 @@ DEFECT_REL_TOL = 1e-12  # defects of a spectrum relative to its largest coeffici
 MOLLIFIER_PROFILES = ("gaussian", "raised-cosine")
 STENCIL_HALF_WIDTH = 3.0  # the stencil covers [-3 eps, 3 eps] per axis
 STENCIL_POINTS = 21  # nodes per axis
+
+
+def _symbol(build):
+    """A cached `Grid` property whose array is made read-only once built."""
+
+    @wraps(build)
+    def frozen(grid):
+        a = build(grid)
+        a.flags.writeable = False
+        return a
+
+    return cached_property(frozen)
 
 
 @dataclass(frozen=True)
@@ -80,22 +99,22 @@ class Grid:
         if self.n % 2 != 0 or self.n < 8:
             raise ValidationError(f"grid size must be even and >= 8, got {self.n}")
 
-    @cached_property
+    @_symbol
     def nodes(self) -> np.ndarray:
         """1d array of node coordinates 2 pi i / n."""
         return TWO_PI * np.arange(self.n) / self.n
 
-    @cached_property
+    @_symbol
     def x1(self) -> np.ndarray:
-        """x1 coordinate per node, shape (n, n), read-only."""
+        """x1 coordinate per node, shape (n, n)."""
         return np.broadcast_to(self.nodes[None, :], (self.n, self.n))
 
-    @cached_property
+    @_symbol
     def x2(self) -> np.ndarray:
-        """x2 coordinate per node, shape (n, n), read-only."""
+        """x2 coordinate per node, shape (n, n)."""
         return np.broadcast_to(self.nodes[:, None], (self.n, self.n))
 
-    @cached_property
+    @_symbol
     def wavenumbers(self) -> np.ndarray:
         """1d wavenumber vector in FFT order, Nyquist stored as +n/2."""
         w = np.fft.fftfreq(self.n, 1.0 / self.n)
@@ -107,28 +126,28 @@ class Grid:
         """Shape (n, n/2 + 1) of the half-spectrum coefficient arrays."""
         return (self.n, self.n // 2 + 1)
 
-    @cached_property
+    @_symbol
     def k1(self) -> np.ndarray:
-        """k1 = 0..n/2 per coefficient slot, read-only."""
+        """k1 = 0..n/2 per coefficient slot."""
         return np.broadcast_to(self.wavenumbers[None, : self.n // 2 + 1], self.shape)
 
-    @cached_property
+    @_symbol
     def k2(self) -> np.ndarray:
-        """k2 per coefficient slot, read-only."""
+        """k2 per coefficient slot."""
         return np.broadcast_to(self.wavenumbers[:, None], self.shape)
 
-    @cached_property
+    @_symbol
     def parseval_weights(self) -> np.ndarray:
         """Multiplicity of each stored column in a sum over all k: 1 at k1 = 0, n/2, else 2."""
         w = np.full(self.n // 2 + 1, 2.0)
         w[[0, -1]] = 1.0
         return w
 
-    @cached_property
+    @_symbol
     def kabs(self) -> np.ndarray:
         return np.hypot(self.k1, self.k2)
 
-    @cached_property
+    @_symbol
     def kabs_safe(self) -> np.ndarray:
         """|k| with the zero mode replaced by 1 (division guard)."""
         k = self.kabs.copy()
@@ -146,13 +165,13 @@ class Grid:
         sym[0, 0] = 0.0
         return sym
 
-    @cached_property
+    @_symbol
     def dealias_mask(self) -> np.ndarray:
         """True where max(|k1|, |k2|) <= n/3 (two-thirds rule keeps equality)."""
         lim = self.n / 3.0
         return (np.abs(self.k1) <= lim) & (np.abs(self.k2) <= lim)
 
-    @cached_property
+    @_symbol
     def riesz_mask(self) -> np.ndarray:
         """True where odd multipliers are well defined (no k=0, no Nyquist)."""
         half = self.n // 2
@@ -160,24 +179,39 @@ class Grid:
         mask[0, 0] = False
         return mask
 
-    @cached_property
-    def velocity_multipliers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Spectral multipliers taking theta_hat to (u1_hat, u2_hat)."""
-        m1 = 1j * self.k2 / self.kabs_safe
-        m2 = -1j * self.k1 / self.kabs_safe
-        m1[~self.riesz_mask] = 0.0
-        m2[~self.riesz_mask] = 0.0
-        return m1, m2
+    @_symbol
+    def velocity_multipliers(self) -> np.ndarray:
+        """Stack (m1, m2) of the multipliers taking theta_hat to (u1_hat, u2_hat), shape (2, n, n/2+1).
 
-    @cached_property
-    def state_multipliers(self) -> np.ndarray:
-        """Stack (m1, m2, 1) of `velocity_multipliers`: theta_hat to the coefficients of (u1, u2, theta)."""
-        return np.stack([*self.velocity_multipliers, np.ones(self.shape)])
+        m1 = i k2 / |k| and m2 = -i k1 / |k|, zero off `riesz_mask`.
+        """
+        m = np.empty((2, *self.shape), dtype=np.complex128)
+        for mj, unit, k in zip(m, (1j, -1j), (self.k2, self.k1)):
+            np.divide(np.multiply(unit, k, out=mj), self.kabs_safe, out=mj)
+            mj[~self.riesz_mask] = 0.0
+        return m
 
-    @cached_property
+    def state_spectra(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Spectra (u1_hat, u2_hat, theta_hat) of the state theta_hat = `coeffs`, shape (3, n, n/2+1).
+
+        Written into `out` when given, else into a fresh array; the one
+        place the state's three spectra are formed.
+        """
+        if out is None:
+            out = np.empty((3, *self.shape), dtype=np.complex128)
+        # plane by plane: numpy buffers a broadcast product of up to 8192 elements whole
+        for m, spectrum in zip(self.velocity_multipliers, out):
+            np.multiply(m, coeffs, out=spectrum)
+        out[2] = coeffs
+        return out
+
+    @_symbol
     def dealiased_gradient(self) -> np.ndarray:
         """Stack (i k1, i k2), zero outside the 2/3 dealias band."""
-        return 1j * np.stack([self.k1, self.k2]) * self.dealias_mask
+        g = np.empty((2, *self.shape), dtype=np.complex128)
+        for gj, k in zip(g, (self.k1, self.k2)):
+            np.multiply(1j, k, out=gj)
+        return np.multiply(g, self.dealias_mask, out=g)
 
 
 @dataclass(frozen=True)
@@ -311,10 +345,7 @@ class TransformBuffers:
 
     def state_fields(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values of (u1, u2, theta) from theta_hat, written into `fields`."""
-        # row by row: numpy buffers a broadcast product of up to 8192 elements whole
-        for m, spectrum in zip(self.grid.state_multipliers, self.spectra):
-            np.multiply(m, coeffs, out=spectrum)
-        return _irfft2(self.spectra, self.fields)
+        return _irfft2(self.grid.state_spectra(coeffs, self.spectra), self.fields)
 
     def product_spectra(self) -> np.ndarray:
         """Half spectra of `products`, written into `flux`."""

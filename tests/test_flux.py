@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -262,7 +263,7 @@ def _padded_reference(theta):
     """
     fine = pad_spectrum(theta, 2 * theta.grid.n)
     gf = fine.grid
-    fields_hat = gf.state_multipliers * fine.coeffs
+    fields_hat = np.concatenate([gf.velocity_multipliers * fine.coeffs, [fine.coeffs]])
     fields = np.fft.irfft2(fields_hat, norm="forward")
     return gf, fields_hat, fields, np.fft.rfft2(fields[:2] * fields[2], norm="forward")
 
@@ -340,6 +341,25 @@ def test_flux_decay_exponent_transforms_once(monkeypatch):
             tracemalloc.stop()
         assert calls == {"_rfft2": 1, "_irfft2": 1}
         assert peak <= 8.0 * field
+
+
+def test_cold_flux_decay_exponent_peak_memory(monkeypatch):
+    # traced peak at N = 256, in float64 half-spectrum planes 256 x 129, of a
+    # call that also builds the doubled grid's symbols: measured 25.48, the
+    # warm call's 7.67 grid fields (15.2 planes) and the symbols (10.3); a
+    # second copy of the Riesz pair with a plane of ones and the temporaries
+    # of building the stacks peaked at 34.7
+    theta = random_field(qglab.Grid(128), 60, 1.5, 3)
+    eps = [0.25, 0.125, 0.0625]
+    flux_decay_exponent(theta, 0.5, eps)  # warm-up: numpy's transform plans
+    monkeypatch.setattr(qglab.spectral, "_shared_grid", functools.cache(qglab.Grid))  # a cold doubled grid
+    tracemalloc.start()
+    try:
+        flux_decay_exponent(theta, 0.5, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26.0 * 256 * 129 * 8
 
 
 @pytest.mark.parametrize("with_remainder", [True, False])

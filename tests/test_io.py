@@ -273,6 +273,27 @@ def test_load_snapshot_rejects_bad_grid_size(tmp_path, n):
     assert info.value.check == "n"
 
 
+_HEADER = {"t": 0.0, "alpha": 0.5, "kappa": 0.0, "mu": 0.0}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t", float("nan")), ("t", float("inf")), ("alpha", float("inf")), ("alpha", 1.5),
+    ("alpha", -0.5), ("kappa", -1.0), ("kappa", float("nan")), ("mu", float("nan")), ("mu", -2.0),
+])
+def test_snapshot_header_rule_on_save_and_load(tmp_path, field, value):
+    # one header rule: save refuses what load calls corrupt, field by field
+    header = {**_HEADER, field: value}
+    path = tmp_path / "s.qgw"
+    with pytest.raises(ValidationError, match=f"snapshot {field} must"):
+        save_snapshot(Snapshot(n=8, model="inviscid", values=np.zeros((8, 8)), **header), str(path))
+    assert not path.exists()
+    packed = struct.pack(_HEADER_FMT, b"QGW1", 1, 8, *header.values(), 0)
+    path.write_bytes(packed + np.zeros((8, 8), dtype="<f8").tobytes())
+    with pytest.raises(CorruptSnapshot) as info:
+        load_snapshot(str(path))
+    assert info.value.check == field
+
+
 # -- CSV series -----------------------------------------------------------------
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Warm minor page faults per repeat of each benchmark study, as JSON.
+"""Warm minor page faults per repeat and peak memory of each benchmark study, as JSON.
 
     python3 tools/minor_faults.py [--seed 2] [--repeats 20] [--toy]
 
@@ -10,8 +10,11 @@ symbols, then run `--repeats` more times, each after its `reset()`.  The
 reported count is the growth of the process's `ru_minflt` over those
 repeats divided by their number: the pages that a repeat touches for the
 first time, mostly the large arrays that the allocator returned to the
-system since the previous repeat.  The last stdout line is the JSON result;
-nothing under `benchmarks/` is changed.
+system since the previous repeat.  Beside it, `peak_rss_mb` gives the
+interpreter's `ru_maxrss` in MB once the study is built (`setup`) and
+after the repeats (`repeats`), so a change to what a study holds shows
+without the benchmark's timing runs.  The last stdout line is the JSON
+result; nothing under `benchmarks/` is changed.
 
 The mu_sweep count depends on how its interpreter is invoked: on one tree
 it read 349 with the study run by absolute path, as `main` runs it, and
@@ -43,10 +46,15 @@ def _studies():
     return studies
 
 
-def measure(workload: str, seed: int, repeats: int, toy: bool) -> float:
-    """Minor faults per warm repeat of one study in this process."""
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def measure(workload: str, seed: int, repeats: int, toy: bool) -> dict:
+    """Minor faults per warm repeat of one study in this process, and its peak RSS in MB after set-up and repeats."""
     with tempfile.TemporaryDirectory(prefix="qglab-faults-") as workdir:
         study = _studies().STUDIES[workload](workdir, seed, toy)
+        setup_mb = _peak_rss_mb()
         study.reset()
         study.run()  # warm-up
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -54,7 +62,7 @@ def measure(workload: str, seed: int, repeats: int, toy: bool) -> float:
             study.reset()
             study.run()
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    return faults / repeats
+    return {"faults_per_repeat": faults / repeats, "peak_rss_mb": {"setup": setup_mb, "repeats": _peak_rss_mb()}}
 
 
 def main(argv=None) -> int:
@@ -72,14 +80,15 @@ def main(argv=None) -> int:
         return 0
 
     env = {**os.environ, **{var: "1" for var in THREAD_VARS}}
-    faults = {}
+    faults, rss = {}, {}
     for workload in _studies().STUDIES:
         cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
                "--seed", str(args.seed), "--repeats", str(args.repeats)] + (["--toy"] if args.toy else [])
         out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
-        faults[workload] = json.loads(out.splitlines()[-1])
+        result = json.loads(out.splitlines()[-1])
+        faults[workload], rss[workload] = result["faults_per_repeat"], result["peak_rss_mb"]
     print(json.dumps({"seed": args.seed, "repeats": args.repeats, "toy": args.toy,
-                      "faults_per_repeat": faults}))
+                      "faults_per_repeat": faults, "peak_rss_mb": rss}))
     return 0
 
 
