@@ -17,11 +17,17 @@ integral u_eps theta_eps . grad theta_eps dx = -1/2 integral (div u_eps)
 theta_eps^2 dx = 0 and the flux integral sigma_eps . grad theta_eps dx is
 -integral (u theta)_eps . grad theta_eps dx, a Parseval sum of
 m_eps(k)^2 times one eps-independent pairing of the spectra of u theta
-and grad theta.  Norm conventions follow
+and grad theta.  That pairing lives where the padded theta_hat does, on
+the columns and rows of theta's own grid, so it is folded onto theta's
+(n, n/2 + 1) slots and each eps sums over them with the multiplier of
+theta's grid.  Norm conventions follow
 the physical integral: |f|_q = (integral |f|^q dx)^(1/q) by exact grid
 quadrature and ||f||_s = |Lambda^s f|_2 = 2 pi sqrt(sum |k|^(2s)
 |f_hat|^2), the sum over all k taken on the stored half spectrum with
-`Grid.parseval_weights`.
+`Grid.parseval_weights`.  A per-node magnitude |(x, y)|, of u, sigma_eps,
+r_eps or the decomposition defect, is numpy's complex absolute of x + i y
+(`_magnitude`), which is vectorized and, like hypot, neither overflows nor
+underflows where x^2 + y^2 would.
 """
 
 from __future__ import annotations
@@ -58,7 +64,11 @@ ROUNDOFF_FLOOR = 1e-14
 
 
 def lp_norm(f: PhysicalField, q) -> float:
-    """(integral |f|^q dx)^(1/q); q = inf gives the max over nodes."""
+    """(integral |f|^q dx)^(1/q); q = inf gives the max over nodes.
+
+    Where |f|^q overflows or underflows to 0, the largest |f| is factored
+    out of the integral first.
+    """
     return _lp(f.values, q)
 
 
@@ -68,8 +78,14 @@ def _lp(values: np.ndarray, q) -> float:
         return float(np.max(np.abs(values)))
     if not q >= 1.0:  # also rejects NaN
         raise ValidationError(f"lp_norm requires q >= 1, got {q}")
-    moment = float(np.mean(np.abs(values) ** q))
-    return (CELL_AREA_FACTOR * moment) ** (1.0 / q)
+    size = np.abs(values)
+    with np.errstate(over="ignore", under="ignore"):
+        integral = CELL_AREA_FACTOR * float(np.mean(size**q))
+    if integral == math.inf or integral == 0.0:  # |f|^q may have left the double range
+        top = float(np.max(size))
+        if top > 0.0:  # factor the largest |f| out
+            return top * (CELL_AREA_FACTOR * float(np.mean((size / top) ** q))) ** (1.0 / q)
+    return integral ** (1.0 / q)
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -181,11 +197,14 @@ def state_norms(theta: SpectralField, qs, indices, sigma: float) -> tuple[dict, 
     """
     # not a fresh `TransformBuffers`: its fields, allocated before the column
     # stage's temporary, raised the n = 128 march benchmark's peak RSS by 0.4 MB
-    u1, u2, th = _irfft2(theta.grid.state_spectra(theta.coeffs))
+    spectra = theta.grid.state_spectra(theta.coeffs)
+    u1, u2, th = _irfft2(spectra)
     lp = {q: _lp(th, q) for q in qs}
     norms, ladder = _norms_and_ladder(theta, indices, sigma)
     hs = {index: norms[index] for index in indices}
-    return lp, hs, _lp(th, np.inf) + float(np.max(np.hypot(u1, u2))), ladder
+    # |u| in the bytes of the consumed spectra
+    u_inf = float(np.max(_magnitude(u1, u2, _overlay(spectra, np.complex128, u1.shape), u1)))
+    return lp, hs, _lp(th, np.inf) + u_inf, ladder
 
 
 def make_record(
@@ -414,11 +433,14 @@ def coarse_grained_flux(
 
     The flux integral is the Parseval sum -(2 pi)^2 sum_k m_eps(k)^2 Re
     sum_j F_j(k) conj(i k_j theta_hat(k)) over all k, F_j the spectrum of
-    u_j theta; no sigma_eps enters it.  The term integral u_eps theta_eps .
-    grad theta_eps dx that it leaves out is zero because u_eps is
-    divergence free, and its grid quadrature is exact to round-off on the
-    doubled grid: each factor lives in |k_i| <= n/2, so the triple product
-    lives in |k_i| <= 3n/2 < 2n and no mode of it aliases onto k = 0.
+    u_j theta; no sigma_eps enters it.  Its terms vanish wherever the
+    padded theta_hat does, so the sum runs over the slots of theta's own
+    grid, with the doubled grid's k2 = -n/2 row folded into the +n/2 row.
+    The term integral u_eps theta_eps . grad theta_eps dx that it leaves
+    out is zero because u_eps is divergence free, and its grid quadrature
+    is exact to round-off on the doubled grid: each factor lives in |k_i|
+    <= n/2, so the triple product lives in |k_i| <= 3n/2 < 2n and no mode
+    of it aliases onto k = 0.
 
     When `with_remainder` is set, r_eps(u, theta) = integral of
     rho_eps(y) (u(x - y) - u(x)) (theta(x - y) - theta(x)) dy is evaluated
@@ -435,7 +457,9 @@ def coarse_grained_flux(
     mirror symmetric in each axis, so D takes one value on k and its
     mirror image across those lines, and no shift of the products aliases.
     The L1 defect of the identity sigma_eps = (u - u_eps)(theta -
-    theta_eps) - r_eps is reported.
+    theta_eps) - r_eps is reported.  The magnitudes of sigma_eps, r_eps and
+    that defect are complex absolutes, scale covariant also where their
+    squares leave the double range, and |r_eps|^(3/2) is |r_eps| sqrt|r_eps|.
 
     The convex profile G enters only the Duchon-Robert dissipation field
     G''(theta_eps) grad theta_eps . ((u theta)_eps - u_eps theta_eps),
@@ -462,7 +486,7 @@ def flux_scan(
     """
     mollifiers = _mollifiers(eps_list, profile)
     work = _FluxWork(theta.grid, with_remainder)
-    pairing = _flux_front(theta, work)[1]
+    pairing = _flux_front(theta, work)
     return [_flux_at_scale(theta.grid, pairing, mol, work, dr_profile) for mol in mollifiers]
 
 
@@ -499,13 +523,15 @@ def flux_decay_exponent(
     DegenerateFit when the flux sits at the round-off floor (the field is
     too smooth, or steady, to carry a measurable transfer).  Each value is
     the bits of `coarse_grained_flux(theta, eps, profile).flux_integral`,
-    formed as that function forms it: one Parseval sum per eps over a
-    pairing that one forward and one inverse transform give for the whole
-    list, with no sigma_eps or other per-eps field.
+    formed as that function forms it: one Parseval sum per eps, over the
+    slots of theta's own grid, of a pairing that one forward and one
+    inverse transform give for the whole list, with no sigma_eps or other
+    per-eps field.  The forward transform's column stage runs only on the
+    columns that the pairing reads.
     """
     mollifiers = _mollifiers(eps_list, profile)
-    gf, pairing = _flux_front(theta)
-    fluxes = [_flux_integral(mol.multiplier(gf), pairing) for mol in mollifiers]
+    pairing = _flux_front(theta)
+    fluxes = [_flux_integral(mol.multiplier(theta.grid), pairing) for mol in mollifiers]
     return fit_loglog_slope([mol.eps for mol in mollifiers], np.abs(fluxes))
 
 
@@ -517,43 +543,57 @@ def _mollifiers(eps_list, profile: str) -> list[Mollifier]:
     return mollifiers
 
 
-def _flux_front(theta: SpectralField, work: _FluxWork | None = None):
-    """(grid, pairing): the eps-independent work of a flux scan on the doubled grid N = 2n.
+def _flux_front(theta: SpectralField, work: _FluxWork | None = None) -> np.ndarray:
+    """The pairing, the eps-independent work of a flux scan on the doubled grid N = 2n, on theta's slots.
 
     `theta` is padded once; one inverse transform gives (u1, u2, theta) on
     the grid, and one forward transform the spectra F_j of the products
-    u_j theta.  `pairing` is P(k) = (2 pi)^2 w(k) Re sum_j F_j(k) conj(i k_j
-    theta_hat(k)) on the doubled grid's half spectrum, w its
-    `parseval_weights`, so `_flux_integral` of a multiplier m_eps is
-    -sum_k m_eps(k)^2 P(k).
+    u_j theta.  The pairing is P(k) = (2 pi)^2 w(k) Re sum_j F_j(k) conj(i
+    k_j theta_hat(k)), w the doubled grid's `parseval_weights`.  The padded
+    theta_hat is zero outside the columns k1 <= n/2 and the rows that
+    `pad_spectrum` fills, so is P: it is formed on those columns and folded
+    onto the (n, n/2 + 1) slots of theta's grid, the doubled grid's k2 =
+    -n/2 row added into the +n/2 row, which has the same |k|.  So
+    `_flux_integral` of the multiplier m_eps on theta's grid is -sum_k
+    m_eps(k)^2 P(k), the Parseval sum over the doubled grid.
 
     With `work`, the `_FluxWork` of a scan, the spectra and the fields of
     (u1, u2, theta) and the products' spectra are kept in it for
-    `_flux_at_scale`.  Without it only the pairing is kept, and the
-    products' spectra overwrite the dead fields.  Either way the products
+    `_flux_at_scale`.  Without it only the pairing is kept, the products'
+    spectra overwrite the dead fields, and the forward transform's column
+    stage runs only on the columns of P.  Either way the products
     overwrite the dead input of the inverse, and so do the pairing's
     terms after them.
     """
     fine = pad_spectrum(theta, 2 * theta.grid.n)
     gf = fine.grid
+    columns = theta.grid.shape[1]  # the padded spectra are zero in every later column
     if work is None:
         spectra, fields = _block(gf, 3, 3)
         uth_hat = _overlay(fields, np.complex128, (2, *gf.shape))
+        gf.state_spectra(fine.coeffs, spectra)
     else:
         spectra, fields, uth_hat = work.spectra[:3], work.state, work.uth_hat
-        gf.state_spectra(fine.coeffs, work.state_hat)
-    gf.state_spectra(fine.coeffs, spectra)
-    # the padded spectra are zero in every column beyond those of theta's grid
-    _irfft2(spectra, fields, theta.grid.shape[1])
-    _rfft2(np.multiply(fields[:2], fields[2], out=_overlay(spectra, np.float64, (2, gf.n, gf.n))), uth_hat)
-    # theta lives in |k_i| <= N/4, inside the dealias band of the doubled grid
-    grad = np.multiply(gf.dealiased_gradient, fine.coeffs, out=spectra[:2])
-    np.multiply(uth_hat, np.conjugate(grad, out=grad), out=grad)
-    return gf, (CELL_AREA_FACTOR * gf.parseval_weights) * np.add(grad[0], grad[1], out=grad[0]).real
+        np.copyto(spectra, gf.state_spectra(fine.coeffs, work.state_hat))
+    _irfft2(spectra, fields, columns)
+    products = np.multiply(fields[:2], fields[2], out=_overlay(spectra, np.float64, (2, gf.n, gf.n)))
+    # a scan's sigma_eps reads every column of the products' spectra, the pairing only theta's
+    _rfft2(products, uth_hat, None if work else columns)
+    # theta lives in |k_i| <= N/4, inside the dealias band of the doubled grid; the
+    # terms on its columns go to contiguous memory, over the dead products
+    grad = _overlay(spectra, np.complex128, (2, gf.n, columns))
+    np.multiply(gf.dealiased_gradient[..., :columns], fine.coeffs[:, :columns], out=grad)
+    np.multiply(uth_hat[..., :columns], np.conjugate(grad, out=grad), out=grad)
+    pairing = np.add(grad[0], grad[1], out=grad[0]).real
+    np.multiply(CELL_AREA_FACTOR * gf.parseval_weights[:columns], pairing, out=pairing)
+    half = theta.grid.n // 2
+    folded = pairing[theta.grid.wavenumbers.astype(int) % gf.n]  # the rows of `pad_spectrum`
+    folded[half] += pairing[gf.n - half]
+    return folded
 
 
 def _flux_integral(m: np.ndarray, pairing: np.ndarray) -> float:
-    """integral sigma_eps . grad theta_eps dx from the multiplier m_eps and the `_flux_front` pairing."""
+    """integral sigma_eps . grad theta_eps dx from m_eps on theta's grid and the `_flux_front` pairing."""
     # 0 - x rather than -x: an exactly zero flux stays +0
     return 0.0 - float(np.sum(m * m * pairing))
 
@@ -574,6 +614,19 @@ def _block(grid: Grid, spectra: int, fields: int):
 def _overlay(array: np.ndarray, dtype, shape) -> np.ndarray:
     """An array of `dtype` and `shape` in the leading bytes of the contiguous `array`."""
     return array.reshape(-1).view(dtype)[: math.prod(shape)].reshape(shape)
+
+
+def _magnitude(x: np.ndarray, y: np.ndarray, pairs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|(x, y)| per node, written into `out`: numpy's complex absolute of x + i y, held in `pairs`.
+
+    `pairs` is dead memory of the caller, a complex array of the fields'
+    shape that `out` does not overlap.  The complex absolute runs
+    vectorized and scales its operands as hypot does, so it neither
+    overflows nor underflows where the squares x^2 + y^2 would.
+    """
+    np.copyto(pairs.real, x)
+    np.copyto(pairs.imag, y)
+    return np.abs(pairs, out=out)
 
 
 def _difference_symbol(grid: Grid, offsets, weights) -> np.ndarray:
@@ -601,7 +654,8 @@ class _FluxWork:
     the D-fields of (u1, u2, theta, u1 theta, u2 theta).  `spectra` holds the
     half spectra of the largest group transformed at once, three or five.
     A group's spectra are dead once transformed, so their memory also
-    serves as `scratch`, three float grid fields for the elementwise work.
+    serves as `scratch`, three float grid fields for the elementwise work,
+    the first two of which are `pairs`, the complex field of `_magnitude`.
     """
 
     def __init__(self, grid: Grid, with_remainder: bool):
@@ -611,22 +665,23 @@ class _FluxWork:
         self.state_hat, self.uth_hat, self.spectra = spectra[:3], spectra[3:5], spectra[5:]
         self.state, self.fields = fields[:3], fields[3:]
         self.scratch = _overlay(self.spectra, np.float64, (3, fine.n, fine.n))
+        self.pairs = _overlay(self.spectra, np.complex128, (fine.n, fine.n))
 
 
 def _flux_at_scale(grid, pairing, mol, work, dr_profile) -> FluxEstimate:
     """`coarse_grained_flux` at one scale from the `_flux_front` of its state on `grid`, in `work`."""
     gf, fields_hat, (u1, u2, th), uth_hat = work.grid, work.state_hat, work.state, work.uth_hat
     m = mol.multiplier(gf)
-    spectra = work.spectra
-    x, y, z = work.scratch
+    spectra, pairs = work.spectra, work.pairs
+    x, y, z = work.scratch  # x and y share the bytes of `pairs`
     columns = grid.shape[1]  # held by m_eps times the padded spectra
 
     u1_eps, u2_eps, th_eps = _irfft2(np.multiply(m, fields_hat, out=spectra[:3]), work.fields[:3], columns)
     sigma1, sigma2 = _irfft2(np.multiply(m, uth_hat, out=spectra[:2]), work.fields[3:5])
     # sigma_eps = u_eps theta_eps - (u theta)_eps, in place of (u theta)_eps
-    np.subtract(np.multiply(u1_eps, th_eps, out=x), sigma1, out=sigma1)
-    np.subtract(np.multiply(u2_eps, th_eps, out=x), sigma2, out=sigma2)
-    sigma_l1 = float(np.mean(np.hypot(sigma1, sigma2, out=x))) * CELL_AREA_FACTOR
+    np.subtract(np.multiply(u1_eps, th_eps, out=z), sigma1, out=sigma1)
+    np.subtract(np.multiply(u2_eps, th_eps, out=z), sigma2, out=sigma2)
+    sigma_l1 = float(np.mean(_magnitude(sigma1, sigma2, pairs, z))) * CELL_AREA_FACTOR
 
     r_l32 = decomposition = None
     if work.with_remainder:
@@ -637,20 +692,24 @@ def _flux_at_scale(grid, pairing, mol, work, dr_profile) -> FluxEstimate:
         du1, du2, dth, r1, r2 = _irfft2(spectra, work.fields[5:10])
         # r = D(u theta) - u D theta - theta D u, in place of D(u theta)
         for r, u, du in ((r1, u1, du1), (r2, u2, du2)):
-            np.subtract(r, np.multiply(u, dth, out=x), out=r)
-            np.subtract(r, np.multiply(th, du, out=x), out=r)
-        np.hypot(r1, r2, out=x)
-        r_l32 = (float(np.mean(np.power(x, 1.5, out=x))) * CELL_AREA_FACTOR) ** (2.0 / 3.0)
-        # d = (u - u_eps)(theta - theta_eps) - r - sigma_eps
-        np.subtract(th, th_eps, out=z)
-        for d, u, u_eps, r, sigma in ((x, u1, u1_eps, r1, sigma1), (y, u2, u2_eps, r2, sigma2)):
-            np.multiply(np.subtract(u, u_eps, out=d), z, out=d)
+            np.subtract(r, np.multiply(u, dth, out=z), out=r)
+            np.subtract(r, np.multiply(th, du, out=z), out=r)
+        r_abs = _magnitude(r1, r2, pairs, z)
+        # |r|^(3/2) as |r| sqrt|r|
+        np.multiply(r_abs, np.sqrt(r_abs, out=x), out=r_abs)
+        r_l32 = (float(np.mean(r_abs)) * CELL_AREA_FACTOR) ** (2.0 / 3.0)
+        # d = (u - u_eps)(theta - theta_eps) - r - sigma_eps in place of the dead D u,
+        # theta - theta_eps in place of D theta
+        np.subtract(th, th_eps, out=dth)
+        for d, u, u_eps, r, sigma in ((du1, u1, u1_eps, r1, sigma1), (du2, u2, u2_eps, r2, sigma2)):
+            np.multiply(np.subtract(u, u_eps, out=d), dth, out=d)
             np.subtract(d, r, out=d)
             np.subtract(d, sigma, out=d)
-        decomposition = float(np.mean(np.hypot(x, y, out=x))) * CELL_AREA_FACTOR
+        decomposition = float(np.mean(_magnitude(du1, du2, pairs, z))) * CELL_AREA_FACTOR
 
     est = FluxEstimate(
-        eps=mol.eps, profile=mol.profile, sigma_l1=sigma_l1, flux_integral=_flux_integral(m, pairing),
+        eps=mol.eps, profile=mol.profile, sigma_l1=sigma_l1,
+        flux_integral=_flux_integral(mol.multiplier(grid), pairing),
         r_l32=r_l32, decomposition_l1_error=decomposition,
     )
 

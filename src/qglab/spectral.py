@@ -147,13 +147,6 @@ class Grid:
     def kabs(self) -> np.ndarray:
         return np.hypot(self.k1, self.k2)
 
-    @_symbol
-    def kabs_safe(self) -> np.ndarray:
-        """|k| with the zero mode replaced by 1 (division guard)."""
-        k = self.kabs.copy()
-        k[0, 0] = 1.0
-        return k
-
     def sqrt_laplacian(self, power: float) -> np.ndarray:
         """Symbol |k|^power of Lambda^power, a fresh array: 1 at k = 0 for power 0, else 0 there.
 
@@ -161,7 +154,8 @@ class Grid:
         """
         if power == 0.0:
             return np.ones(self.shape)
-        sym = self.kabs_safe**power
+        # every |k| but the zero mode's is at least 1: the guard changes that one slot
+        sym = np.maximum(self.kabs, 1.0) ** power
         sym[0, 0] = 0.0
         return sym
 
@@ -185,10 +179,9 @@ class Grid:
 
         m1 = i k2 / |k| and m2 = -i k1 / |k|, zero off `riesz_mask`.
         """
-        m = np.empty((2, *self.shape), dtype=np.complex128)
+        m = np.zeros((2, *self.shape), dtype=np.complex128)
         for mj, unit, k in zip(m, (1j, -1j), (self.k2, self.k1)):
-            np.divide(np.multiply(unit, k, out=mj), self.kabs_safe, out=mj)
-            mj[~self.riesz_mask] = 0.0
+            np.divide(unit * k, self.kabs, out=mj, where=self.riesz_mask)
         return m
 
     def state_spectra(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -289,14 +282,20 @@ def _derived_field(grid: Grid, coeffs: np.ndarray) -> SpectralField:
     return f
 
 
-def _rfft2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _rfft2(values: np.ndarray, out: np.ndarray | None = None, columns: int | None = None) -> np.ndarray:
     """Normalized half spectra of real (stacked) grid samples; k = 0 holds the mean.
 
     Runs as two 1-D stages, rows then columns, into `out` when given (else a
     fresh array); the bits of ``np.fft.rfft2(values, norm="forward")``.
+    With `columns`, the second stage, the columns' ``fft``, runs on the
+    leading `columns` columns alone: those hold the bits of the spectrum,
+    and every later column only the rows' transform, for a caller that
+    reads k1 < columns and nothing else.
     """
     out = np.fft.rfft(values, axis=-1, norm="forward", out=out)
-    return np.fft.fft(out, axis=-2, norm="forward", out=out)
+    leading = out[..., :columns]
+    np.fft.fft(leading, axis=-2, norm="forward", out=leading)
+    return out
 
 
 def _irfft2(spectra: np.ndarray, out: np.ndarray | None = None, columns: int | None = None) -> np.ndarray:

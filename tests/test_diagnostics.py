@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,21 @@ def test_lp_norm_cosine(grid64):
     assert lp_norm(phys, np.inf) == pytest.approx(1.0, abs=1e-14)
     # int_0^2pi |cos|^3 = 8/3, so |f|_3 = (2 pi 8/3)^(1/3)
     assert lp_norm(phys, 3.0) == pytest.approx((2 * np.pi * 8 / 3) ** (1 / 3), rel=1e-6)
+
+
+@pytest.mark.parametrize("exponent", [300, -300])
+def test_lp_norm_past_the_double_range_of_its_power(grid32, exponent):
+    # |f|^4 of samples near 2^(+-300) overflows or underflows to 0: the
+    # largest sample is factored out instead, with no warning.  The 1/q
+    # power is float(1/q), which leaves q = 3 1.2e-14 off the scaled norm
+    f = inverse_transform(random_field(grid32, 8, 1.5, 3))
+    a = 2.0**exponent
+    scaled = qglab.PhysicalField(grid32, f.values * a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (3.0, 4.0, 8.0):
+            assert lp_norm(scaled, q) == pytest.approx(a * lp_norm(f, q), rel=1e-13, abs=0.0)
+    assert lp_norm(qglab.PhysicalField(grid32, np.zeros((32, 32))), 4.0) == 0.0
 
 
 def test_lp_norm_rejects_small_exponent(grid16):

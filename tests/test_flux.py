@@ -15,6 +15,7 @@ from qglab.diagnostics import (
     fit_loglog_slope,
     flux_decay_exponent,
     flux_scan,
+    state_norms,
 )
 from qglab.spectral import Mollifier, PhysicalField, forward_transform, inverse_transform, mollify, pad_spectrum
 from qglab.errors import DegenerateFit
@@ -241,6 +242,24 @@ def test_eps_must_be_finite(grid32, eps):
         flux_decay_exponent(theta, 0.5, [0.25, eps, 0.0625])
 
 
+@pytest.mark.parametrize("exponent", [300, -300])
+def test_magnitudes_are_scale_covariant(exponent):
+    # a power-of-two scale a is exact in every transform and product, so
+    # sigma_eps and the defect d scale by exactly a^2 and u by a, also where
+    # the squares of the components leave the double range; r_l32 takes its
+    # 2/3 power as float(2/3), which leaves it 2.3e-14 off a^2 (measured)
+    theta = random_field(qglab.Grid(32), 8, 2.5, 7)
+    a = 2.0**exponent
+    scaled = theta * a
+    eps_list = [0.25, 0.0625]
+    for est, big in zip(flux_scan(theta, eps_list), flux_scan(scaled, eps_list)):
+        assert big.sigma_l1 == a * a * est.sigma_l1
+        assert big.decomposition_l1_error == a * a * est.decomposition_l1_error
+        assert big.r_l32 == pytest.approx(a * a * est.r_l32, rel=1e-13, abs=0.0)
+    q_inf = state_norms(theta, (), (), 2.0)[2]
+    assert state_norms(scaled, (), (), 2.0)[2] == a * q_inf
+
+
 def test_flux_scan_validates_before_padding(grid32, monkeypatch):
     def too_early(*args):
         raise AssertionError("padded or transformed before validating eps")
@@ -388,11 +407,18 @@ def _flux_at_scale_reference(grid, padded, mol, with_remainder, dr_profile):
     uth1_eps, uth2_eps = np.fft.irfft2(m * uth_hat, norm="forward")
     sigma1 = u1_eps * th_eps - uth1_eps
     sigma2 = u2_eps * th_eps - uth2_eps
-    # -integral (u theta)_eps . grad theta_eps by Parseval over the half spectrum
-    pairing = CELL_AREA_FACTOR * gf.parseval_weights * np.sum(
-        uth_hat * np.conj(gf.dealiased_gradient * fields_hat[2]), axis=0).real
-    flux = -float(np.sum(m * m * pairing))
-    sigma_l1 = float(np.mean(np.hypot(sigma1, sigma2))) * CELL_AREA_FACTOR
+    # -integral (u theta)_eps . grad theta_eps by Parseval over the half spectrum:
+    # the pairing lives on the columns and rows of the padded theta, so it is
+    # summed on theta's own slots, the doubled grid's k2 = -n/2 row folded
+    # into the +n/2 row
+    c, half = grid.n // 2 + 1, grid.n // 2
+    full = CELL_AREA_FACTOR * gf.parseval_weights[:c] * np.sum(
+        uth_hat[..., :c] * np.conj(gf.dealiased_gradient[..., :c] * fields_hat[2][:, :c]), axis=0).real
+    pairing = full[grid.wavenumbers.astype(int) % gf.n]
+    pairing[half] += full[gf.n - half]
+    m_coarse = mol.multiplier(grid)
+    flux = -float(np.sum(m_coarse * m_coarse * pairing))
+    sigma_l1 = float(np.mean(np.abs(sigma1 + 1j * sigma2))) * CELL_AREA_FACTOR
     est = FluxEstimate(eps=mol.eps, profile=mol.profile, sigma_l1=sigma_l1, flux_integral=flux)
     if with_remainder:
         offsets, weights = mol.stencil(gf)
@@ -400,11 +426,11 @@ def _flux_at_scale_reference(grid, padded, mol, with_remainder, dr_profile):
         du1, du2, dth, duth1, duth2 = np.fft.irfft2(diff * np.concatenate([fields_hat, uth_hat]), norm="forward")
         r1 = duth1 - u1 * dth - th * du1
         r2 = duth2 - u2 * dth - th * du2
-        rmag = np.hypot(r1, r2)
-        est.r_l32 = (float(np.mean(rmag**1.5)) * CELL_AREA_FACTOR) ** (2.0 / 3.0)
+        rmag = np.abs(r1 + 1j * r2)
+        est.r_l32 = (float(np.mean(rmag * np.sqrt(rmag))) * CELL_AREA_FACTOR) ** (2.0 / 3.0)
         d1 = (u1 - u1_eps) * (th - th_eps) - r1 - sigma1
         d2 = (u2 - u2_eps) * (th - th_eps) - r2 - sigma2
-        est.decomposition_l1_error = float(np.mean(np.hypot(d1, d2))) * CELL_AREA_FACTOR
+        est.decomposition_l1_error = float(np.mean(np.abs(d1 + 1j * d2))) * CELL_AREA_FACTOR
     if dr_profile is not None:
         dth1_eps, dth2_eps = np.fft.irfft2(gf.dealiased_gradient * (m * fields_hat[2]), norm="forward")
         dr = dr_profile(th_eps) * (dth1_eps * (-sigma1) + dth2_eps * (-sigma2))

@@ -85,42 +85,84 @@ def _reads_symbol_base(node):
     )
 
 
-def _symbol_powers(node, scope="<module>"):
-    """(line, enclosing class.function) of every power under `node` whose base reads kabs, kabs_safe or hypot."""
+def _scoped_matches(node, match, scope="<module>"):
+    """(line, enclosing class.function) of every node under `node` for which `match` holds."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
-            yield from _symbol_powers(child, inner)
+            yield from _scoped_matches(child, match, inner)
             continue
-        base = None
-        if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow):
-            base = child.left
-        elif isinstance(child, ast.AugAssign) and isinstance(child.op, ast.Pow):
-            base = child.target
-        elif isinstance(child, ast.Call) and child.args:
-            func = child.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in ("power", "float_power"):
-                base = child.args[0]
-        if base is not None and _reads_symbol_base(base):
+        if match(child):
             yield child.lineno, scope
-        yield from _symbol_powers(child, scope)
+        yield from _scoped_matches(child, match, scope)
+
+
+def _is_symbol_power(node):
+    """Whether `node` is a power whose base reads kabs, kabs_safe or hypot."""
+    base = None
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        base = node.left
+    elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+        base = node.target
+    elif isinstance(node, ast.Call) and node.args:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("power", "float_power"):
+            base = node.args[0]
+    return base is not None and _reads_symbol_base(base)
+
+
+def _is_hypot(node):
+    """Whether `node` names hypot: np.hypot, numpy.hypot, math.hypot, a bare or an imported hypot."""
+    return (
+        (isinstance(node, ast.Attribute) and node.attr == "hypot")
+        or (isinstance(node, ast.Name) and node.id == "hypot")
+        or (isinstance(node, ast.alias) and node.name == "hypot")
+    )
+
+
+def _uses_outside(match, allowed):
+    """(offenders, seen): the uses that `match` finds in src/qglab outside and inside the `allowed` (file, scope)."""
+    src = Path(qglab.__file__).resolve().parent
+    seen, offenders = set(), []
+    for path in sorted(src.glob("*.py")):
+        for line, scope in _scoped_matches(ast.parse(path.read_text(encoding="utf-8")), match):
+            if (path.name, scope) in allowed:
+                seen.add((path.name, scope))
+            else:
+                offenders.append(f"{path.name}:{line} {scope}")
+    return offenders, seen
 
 
 def test_only_the_symbol_raises_kabs_to_a_power():
     # |k|^beta is written once, in Grid.sqrt_laplacian, and once more in the
     # regularized kernel, which takes bare wavenumbers
-    src = Path(qglab.__file__).resolve().parent
     allowed = {("spectral.py", "Grid.sqrt_laplacian"), ("models.py", "regularized_gradient_kernel")}
-    seen, offenders = set(), []
-    for path in sorted(src.glob("*.py")):
-        for line, scope in _symbol_powers(ast.parse(path.read_text(encoding="utf-8"))):
-            if (path.name, scope) in allowed:
-                seen.add((path.name, scope))
-            else:
-                offenders.append(f"{path.name}:{line} {scope}")
+    offenders, seen = _uses_outside(_is_symbol_power, allowed)
     assert offenders == []
     assert seen == allowed  # the walk finds the allowed uses
+
+
+def test_hypot_only_in_one_time_symbol_builds():
+    # a magnitude formed per call is numpy's vectorized complex absolute
+    # (diagnostics._magnitude); libm's scalar hypot, several times slower
+    # over a grid, builds only the symbols that are formed once
+    allowed = {("spectral.py", "Grid.kabs"), ("models.py", "regularized_gradient_kernel")}
+    offenders, seen = _uses_outside(_is_hypot, allowed)
+    assert offenders == []
+    assert seen == allowed  # the walk finds the allowed uses
+
+
+def test_the_hypot_walk_finds_planted_uses():
+    planted = (
+        "import numpy as np\n"
+        "from math import hypot\n"
+        "class Field:\n"
+        "    def size(self, x, y):\n"
+        "        return np.hypot(x, y) + hypot(1.0, 2.0)\n"
+    )
+    found = list(_scoped_matches(ast.parse(planted), _is_hypot))
+    assert found == [(2, "<module>"), (5, "Field.size"), (5, "Field.size")]
 
 
 @pytest.mark.parametrize("power", [0.0, 0.5, 1.0, 2.0, -1.5])
@@ -133,7 +175,7 @@ def test_grid_sqrt_laplacian_symbol(grid16, power):
     # a fresh writable array per call, sharing no memory with the grid's arrays
     again = grid16.sqrt_laplacian(power)
     assert sym.flags.writeable and again is not sym
-    assert not any(np.shares_memory(sym, a) for a in (again, grid16.kabs, grid16.kabs_safe))
+    assert not any(np.shares_memory(sym, a) for a in (again, grid16.kabs))
     sym[...] = -1.0
     assert np.array_equal(grid16.sqrt_laplacian(power), again)
 
@@ -151,11 +193,11 @@ def test_grid_symbols_are_read_only(name):
 
 
 # All cached symbols of a grid in float64 half-spectrum planes n (n/2 + 1):
-# measured 10.33 at n = 128 and 10.28 at n = 256, |k| and its guarded copy
-# (1 each), the two masks (1/8 each) and the stacks velocity_multipliers
-# and dealiased_gradient (4 each).  A second copy of the Riesz pair with a
-# plane of ones held 16.3.
-SYMBOL_PLANES = 10.5
+# measured 9.32 at n = 128 and 9.28 at n = 256, |k| (1), the two masks
+# (1/8 each) and the stacks velocity_multipliers and dealiased_gradient (4
+# each).  A guarded copy of |k| held one plane more, and a second copy of
+# the Riesz pair with a plane of ones 16.3.
+SYMBOL_PLANES = 9.5
 
 
 @pytest.mark.parametrize("n", [128, 256])
@@ -301,6 +343,12 @@ def test_irfft2_on_occupied_columns_matches_stacked_pair(n):
         out = np.empty(spectra.shape[:-1] + (2 * n,))
         assert _irfft2(spectra.copy(), out, columns) is out
         assert out.tobytes() == oracle
+    # the forward transform of the fields: its leading columns alone are the spectrum
+    values = np.fft.irfft2(stack, norm="forward")
+    oracle = np.fft.rfft2(values, norm="forward")[..., :columns].tobytes()
+    out = np.empty_like(stack)
+    assert _rfft2(values, out, columns) is out
+    assert out[..., :columns].tobytes() == oracle
 
 
 def test_sqrt_laplacian_single_modes(grid32):
@@ -434,7 +482,7 @@ def test_mollify_approximation_rate(s):
     # |F - F_eps|_2 ~ eps^s for a |k|^-(s+1) spectrum; oracle is the direct
     # coefficient sum, cross-checked against the mollify operation itself.
     g = Grid(1024)
-    amp = np.where((g.kabs > 0) & (g.kabs <= 500), g.kabs_safe ** -(s + 1.0), 0.0)
+    amp = np.where((g.kabs > 0) & (g.kabs <= 500), g.sqrt_laplacian(-(s + 1.0)), 0.0)
     f = SpectralField(g, amp.astype(complex))  # real even coefficients: a real field
     eps_list = [2.0**-k for k in range(2, 7)]
     oracle = []
