@@ -53,6 +53,7 @@ from .spectral import (
     _shared_grid,
     inverse_transform,
     pad_spectrum,
+    product_spectra,
 )
 
 CELL_AREA_FACTOR = TWO_PI * TWO_PI  # integral f dx = (2 pi)^2 * mean of samples
@@ -104,17 +105,29 @@ def _sobolev_norms(f: SpectralField, indices) -> dict:
 
     |f_hat|^2 is formed once and one symbol per distinct index; every
     index is checked as `sobolev_norm` checks it before any is summed.
+    Where a sum overflows, underflows to 0 or meets an overflowed square
+    with a zero symbol (NaN) although some |f_hat| > 0, the largest |f_hat|
+    is factored out of it first, as `lp_norm` does.
     """
     indices = dict.fromkeys(indices)
     for s in indices:
         if not math.isfinite(s):
             raise ValidationError(f"sobolev_norm requires a finite s, got {s}")
         _check_negative_power(f, s)
-    c2 = np.abs(f.coeffs) ** 2
-    return {
-        s: TWO_PI * math.sqrt(float(np.sum(f.grid.parseval_weights * f.grid.sqrt_laplacian(2.0 * s) * c2)))
-        for s in indices
-    }
+    size = np.abs(f.coeffs)
+
+    def norm(c2, s):
+        return TWO_PI * math.sqrt(float(np.sum(f.grid.parseval_weights * f.grid.sqrt_laplacian(2.0 * s) * c2)))
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        c2 = size**2
+        norms = {s: norm(c2, s) for s in indices}
+    for s, value in norms.items():
+        if not 0.0 < value < math.inf:  # |f_hat|^2 may have left the double range, or 0 * inf at k = 0
+            top = float(np.max(size))
+            if top > 0.0:  # factor the largest |f_hat| out
+                norms[s] = top * norm((size / top) ** 2, s)
+    return norms
 
 
 def dyadic_shell(f: SpectralField, j: int) -> SpectralField:
@@ -195,8 +208,8 @@ def state_norms(theta: SpectralField, qs, indices, sigma: float) -> tuple[dict, 
     `ladder_bracket` return.  A q below 1, an index that `sobolev_norm`
     rejects or sigma <= 1 raises ValidationError.
     """
-    # not a fresh `TransformBuffers`: its fields, allocated before the column
-    # stage's temporary, raised the n = 128 march benchmark's peak RSS by 0.4 MB
+    # the inverse allocates its own fields: fields allocated before the column
+    # stage's temporary raised the n = 128 march benchmark's peak RSS by 0.4 MB
     spectra = theta.grid.state_spectra(theta.coeffs)
     u1, u2, th = _irfft2(spectra)
     lp = {q: _lp(th, q) for q in qs}
@@ -524,10 +537,12 @@ def flux_decay_exponent(
     too smooth, or steady, to carry a measurable transfer).  Each value is
     the bits of `coarse_grained_flux(theta, eps, profile).flux_integral`,
     formed as that function forms it: one Parseval sum per eps, over the
-    slots of theta's own grid, of a pairing that one forward and one
-    inverse transform give for the whole list, with no sigma_eps or other
-    per-eps field.  The forward transform's column stage runs only on the
-    columns that the pairing reads.
+    slots of theta's own grid, of a pairing that one inverse and one
+    forward transform give for the whole list, with no sigma_eps or other
+    per-eps field.  The products and their spectra come from
+    `spectral.product_spectra`, the pipeline of the solver's advection
+    kernel, with both column stages run only on the columns that padding
+    fills and the pairing reads.
     """
     mollifiers = _mollifiers(eps_list, profile)
     pairing = _flux_front(theta)
@@ -557,31 +572,34 @@ def _flux_front(theta: SpectralField, work: _FluxWork | None = None) -> np.ndarr
     `_flux_integral` of the multiplier m_eps on theta's grid is -sum_k
     m_eps(k)^2 P(k), the Parseval sum over the doubled grid.
 
-    With `work`, the `_FluxWork` of a scan, the spectra and the fields of
-    (u1, u2, theta) and the products' spectra are kept in it for
-    `_flux_at_scale`.  Without it only the pairing is kept, the products'
-    spectra overwrite the dead fields, and the forward transform's column
-    stage runs only on the columns of P.  Either way the products
-    overwrite the dead input of the inverse, and so do the pairing's
-    terms after them.
+    Without `work` only the pairing is kept: `spectral.product_spectra`,
+    the solver kernel's own product pipeline, forms the products' spectra
+    in one `_block`, both column stages run only on the columns of P, and
+    the pairing's terms overwrite the dead products.  With `work`, the
+    `_FluxWork` of a scan, the front keeps its own inverse, products and
+    forward transform, since `_flux_at_scale` reads what the shared
+    pipeline overwrites: the spectra and the grid fields of (u1, u2, theta)
+    stay in `work`, the products and then the pairing's terms overwrite
+    the dead input of the inverse, and the forward transform fills every
+    column of the products' spectra.
     """
     fine = pad_spectrum(theta, 2 * theta.grid.n)
     gf = fine.grid
     columns = theta.grid.shape[1]  # the padded spectra are zero in every later column
     if work is None:
         spectra, fields = _block(gf, 3, 3)
-        uth_hat = _overlay(fields, np.complex128, (2, *gf.shape))
-        gf.state_spectra(fine.coeffs, spectra)
+        uth_hat = product_spectra(gf, fine.coeffs, spectra, fields, columns)
+        grad = _overlay(fields, np.complex128, (2, gf.n, columns))  # over the dead products
     else:
+        # sigma_eps and r_eps read (u1, u2, theta) and every column of the products' spectra
         spectra, fields, uth_hat = work.spectra[:3], work.state, work.uth_hat
         np.copyto(spectra, gf.state_spectra(fine.coeffs, work.state_hat))
-    _irfft2(spectra, fields, columns)
-    products = np.multiply(fields[:2], fields[2], out=_overlay(spectra, np.float64, (2, gf.n, gf.n)))
-    # a scan's sigma_eps reads every column of the products' spectra, the pairing only theta's
-    _rfft2(products, uth_hat, None if work else columns)
+        _irfft2(spectra, fields, columns)
+        products = np.multiply(fields[:2], fields[2], out=_overlay(spectra, np.float64, (2, gf.n, gf.n)))
+        _rfft2(products, uth_hat)
+        grad = _overlay(spectra, np.complex128, (2, gf.n, columns))  # over the dead products
     # theta lives in |k_i| <= N/4, inside the dealias band of the doubled grid; the
-    # terms on its columns go to contiguous memory, over the dead products
-    grad = _overlay(spectra, np.complex128, (2, gf.n, columns))
+    # terms on its columns go to contiguous memory
     np.multiply(gf.dealiased_gradient[..., :columns], fine.coeffs[:, :columns], out=grad)
     np.multiply(uth_hat[..., :columns], np.conjugate(grad, out=grad), out=grad)
     pairing = np.add(grad[0], grad[1], out=grad[0]).real

@@ -51,9 +51,10 @@ def compare_mu(
     marches with `cfg.scheme`; neither model has a linear part, so the
     `Integrator` steps plain RK4 under either scheme.
     """
+    mu_list = list(mu_list)
     mu_arr = np.asarray(sorted(mu_list, reverse=True), dtype=np.float64)
     if len(mu_arr) < 2 or np.any(np.diff(mu_arr) >= 0.0):
-        raise ValidationError("mu_list must contain at least two distinct values")
+        raise ValidationError(f"mu_list must hold at least two values, all distinct, got {mu_list}")
     if t_end != cfg.t_end:
         raise ValidationError(f"t_end={t_end} differs from cfg.t_end={cfg.t_end}")
 

@@ -9,13 +9,13 @@ velocity u = (-R2 theta, R1 theta):
 
 The advection term is evaluated in divergence form div(u theta) with the
 product formed in physical space and always dealiased by the 2/3 rule.
-`advection_coeffs` takes (u1, u2, theta) from one stacked
-`spectral._irfft2` and transforms the two flux products with one stacked
-`spectral._rfft2` per call, the one transform pair of the package, both
-writing into a `spectral.TransformBuffers`, so a warm call allocates only
-the array it returns.  A forcing is an immutable
-`SpectralField`, so it is the spectrum of a real field by construction;
-`ModelParams` also checks that it lies inside the 2/3 band.
+`advection_coeffs` takes the spectra of the two flux products from
+`spectral.product_spectra`, one stacked inverse and one stacked forward
+transform per call, both writing into the work arrays of the caller's
+`RhsSplit`, so a warm call allocates only the array it returns.  A
+forcing is an immutable `SpectralField`, so it is the spectrum of a real
+field by construction; `ModelParams` also checks that it lies inside the
+2/3 band.
 The regularized model applies `regularized_gradient_kernel`, the
 multiplier (1 + mu Lambda^(2 alpha))^(-1) grad, to the flux spectra in
 place of the gradient, so the bound |G| <= 1/mu that criterion 6 checks
@@ -27,12 +27,13 @@ a stiff diagonal linear part plus a nonlinear part; the field-level entry
 point `rhs(theta, p)` here and the integrator and Picard solver in
 `stepping` all evaluate it.
 
-`rhs` and `advection_coeffs` without buffers are pure and safe for
-concurrent use on distinct inputs.  An `RhsSplit` reuses its buffers from
-call to call, so a split belongs to one thread; every array it returns is
-fresh unless the caller passes `out`.  The `Integrator` that holds a split
-also owns the stage arrays of its steps and writes each right-hand side
-into them with `out`; only the state it returns is fresh.
+`rhs` is pure and safe for concurrent use on distinct inputs.
+`advection_coeffs` works in the arrays it is handed, and an `RhsSplit`
+hands it the same two from call to call, so a split belongs to one
+thread; every array it returns is fresh unless the caller passes `out`.
+The `Integrator` that holds a split also owns the stage arrays of its
+steps and writes each right-hand side into them with `out`; only the
+state it returns is fresh.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import DEFECT_REL_TOL, Grid, SpectralField, TransformBuffers
+from .spectral import DEFECT_REL_TOL, Grid, SpectralField, product_spectra
 
 MODELS = ("inviscid", "dissipative", "regularized")
 MODEL_CODES = {"inviscid": 0, "dissipative": 1, "regularized": 2}
@@ -93,33 +94,23 @@ class ModelParams:
 
 
 def advection_coeffs(
-    grid: Grid,
-    coeffs: np.ndarray,
-    buffers: TransformBuffers | None = None,
-    out: np.ndarray | None = None,
-    gradient: np.ndarray | None = None,
+    grid: Grid, coeffs: np.ndarray, spectra: np.ndarray, fields: np.ndarray, out: np.ndarray | None, gradient: np.ndarray
 ) -> np.ndarray:
     """Normalized half-spectrum coefficients of G . (u theta); array-level hot path.
 
-    `buffers.state_fields` gives (u1, u2, theta) on the grid,
-    `buffers.product_spectra` the spectra (f1, f2) of the products
-    (u1 theta, u2 theta), and G1 f1 + G2 f2 is formed.  G is the stack
-    `gradient`, zero at k = 0 (so the result has zero mean) and outside
-    the 2/3 dealias band; None means `grid.dealiased_gradient`, which
-    gives div(u theta).  The work happens in `buffers`, or in fresh ones
-    when None; the result is written to `out`, a complex128 array of the
-    grid's shape, or to a fresh array when None.
+    `spectral.product_spectra` gives the spectra (f1, f2) of the products
+    (u1 theta, u2 theta) in the work arrays `spectra` and `fields`, and
+    G1 f1 + G2 f2 is formed over them.  G is the stack `gradient`, zero at
+    k = 0 (so the result has zero mean) and outside the 2/3 dealias band;
+    `grid.dealiased_gradient` gives div(u theta).  The result is written to
+    `out`, a complex128 array of the grid's shape, or to a fresh array when
+    None.
     """
-    b = TransformBuffers(grid) if buffers is None else buffers
-    h = grid.n // 2 + 1
-    fields = b.state_fields(coeffs)
-    for u, product in zip(fields[:2], b.products):  # plane by plane, as in `Grid.state_spectra`
-        np.multiply(u, fields[2], out=product)  # `b.products` is (u1, u2) itself
-    g = grid.dealiased_gradient if gradient is None else gradient
-    flux = np.multiply(g, b.product_spectra(), out=b.flux)
+    flux = product_spectra(grid, coeffs, spectra, fields)
+    np.multiply(gradient, flux, out=flux)
     adv = np.add(flux[0], flux[1], out=out)
     # rfft2 leaves the k1 = 0 column Hermitian only to round-off: mirror k2 > 0 onto k2 < 0
-    np.conjugate(adv[h - 2 : 0 : -1, 0], out=adv[h:, 0])
+    np.conjugate(adv[grid.n // 2 - 1 : 0 : -1, 0], out=adv[grid.n // 2 + 1 :, 0])
     return adv
 
 
@@ -145,14 +136,14 @@ class RhsSplit:
     is one, where `gradient` is the stack G that `advection_coeffs` applies:
     `grid.dealiased_gradient` for the inviscid and dissipative models, and
     for the regularized model `regularized_gradient_kernel` inside the 2/3
-    band.  The split owns the kernel's `TransformBuffers`, so it serves one
-    thread; the arrays it returns are fresh unless `nonlinear` is given
-    `out`.
+    band.  The split owns the kernel's work arrays, `spectra` and `fields`,
+    so it serves one thread; the arrays it returns are fresh unless
+    `nonlinear` is given `out`.
     """
 
     def __init__(self, grid: Grid, p: ModelParams):
         self.grid = grid
-        self.buffers = TransformBuffers(grid)
+        self.spectra, self.fields = np.empty((3, *grid.shape), dtype=np.complex128), np.empty((3, grid.n, grid.n))
         self.linear = None
         self.gradient = grid.dealiased_gradient
         if p.model == "dissipative":
@@ -172,7 +163,7 @@ class RhsSplit:
 
     def nonlinear(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The nonlinear part at c, written to `out` when given, else to a fresh array."""
-        out = advection_coeffs(self.grid, c, self.buffers, out, self.gradient)
+        out = advection_coeffs(self.grid, c, self.spectra, self.fields, out, self.gradient)
         np.negative(out, out=out)
         if self.forcing is not None:
             out += self.forcing
@@ -183,7 +174,7 @@ class RhsSplit:
         out = self.nonlinear(c, out)
         if self.linear is not None:
             # the kernel's flux spectra are dead once `nonlinear` returns
-            term = np.multiply(self.linear, c, out=self.buffers.flux[0])
+            term = np.multiply(self.linear, c, out=self.spectra[0])
             np.add(term, out, out=out)
         return out
 

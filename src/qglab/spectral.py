@@ -14,7 +14,7 @@ The domain is fixed to [0, 2pi]^2.  Conventions used throughout:
   written once here as `_rfft2` and `_irfft2`, the only functions that
   call an ``np.fft`` transform.  Each runs as its two 1-D stages, into a
   caller's array when given one (the inverse overwrites its input), which
-  gives the bits of the 2-D numpy pair; `TransformBuffers` and the flux
+  gives the bits of the 2-D numpy pair; `product_spectra` and the flux
   scan pass them reused arrays.  A spectrum padded to a finer grid
   (`pad_spectrum`) is exactly zero in every column k1 > n/2 of its source
   size n, and the inverse can be told so: its column stage then
@@ -32,11 +32,11 @@ The domain is fixed to [0, 2pi]^2.  Conventions used throughout:
   the 2/3 dealias band, where those lines are empty and the identity
   R1^2 + R2^2 = -I holds exactly.
 * Quadratic products are formed on the grid and always dealiased by the
-  2/3 rule: `Grid.state_spectra` writes the spectra of (u1, u2, theta),
-  `TransformBuffers.state_fields` takes them to the grid in one stacked
-  inverse transform, `TransformBuffers.product_spectra` transforms the
-  products, and `Grid.dealiased_gradient` takes the spectrum of a flux to
-  its divergence.
+  2/3 rule: `product_spectra` writes the spectra of (u1, u2, theta)
+  (`Grid.state_spectra`), takes them to the grid in one stacked inverse
+  transform and transforms the products u_j theta in one stacked forward
+  transform, all in a caller's arrays, and `Grid.dealiased_gradient` takes
+  the spectrum of a flux to its divergence.
 
 Grids and fields are immutable.  A grid builds each symbol once, on first
 use, and holds it read-only for its life; one grid per size is shared by
@@ -47,8 +47,8 @@ spectra of (u1, u2, theta) are formed from it plane by plane.  A field
 keeps its own read-only copy of the array it was built from, and a
 `SpectralField` is the spectrum of a real field by construction (finite,
 Hermitian on its self-conjugate columns).  Operations return new fields,
-so fields and grids are safe to share across threads; a
-`TransformBuffers` is not.
+so fields and grids are safe to share across threads; the work arrays
+that a caller hands `product_spectra` are not.
 """
 
 from __future__ import annotations
@@ -324,31 +324,26 @@ def inverse_transform(f: SpectralField) -> PhysicalField:
     return PhysicalField(f.grid, _irfft2(f.coeffs.copy()))
 
 
-class TransformBuffers:
-    """Work arrays of the advection kernel on one grid, reused from call to call.
+def product_spectra(
+    grid: Grid, coeffs: np.ndarray, spectra: np.ndarray, fields: np.ndarray, columns: int | None = None
+) -> np.ndarray:
+    """Half spectra of the products (u1 theta, u2 theta) of the state theta_hat = `coeffs`, in `spectra[:2]`.
 
-    Holds the state spectra and fields of (u1, u2, theta); the two flux
-    products (u1 theta, u2 theta) and their spectra reuse the memory of
-    (u1, u2) and of the first two state spectra.  `_rfft2` and `_irfft2`
-    write into these arrays, which are overwritten by the next call, so
-    one object serves one thread.
+    The work arrays are the caller's: `spectra`, complex (3, n, n/2+1),
+    takes the spectra of (u1, u2, theta) (`Grid.state_spectra`); one stacked
+    inverse takes them to (u1, u2, theta) in `fields`, real (3, n, n); the
+    products overwrite (u1, u2), and one stacked forward transform writes
+    their spectra over the dead (u1_hat, u2_hat).  With `columns`, both
+    column stages run on the leading `columns` columns alone (`_irfft2`,
+    `_rfft2`): for a state that is zero in every later column, and a caller
+    that reads nothing there.  The solver's advection kernel and the flux
+    decay front form their products here; a flux scan, which keeps
+    (u1, u2, theta), forms its own.
     """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.spectra = np.empty((3, *grid.shape), dtype=np.complex128)
-        self.fields = np.empty((3, grid.n, grid.n))
-        # the products overwrite (u1, u2) and their spectra the dead state spectra
-        self.products = self.fields[:2]
-        self.flux = self.spectra[:2]
-
-    def state_fields(self, coeffs: np.ndarray) -> np.ndarray:
-        """Grid values of (u1, u2, theta) from theta_hat, written into `fields`."""
-        return _irfft2(self.grid.state_spectra(coeffs, self.spectra), self.fields)
-
-    def product_spectra(self) -> np.ndarray:
-        """Half spectra of `products`, written into `flux`."""
-        return _rfft2(self.products, self.flux)
+    _irfft2(grid.state_spectra(coeffs, spectra), fields, columns)
+    for u in fields[:2]:  # plane by plane, as in `Grid.state_spectra`
+        np.multiply(u, fields[2], out=u)
+    return _rfft2(fields[:2], spectra[:2], columns)
 
 
 def apply_sqrt_laplacian(f: SpectralField, power: float) -> SpectralField:

@@ -415,9 +415,10 @@ def picard_solve(
     same integral of the final sweep's rhs on the even nodes alone, with
     step 2h; they are compared on those nodes, so the check costs no
     evaluation.  `s` must be finite and exceed 1, `tol` and `t_max` must
-    be positive and finite, and ||theta_0||_s must be finite.  The solve
-    works in a fresh `_picard_work`, or in `_work`, the one that
-    `continue_solution` hands every segment.
+    be positive and finite, and so must the Parseval sum
+    (||theta_0||_s / 2 pi)^2 of the data, the size of the sums that
+    `_sup_hs_distance` forms.  The solve works in a fresh `_picard_work`,
+    or in `_work`, the one that `continue_solution` hands every segment.
     """
     _positive_finite("tol", tol)
     if p.model != "regularized":
@@ -427,8 +428,9 @@ def picard_solve(
 
     grid = theta0.grid
     R = 2.0 * diagnostics.sobolev_norm(theta0, s)
-    if not math.isfinite(R):
-        raise ValidationError(f"||theta_0||_{s:g} of the initial data is not finite ({R / 2.0})")
+    root = R / (4.0 * math.pi)  # the sweep distances are 2 pi sqrt of Parseval sums as large as root^2
+    if not math.isfinite(root * root):
+        raise ValidationError(f"the Parseval sum of ||theta_0||_{s:g} = {R / 2.0} is not finite")
     T = p.mu / (4.0 * R) if R > 0.0 else np.inf
     if t_max is not None:
         T = min(T, _positive_finite("t_max", t_max))

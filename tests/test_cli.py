@@ -1,5 +1,6 @@
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,27 @@ def test_norms_prints_the_record_of_the_state(tmp_path, capsys):
     expected += [f"||theta||_{s:g} = {value:.12g}" for s, value in record.hs.items()]
     expected += [f"energy = {record.energy:.12g}", f"q_inf = {record.q_inf:.12g}", f"ladder(sigma=2) = {record.ladder:.12g}"]
     assert capsys.readouterr().out.splitlines()[1:] == expected
+
+
+@pytest.mark.parametrize("exponent", [520, -560])
+def test_norms_past_the_double_range_of_the_squares(tmp_path, capsys, exponent):
+    # the squared coefficients of the field times 2^520 overflow and those
+    # of the field times 2^-560 underflow to 0: the H^s lines still scale
+    # with the field, with no warning, and the energy prints as inf where
+    # |theta|_2^2 itself leaves the double range
+    a = 2.0**exponent
+    theta = qglab.random_shell_field(qglab.Grid(32), 8, 1.5, 3)
+    paths = [str(tmp_path / name) for name in ("one.qgw", "scaled.qgw")]
+    for path, field in zip(paths, (theta, theta * a)):
+        qglab.save_snapshot(qglab.Snapshot.from_state(0.0, field, qglab.ModelParams("inviscid")), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["norms", "--snapshot", paths[1]]) == 0
+    lines = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()[1:])
+    one = qglab.load_snapshot(paths[0]).to_field()
+    for s in (1.0, 2.0):
+        assert float(lines[f"||theta||_{s:g}"]) == pytest.approx(a * qglab.sobolev_norm(one, s), rel=1e-11, abs=0.0)
+    assert (lines["energy"] == "inf") == (exponent > 0)
 
 
 @pytest.mark.parametrize("sigma", ["1", "0.5"])

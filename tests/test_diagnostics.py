@@ -36,19 +36,28 @@ def test_lp_norm_cosine(grid64):
     assert lp_norm(phys, 3.0) == pytest.approx((2 * np.pi * 8 / 3) ** (1 / 3), rel=1e-6)
 
 
-@pytest.mark.parametrize("exponent", [300, -300])
+@pytest.mark.parametrize("exponent", [300, -300, 520, -560])
 def test_lp_norm_past_the_double_range_of_its_power(grid32, exponent):
     # |f|^4 of samples near 2^(+-300) overflows or underflows to 0: the
     # largest sample is factored out instead, with no warning.  The 1/q
-    # power is float(1/q), which leaves q = 3 1.2e-14 off the scaled norm
-    f = inverse_transform(random_field(grid32, 8, 1.5, 3))
+    # power is float(1/q), which leaves q = 3 1.2e-14 off the scaled norm.
+    # The H^s norms do the same with |f_hat|^2, which leaves the double
+    # range near 2^520 and 2^-560; there the factored sum is a different
+    # rounding of the same terms (measured exact for this field), and
+    # Parseval ties ||f||_0 to |f|_2
+    theta = random_field(grid32, 8, 1.5, 3)
+    f = inverse_transform(theta)
     a = 2.0**exponent
     scaled = qglab.PhysicalField(grid32, f.values * a)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for q in (3.0, 4.0, 8.0):
             assert lp_norm(scaled, q) == pytest.approx(a * lp_norm(f, q), rel=1e-13, abs=0.0)
+        for s in (0.0, 1.0, 2.0):
+            assert sobolev_norm(theta * a, s) == pytest.approx(a * sobolev_norm(theta, s), rel=1e-15, abs=0.0)
+        assert sobolev_norm(theta * a, 0.0) == pytest.approx(lp_norm(scaled, 2.0), rel=1e-15, abs=0.0)
     assert lp_norm(qglab.PhysicalField(grid32, np.zeros((32, 32))), 4.0) == 0.0
+    assert sobolev_norm(theta * 0.0, 0.0) == 0.0
 
 
 def test_lp_norm_rejects_small_exponent(grid16):
@@ -427,6 +436,8 @@ _INVALID_INPUTS = {
     "log_interpolation_constant trials = 0": lambda f, path: log_interpolation_constant(0),
     "gn_residual beta = alpha": lambda f, path: gn_residual(f, 0.0, 0.5, 0.5),
     "flux_scan empty eps list": lambda f, path: qglab.flux_scan(f, []),
+    "compare_mu mu repeated": lambda f, path: qglab.compare_mu(
+        f, 0.5, [0.1, 0.1, 0.01], 0.1, StepperConfig(dt=1e-2, t_end=0.1, scheme="rk4")),
     "PhysicalField shape": lambda f, path: qglab.PhysicalField(f.grid, np.zeros((3, 3))),
     "PhysicalField nan": lambda f, path: qglab.PhysicalField(f.grid, np.full((f.grid.n,) * 2, np.nan)),
     "SpectralField shape": lambda f, path: qglab.SpectralField(f.grid, np.zeros((3, 3), dtype=complex)),

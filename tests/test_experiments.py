@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,14 @@ def test_compare_mu_requires_decreasing_list(grid32):
     cfg = StepperConfig(dt=1e-2, t_end=0.1, scheme="rk4")
     with pytest.raises(ValidationError):
         compare_mu(qglab.single_mode(grid32, 1, 0), 0.5, [1e-3], 0.1, cfg)
+
+
+@pytest.mark.parametrize("mu_list", [[1e-3], [0.1, 0.1, 0.01]])
+def test_compare_mu_names_a_list_without_two_distinct_values(grid32, mu_list):
+    # [0.1, 0.1, 0.01] holds two distinct values, but not distinct ones only
+    cfg = StepperConfig(dt=1e-2, t_end=0.1, scheme="rk4")
+    with pytest.raises(ValidationError, match=re.escape(f"at least two values, all distinct, got {mu_list}")):
+        compare_mu(qglab.single_mode(grid32, 1, 0), 0.5, mu_list, 0.1, cfg)
 
 
 def test_compare_mu_requires_whole_number_of_steps(grid32):

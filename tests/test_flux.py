@@ -264,7 +264,7 @@ def test_flux_scan_validates_before_padding(grid32, monkeypatch):
     def too_early(*args):
         raise AssertionError("padded or transformed before validating eps")
 
-    for name in ("pad_spectrum", "_rfft2", "_irfft2"):
+    for name in ("pad_spectrum", "_rfft2", "_irfft2", "product_spectra"):
         monkeypatch.setattr(qglab.diagnostics, name, too_early)
     theta = random_field(grid32, 8, 2.0, 5)
     for scan in (flux_scan, lambda theta, eps_list: flux_decay_exponent(theta, 0.5, eps_list)):
@@ -331,19 +331,21 @@ def test_flux_integral_is_parseval_pairing(n, profile, data):
 
 def test_flux_decay_exponent_transforms_once(monkeypatch):
     # one inverse transform of (u1, u2, theta) and one forward transform of
-    # the products for any number of scales, no per-eps workspace, and a
-    # traced peak at N = 256 of 7.67 grid fields: the padded spectrum, the
-    # inverse's input and its fields, which the products and their spectra
-    # overwrite, and the pairing
+    # the products for any number of scales, both in `product_spectra`, no
+    # per-eps workspace, and a traced peak at N = 256 of 7.54 grid fields:
+    # the padded spectrum, the inverse's input and its fields, which the
+    # products and their spectra overwrite, and the pairing
     theta = random_field(qglab.Grid(128), 60, 1.5, 3)
     field = 256 * 256 * 8
     calls = {"_rfft2": 0, "_irfft2": 0}
     for name in calls:
-        def counted(*args, _name=name, _transform=getattr(qglab.diagnostics, name), **kwargs):
+        def counted(*args, _name=name, _transform=getattr(qglab.spectral, name), **kwargs):
             calls[_name] += 1
             return _transform(*args, **kwargs)
 
-        monkeypatch.setattr(qglab.diagnostics, name, counted)
+        # the front's own calls and those of `spectral.product_spectra`
+        for module in (qglab.diagnostics, qglab.spectral):
+            monkeypatch.setattr(module, name, counted)
 
     def no_workspace(*args):
         raise AssertionError("flux_decay_exponent built a flux workspace")

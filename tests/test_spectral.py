@@ -25,7 +25,7 @@ from qglab import (
     riesz_velocity,
 )
 from qglab.errors import NegativePowerOnMean, ValidationError
-from qglab.spectral import STENCIL_HALF_WIDTH, STENCIL_POINTS, TransformBuffers, _irfft2, _rfft2
+from qglab.spectral import STENCIL_HALF_WIDTH, STENCIL_POINTS, _irfft2, _rfft2, product_spectra
 
 from conftest import full_spectrum, random_field
 
@@ -305,7 +305,7 @@ def test_round_trip(grid64):
 
 
 @pytest.mark.parametrize("n", [8, 30, 64])
-def test_transform_buffers_match_stacked_pair(n):
+def test_product_spectra_match_stacked_pair(n):
     # every transform site gives the bits of numpy's 2-D rfft2/irfft2, Nyquist lines included
     grid = Grid(n)
     rng = np.random.default_rng(n)
@@ -319,11 +319,15 @@ def test_transform_buffers_match_stacked_pair(n):
     stack = np.concatenate([grid.velocity_multipliers * c, [c]])  # spectra of (u1, u2, theta)
     oracle = np.fft.irfft2(stack, norm="forward").tobytes()
     assert _irfft2(stack.copy()).tobytes() == oracle
-    b = TransformBuffers(grid)
-    assert b.state_fields(c).tobytes() == oracle
-    b.products[...] = rng.standard_normal((2, n, n))
-    assert b.product_spectra().tobytes() == np.fft.rfft2(b.products, norm="forward").tobytes()
-    assert _rfft2(b.products).tobytes() == np.fft.rfft2(b.products, norm="forward").tobytes()
+    u1, u2, th = np.fft.irfft2(stack, norm="forward")
+    spectra = np.empty((3, *grid.shape), dtype=np.complex128)
+    fields = np.empty((3, n, n))
+    flux = product_spectra(grid, c, spectra, fields)
+    assert flux.base is spectra and fields[2].tobytes() == th.tobytes()
+    products = np.stack([u1 * th, u2 * th])
+    assert fields[:2].tobytes() == products.tobytes()  # the products overwrite (u1, u2)
+    assert flux.tobytes() == np.fft.rfft2(products, norm="forward").tobytes()
+    assert _rfft2(products).tobytes() == np.fft.rfft2(products, norm="forward").tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 16, 64, 128])

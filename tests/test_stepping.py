@@ -17,6 +17,7 @@ from qglab.stepping import (
     PICARD_ROUNDOFF,
     Integrator,
     _picard_iterate,
+    _picard_work,
     _sup_hs_distance,
     continue_solution,
     cumulative_simpson,
@@ -633,6 +634,22 @@ def test_picard_raises_no_contraction_above_ratio_limit(grid32, monkeypatch):
     assert info.value.t == 0.0 and info.value.ratio > 0.0
 
 
+def test_picard_ratio_limit_is_pinned_by_data(grid32):
+    # on a real datum 400 times past the guaranteed horizon (T = 6.50) the
+    # first ratio is 0.725, far above round-off: the 7-node solve raises.
+    # The first ratio rises smoothly with T, 0.533 at 300 T0 and 0.887 at
+    # 480 T0 (measured), so a limit of 0.9 would let this solve converge,
+    # in 51 sweeps
+    p = ModelParams("regularized", alpha=0.5, mu=1.0)
+    theta = qglab.cmt(grid32)
+    R = 2.0 * qglab.sobolev_norm(theta, 2.0)
+    split, stack = _picard_work(grid32, p)
+    with pytest.raises(NoContraction) as info:
+        _picard_iterate(grid32, split.nonlinear, theta.coeffs, 400.0 * p.mu / (4.0 * R), 2.0, 1e-9,
+                        PICARD_ROUNDOFF * R, stack)
+    assert 0.6 <= info.value.ratio <= 0.85 and info.value.t == 0.0
+
+
 def test_picard_tol_below_roundoff_ends_unconverged(grid32):
     # no sweep resolves 1e-300: the solve ends on a ratio above the limit
     # measured at round-off, and a chain goes on past such a segment
@@ -694,7 +711,7 @@ def test_picard_nan_trajectory_raises_no_contraction(grid16, monkeypatch):
     assert np.isnan(info.value.ratio)
 
 
-@pytest.mark.parametrize("amplitude", [1e156, 1e171])  # ||theta_0||_2 is inf, then NaN
+@pytest.mark.parametrize("amplitude", [1e156, 1e171])  # ||theta_0||_2 is finite, its Parseval sum is not
 def test_picard_rejects_non_finite_norm(grid16, nonlinear_args, amplitude):
     theta = amplitude * qglab.cmt(grid16)
     with np.errstate(all="ignore"), pytest.raises(ValidationError, match="not finite"):
