@@ -240,8 +240,9 @@ def make_record(
     indices = (1.0, s, p.alpha) if p.model != "inviscid" else (1.0, s)
     lp, hs, q_inf, ladder = state_norms(theta, (2.0, 3.0, 4.0, np.inf), indices, sigma)
 
-    energy = lp[2.0] ** 2
-    mod_energy = energy + (p.mu * hs[p.alpha] ** 2 if p.model == "regularized" else 0.0)
+    # squares as products: a float's ** 2 raises OverflowError past the double range
+    energy = lp[2.0] * lp[2.0]
+    mod_energy = energy + (p.mu * (hs[p.alpha] * hs[p.alpha]) if p.model == "regularized" else 0.0)
 
     forcing_power = 0.0
     if p.forcing is not None:
@@ -254,8 +255,8 @@ def make_record(
         h = t - prev.t
         work_integral = prev.work_integral + 0.5 * h * (prev.forcing_power + forcing_power)
         if p.model == "dissipative":
-            rate_prev = 2.0 * p.kappa * prev.hs[p.alpha] ** 2
-            rate_now = 2.0 * p.kappa * hs[p.alpha] ** 2
+            rate_prev = 2.0 * p.kappa * (prev.hs[p.alpha] * prev.hs[p.alpha])
+            rate_now = 2.0 * p.kappa * (hs[p.alpha] * hs[p.alpha])
             diss_integral = prev.diss_integral + 0.5 * h * (rate_prev + rate_now)
 
     record = NormRecord(

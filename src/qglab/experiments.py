@@ -85,7 +85,8 @@ def compare_mu(
         for (_, state), ref in zip(result.samples, ref_states):
             w = state - ref
             l2 = diagnostics.sobolev_norm(w, 0.0)
-            mod = l2 * l2 + mu * diagnostics.sobolev_norm(w, alpha) ** 2
+            h_alpha = diagnostics.sobolev_norm(w, alpha)
+            mod = l2 * l2 + mu * (h_alpha * h_alpha)
             worst_l2 = max(worst_l2, l2)
             worst_mod = max(worst_mod, mod)
         err_l2[i] = worst_l2

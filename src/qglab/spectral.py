@@ -233,23 +233,23 @@ class SpectralField:
 
     `coeffs` has shape (n, n/2 + 1): row j is k2 = grid.wavenumbers[j],
     column i is k1 = i, and c(-k) = conj(c(k)) supplies the k1 < 0 half.
-    The k = 0 slot holds the mean.  `coeffs` is the field's own read-only
-    complex128 copy of the input, which must be finite and Hermitian on
-    the self-conjugate columns k1 = 0 and k1 = n/2 to within
-    DEFECT_REL_TOL of its largest coefficient (ValidationError otherwise).
+    The k = 0 slot holds the mean.  `coeffs` is the field's own read-only,
+    C-ordered complex128 copy of the input, which must be finite and
+    Hermitian on the self-conjugate columns k1 = 0 and k1 = n/2 to within
+    DEFECT_REL_TOL of its largest coefficient (`check_real_spectra`;
+    ValidationError otherwise).
     """
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.complex128)
+        c = np.array(self.coeffs, dtype=np.complex128, order="C")
         if c.shape != self.grid.shape:
             raise ValidationError(f"expected shape {self.grid.shape}, got {c.shape}")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
-        if not np.all(np.isfinite(c)) or hermitian_defect(self) > DEFECT_REL_TOL * np.max(np.abs(c)):
-            raise ValidationError("coefficients are not the spectrum of a real field")
+        check_real_spectra(c)
 
     @property
     def mean(self) -> float:
@@ -267,13 +267,41 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def _derived_field(grid: Grid, coeffs: np.ndarray) -> SpectralField:
-    """The field of `coeffs`, which it takes over: a sum, difference or padding of fields.
+def check_real_spectra(coeffs: np.ndarray) -> None:
+    """Raise ValidationError unless every half spectrum in `coeffs` is that of a real field.
 
-    Not re-checked: these are real to the operands' round-off, which can
-    exceed DEFECT_REL_TOL of the result's own largest coefficient when the
-    operands nearly cancel or a padding halves the largest, on a Nyquist
-    line.
+    `coeffs` is one (n, n/2 + 1) spectrum or a stack of them along leading
+    axes.  Each must be finite and Hermitian on the self-conjugate columns
+    k1 = 0 and k1 = n/2 to within DEFECT_REL_TOL of its own largest
+    coefficient: the one rule that a `SpectralField` and `node_fields`
+    apply.
+    """
+    peaks = np.abs(coeffs).max(axis=(-2, -1))
+    if not np.isfinite(coeffs).all() or (_hermitian_defects(coeffs) > DEFECT_REL_TOL * peaks).any():
+        raise ValidationError("coefficients are not the spectrum of a real field")
+
+
+def node_fields(grid: Grid, stack: np.ndarray) -> list:
+    """The fields of the half spectra stacked along axis 0 of `stack`, checked once as a stack.
+
+    `check_real_spectra` applies `SpectralField`'s rule to the whole stack;
+    each field then holds its own read-only complex128 copy of its node,
+    so `stack` may be overwritten afterwards.
+    """
+    if stack.shape[1:] != grid.shape:
+        raise ValidationError(f"expected a stack of shape (m, {grid.shape[0]}, {grid.shape[1]}), got {stack.shape}")
+    check_real_spectra(stack)
+    return [_derived_field(grid, np.array(c, dtype=np.complex128)) for c in stack]
+
+
+def _derived_field(grid: Grid, coeffs: np.ndarray) -> SpectralField:
+    """The field of `coeffs`, which it takes over, with no check of its own.
+
+    Either checked already, as a node of `node_fields`, or a sum,
+    difference or padding of fields: these are real to the operands'
+    round-off, which can exceed DEFECT_REL_TOL of the result's own largest
+    coefficient when the operands nearly cancel or a padding halves the
+    largest, on a Nyquist line.
     """
     coeffs.flags.writeable = False
     f = object.__new__(SpectralField)
@@ -476,6 +504,11 @@ def hermitian_defect(f: SpectralField) -> float:
     Only the self-conjugate columns k1 = 0 and k1 = n/2 hold both k and -k;
     the other columns carry c(-k) implicitly.
     """
-    c = f.coeffs[:, [0, f.grid.n // 2]]
-    mirrored = np.roll(c[::-1], 1, axis=0)
-    return float(np.max(np.abs(c - np.conj(mirrored))))
+    return float(_hermitian_defects(f.coeffs))
+
+
+def _hermitian_defects(coeffs: np.ndarray) -> np.ndarray:
+    """`hermitian_defect` of each half spectrum in `coeffs`, over its last two axes."""
+    c = coeffs[..., :: coeffs.shape[-1] - 1]  # the columns k1 = 0 and k1 = n/2
+    mirrored = np.concatenate((c[..., :1, :], c[..., :0:-1, :]), axis=-2)  # row j holds -k2 of row j
+    return np.abs(c - np.conj(mirrored)).max(axis=(-2, -1))

@@ -26,8 +26,14 @@ the limit each sweep shrinks the distance by at least 1/0.55, so no sweep
 cap is needed.  The final sweep's right-hand-side values also give a
 Richardson estimate of the quadrature error, with no further evaluation.
 A sweep writes into node arrays: the node values, and two trajectories
-that successive sweeps alternate between.  `continue_solution` hands one
-RhsSplit and one set of node arrays to every segment.
+that successive sweeps alternate between, and works on whole node stacks.
+Its distance overwrites the trajectory it retires with the difference,
+squares its float view in place, weights it by one plane formed once per
+solve and sums each node's row, so it allocates no state.  The returned
+states are checked once as a stack, by `SpectralField`'s rule, and each
+node is copied into its own frozen field (`spectral.node_fields`).
+`continue_solution` hands one RhsSplit and one set of node arrays to
+every segment.
 
 A trajectory is advanced on bare coefficient arrays that no step writes
 to; the states handed to diagnostics and callers are immutable fields.
@@ -44,7 +50,7 @@ import numpy as np
 from . import diagnostics
 from .errors import PICARD_RATIO_LIMIT, NoContraction, UnstableStep, ValidationError
 from .models import ModelParams, RhsSplit
-from .spectral import Grid, SpectralField
+from .spectral import Grid, SpectralField, node_fields
 
 log = logging.getLogger(__name__)
 
@@ -306,22 +312,46 @@ def cumulative_simpson(values: np.ndarray, h: float, out: np.ndarray | None = No
     return out
 
 
-def _sup_hs_distance(grid: Grid, a: np.ndarray, b: np.ndarray, s: float) -> float:
+def _distance_weights(grid: Grid, s: float) -> np.ndarray:
+    """The `weights` of `_sup_hs_distance` at index s.
+
+    The Parseval weights times |k|^(2s), as in `sobolev_norm`, so the mean
+    counts at s = 0: one real (n, n/2+1, 1) plane that broadcasts over the
+    real and imaginary parts of a coefficient.
+    """
+    return (grid.parseval_weights * grid.sqrt_laplacian(2.0 * s))[..., None]
+
+
+def _sup_hs_distance(grid: Grid, a: np.ndarray, b: np.ndarray, s: float, out=None, weights=None) -> float:
     """sup over nodes of ||a - b||_s for stacked coefficient arrays that broadcast.
 
-    Weighted as in `sobolev_norm`, so the mean counts at s = 0.  Node by
-    node in one reused pair of scratch arrays, so no temporary is larger
-    than one state; a NaN at any node makes the distance NaN.
+    Weighted as in `sobolev_norm`, so the mean counts at s = 0.  The
+    difference is written into `out`, a stack of the broadcast shape with
+    each node contiguous, which may be a or b itself (a fresh array when
+    None); its float view is squared and weighted in place by `weights`,
+    `_distance_weights(grid, s)`, which a solve forms once and passes in,
+    so a sweep's distance allocates no state.  Each node's row is summed
+    and the largest sum taken; a NaN at any node makes the distance NaN.
     """
-    w = grid.parseval_weights * grid.sqrt_laplacian(2.0 * s)
-    diff = np.empty(grid.shape, dtype=np.complex128)
-    term = np.empty(grid.shape)
-    sums = []
-    for x, y in zip(*np.broadcast_arrays(a, b)):  # |x - y|^2 w, as np.abs(x - y) ** 2 * w
-        np.square(np.abs(np.subtract(x, y, out=diff), out=term), out=term)
-        term *= w
-        sums.append(np.sum(term))
-    return 2.0 * np.pi * math.sqrt(np.max(sums))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    if weights is None:
+        weights = _distance_weights(grid, s)
+    terms = np.subtract(a, b, out=out).view(np.float64).reshape(*out.shape, 2)
+    np.square(terms, out=terms)
+    terms *= weights
+    return 2.0 * np.pi * math.sqrt(terms.reshape(len(out), -1).sum(axis=1).max())
+
+
+def _add_to_nodes(stack: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """stack += c at every node, in place, on the float views; returns `stack`.
+
+    The same additions as the complex ones, but numpy buffers a complex add
+    that broadcasts over nodes, three states' worth, and a real one not.
+    Each node of `stack` and `c` must have a contiguous last axis.
+    """
+    np.add(stack.view(np.float64), c.view(np.float64), out=stack.view(np.float64))
+    return stack
 
 
 def _positive_finite(name: str, value: float) -> float:
@@ -354,10 +384,12 @@ def _picard_iterate(grid, nonlinear, c0, T, s, tol, floor, stack):
     nodes = len(rhs_vals)
     times = np.linspace(0.0, T, nodes)
     h = times[1] - times[0]
+    weights = _distance_weights(grid, s)
     # the constant guess has rhs f0 at every node, so the first sweep evaluates nothing
     nonlinear(c0, out=rhs_vals[0])
     rhs_vals[1:] = rhs_vals[0]
-    traj = c0[None]
+    traj = pair[0]
+    traj[:] = c0
     ratios = []
     diff = None
     iterations = 0
@@ -366,10 +398,9 @@ def _picard_iterate(grid, nonlinear, c0, T, s, tol, floor, stack):
         if iterations > 1:
             for i in range(1, nodes):  # node 0 is always theta_0 and keeps f0
                 nonlinear(traj[i], out=rhs_vals[i])
-        new = cumulative_simpson(rhs_vals, h, out=pair[iterations % 2])
-        new += c0
-        prev_diff, diff = diff, _sup_hs_distance(grid, new, traj, s)
-        traj = new
+        new = _add_to_nodes(cumulative_simpson(rhs_vals, h, out=pair[iterations % 2]), c0)
+        prev_diff, diff = diff, _sup_hs_distance(grid, new, traj, s, traj, weights)  # overwrites the retired trajectory
+        retired, traj = traj, new
         if prev_diff is not None:  # every sweep after the first measures a ratio
             ratios.append(diff / prev_diff)
         if diff <= tol:
@@ -378,11 +409,11 @@ def _picard_iterate(grid, nonlinear, c0, T, s, tol, floor, stack):
             if not diff <= floor:
                 raise NoContraction(0.0, ratios[-1])
             break
-    # Simpson's error is O(h^4), so S_h - S_2h on the even nodes is about 15 times S_h's error
-    spare = pair[(iterations + 1) % 2]  # the previous trajectory, no longer needed
-    coarse = cumulative_simpson(rhs_vals[::2], 2.0 * h, out=spare[: nodes // 2 + 1])
-    coarse += c0
-    quadrature = _sup_hs_distance(grid, traj[::2], coarse, s) / 15.0
+    # Simpson's error is O(h^4), so S_h - S_2h on the even nodes is about 15
+    # times S_h's error; S_2h goes into the retired trajectory's even nodes,
+    # strided like traj[::2], so that their difference needs no ufunc buffer
+    coarse = _add_to_nodes(cumulative_simpson(rhs_vals[::2], 2.0 * h, out=retired[::2]), c0)
+    quadrature = _sup_hs_distance(grid, traj[::2], coarse, s, coarse, weights) / 15.0
     return times, traj, ratios, diff <= tol, iterations, quadrature
 
 
@@ -446,8 +477,7 @@ def picard_solve(
         R=R, T=T, s=s, nodes=PICARD_NODES, iterations=iters,
         ratios=ratios, converged=converged, quadrature=quadrature,
     )
-    states = [SpectralField(grid, c) for c in traj]
-    return PicardTrajectory(times=times, states=states), cert
+    return PicardTrajectory(times=times, states=node_fields(grid, traj)), cert
 
 
 @dataclass

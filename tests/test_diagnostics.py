@@ -394,6 +394,29 @@ def test_make_record_forms_one_symbol_per_distinct_index(grid32, monkeypatch, p,
     assert record.ladder == want_ladder
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        ModelParams("inviscid"),
+        ModelParams("dissipative", alpha=0.5, kappa=0.1),
+        ModelParams("regularized", alpha=0.5, mu=1.0),
+    ],
+    ids=["inviscid", "dissipative", "regularized"],
+)
+def test_make_record_past_the_double_range_of_the_squares(grid32, p):
+    # |theta|_2 near 2^520 is finite and its square is not: the energies and
+    # the dissipation rates are products, inf, where a float's ** 2 raised
+    # OverflowError
+    theta = random_field(grid32, 8, 1.5, 3) * 2.0**520
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = qglab.diagnostics.make_record(theta, 0.0, p)
+        later = qglab.diagnostics.make_record(theta, 0.1, p, prev=first)
+    assert math.isfinite(first.lp[2.0]) and all(math.isfinite(h) for h in first.hs.values())
+    assert first.energy == first.mod_energy == math.inf
+    assert later.diss_integral == (math.inf if p.model == "dissipative" else 0.0)
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_inequality_constants_reject_empty_trials(trials):
     with pytest.raises(ValueError, match="trials"):

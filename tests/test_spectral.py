@@ -25,7 +25,15 @@ from qglab import (
     riesz_velocity,
 )
 from qglab.errors import NegativePowerOnMean, ValidationError
-from qglab.spectral import STENCIL_HALF_WIDTH, STENCIL_POINTS, _irfft2, _rfft2, product_spectra
+from qglab.spectral import (
+    STENCIL_HALF_WIDTH,
+    STENCIL_POINTS,
+    _irfft2,
+    _rfft2,
+    check_real_spectra,
+    node_fields,
+    product_spectra,
+)
 
 from conftest import full_spectrum, random_field
 
@@ -278,6 +286,54 @@ def test_spectral_field_must_be_finite(grid16, bad):
     c[2, 3] = bad
     with pytest.raises(ValidationError, match="real"):
         SpectralField(grid16, c)
+
+
+def _faulty_stack(grid, node, fault):
+    """Three random spectra, node 1 scaled to a peak of 1e-20, with `fault` planted at `node` ("none": none)."""
+    stack = np.array([random_field(grid, 5, 1.5, seed).coeffs for seed in range(3)])
+    stack[1] *= 1e-20 / np.max(np.abs(stack[1]))
+    if fault in ("nan", "inf"):
+        stack[node, 2, 3] = float(fault)
+    elif fault == "unmatched":  # k = (0, 1) without its conjugate at (0, -1)
+        stack[node, 1, 0] += 1e-9j * np.max(np.abs(stack[node]))
+    return stack
+
+
+@pytest.mark.parametrize("node", [0, 1, 2])
+@pytest.mark.parametrize("fault", ["nan", "inf", "unmatched"])
+def test_node_fields_check_the_stack_as_spectral_field_does(grid16, node, fault):
+    # one check of the whole stack by SpectralField's own rule, each node's
+    # defect against its own largest coefficient: node 1's peak is 1e-20,
+    # so its defect of 1e-29 would pass against the stack's largest
+    stack = _faulty_stack(grid16, node, fault)
+    with pytest.raises(ValidationError) as single:
+        SpectralField(grid16, stack[node])
+    for check in (lambda: node_fields(grid16, stack), lambda: check_real_spectra(stack)):
+        with pytest.raises(ValidationError) as stacked:
+            check()
+        assert str(stacked.value) == str(single.value)
+    for other in {0, 1, 2} - {node}:
+        SpectralField(grid16, stack[other])
+
+
+def test_node_fields_are_read_only_copies(grid16):
+    stack = _faulty_stack(grid16, 0, "none")
+    fields = node_fields(grid16, stack)
+    expected = stack.copy()
+    stack[:] = np.nan  # the stack is free for reuse
+    for f, c in zip(fields, expected):
+        assert f.grid is grid16 and np.array_equal(f.coeffs, c)
+        assert not f.coeffs.flags.writeable and f.coeffs.flags.c_contiguous
+    assert not any(np.shares_memory(f.coeffs, g.coeffs) for f in fields for g in fields if f is not g)
+    for bad in (stack[0], stack[:, :, :-1]):
+        with pytest.raises(ValidationError, match="stack of shape"):
+            node_fields(grid16, bad)
+
+
+def test_spectral_field_coefficients_are_c_ordered(grid16):
+    c = random_field(grid16, 5, 1.5, 0).coeffs
+    f = SpectralField(grid16, np.asfortranarray(c))
+    assert f.coeffs.flags.c_contiguous and np.array_equal(f.coeffs, c)
 
 
 def test_forward_constant_field(grid16):

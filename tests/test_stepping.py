@@ -16,6 +16,7 @@ from qglab.stepping import (
     PICARD_RATIO_LIMIT,
     PICARD_ROUNDOFF,
     Integrator,
+    _distance_weights,
     _picard_iterate,
     _picard_work,
     _sup_hs_distance,
@@ -570,10 +571,10 @@ def test_picard_seven_nodes_match_33_node_reference(request, n, alpha, mu):
 
 
 def test_picard_solve_peak_memory(grid64):
-    # about 4.43 trajectories are live at the peak: the rhs stack, the two
-    # trajectories that sweeps alternate between and the split's buffers,
-    # which do not scale with the nodes; one more held anywhere in the
-    # solve would add 1.0 to the ratio
+    # about 4.36 trajectories are live at the peak: the rhs stack, the two
+    # trajectories that sweeps alternate between, and the split's buffers
+    # and the distance weights, which do not scale with the nodes; one more
+    # held anywhere in the solve would add 1.0 to the ratio
     p = ModelParams("regularized", alpha=0.5, mu=1.0)
     theta = qglab.cmt(grid64)
     picard_solve(theta, p, s=2.0, tol=1e-10)  # warm-up: the grid's cached symbols
@@ -584,6 +585,34 @@ def test_picard_solve_peak_memory(grid64):
     finally:
         tracemalloc.stop()
     assert peak <= 5.0 * 7 * theta.coeffs.nbytes
+
+
+def test_picard_states_are_read_only_copies_the_work_does_not_reach(grid32):
+    # each node is copied out of the trajectory stack into its own frozen
+    # field, so a later solve on the same node arrays leaves them as they were
+    p = ModelParams("regularized", alpha=0.5, mu=1.0)
+    theta = qglab.cmt(grid32)
+    work = _picard_work(grid32, p)
+    traj, _ = picard_solve(theta, p, s=2.0, _work=work)
+    kept = [f.coeffs.copy() for f in traj.states]
+    picard_solve(random_field(grid32, 10, 1.5, 4), p, s=2.0, _work=work)
+    for f, c in zip(traj.states, kept):
+        assert not f.coeffs.flags.writeable and np.array_equal(f.coeffs, c)
+        assert not any(np.shares_memory(f.coeffs, a) for a in work[1])
+    assert not any(np.shares_memory(f.coeffs, g.coeffs) for f in traj.states for g in traj.states if f is not g)
+    assert np.array_equal(traj.states[0].coeffs, theta.coeffs)
+
+
+def test_continue_solution_later_segments_leave_earlier_states_unchanged(grid32):
+    # the chain's first segment, solved alone in fresh arrays, gives its
+    # states bit for bit after every later segment has run on shared arrays
+    p = ModelParams("regularized", alpha=0.5, mu=1.0)
+    theta = qglab.cmt(grid32)
+    sol = continue_solution(theta, p, s=2.0, horizon=0.05)
+    first, cert = picard_solve(theta, p, s=2.0, t_max=0.05)
+    assert len(sol.certificates) >= 3 and sol.certificates[0].ratios == cert.ratios
+    for f, g in zip(sol.states[: cert.nodes], first.states):
+        assert np.array_equal(f.coeffs, g.coeffs)
 
 
 def test_picard_cross_validates_against_run(grid64):
@@ -683,14 +712,25 @@ def test_sup_hs_distance_propagates_nan(grid16):
 
 @pytest.mark.parametrize("s", [0.0, 1.5, 2.0])
 def test_sup_hs_distance_matches_reference_expression(grid16, s):
-    # node by node in reused scratch, with the bits of the whole-array expression;
-    # weighted like sobolev_norm, so the mean counts at s = 0
+    # in place on the float view of the difference, with the bits of the
+    # per-node expression: the squares of the real and imaginary parts, each
+    # weighted like sobolev_norm (so the mean counts at s = 0), summed
     rng = np.random.default_rng(3)
     a, b = (rng.standard_normal((5, *grid16.shape)) + 1j * rng.standard_normal((5, *grid16.shape)) for _ in "ab")
     w = grid16.parseval_weights * grid16.sqrt_laplacian(2.0 * s)
+    weights = _distance_weights(grid16, s)
     for x, y in ((a, b), (a, b[2][None])):
-        d2 = np.max([np.sum(np.abs(u - v) ** 2 * w) for u, v in zip(*np.broadcast_arrays(x, y))])
+        d2 = np.max([
+            np.sum((u - v).view(np.float64).reshape(*w.shape, 2) ** 2 * w[..., None])
+            for u, v in zip(*np.broadcast_arrays(x, y))
+        ])
         assert _sup_hs_distance(grid16, x, y, s) == 2.0 * np.pi * np.sqrt(d2)
+    # with the solve's weights, written through either operand, as a sweep
+    # writes through the trajectory it retires
+    expected = _sup_hs_distance(grid16, a, b, s)
+    x, y = a.copy(), b.copy()
+    assert _sup_hs_distance(grid16, x, b, s, x, weights) == expected
+    assert _sup_hs_distance(grid16, a, y, s, y, weights) == expected
 
 
 def test_picard_nan_trajectory_raises_no_contraction(grid16, monkeypatch):
