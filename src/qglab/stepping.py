@@ -325,7 +325,8 @@ def _distance_weights(grid: Grid, s: float) -> np.ndarray:
 def _sup_hs_distance(grid: Grid, a: np.ndarray, b: np.ndarray, s: float, out=None, weights=None) -> float:
     """sup over nodes of ||a - b||_s for stacked coefficient arrays that broadcast.
 
-    Weighted as in `sobolev_norm`, so the mean counts at s = 0.  The
+    Weighted as in `sobolev_norm`, so the mean counts at s = 0; a single
+    state, with no node axis, is one node and gets its full norm.  The
     difference is written into `out`, a stack of the broadcast shape with
     each node contiguous, which may be a or b itself (a fresh array when
     None); its float view is squared and weighted in place by `weights`,
@@ -340,7 +341,7 @@ def _sup_hs_distance(grid: Grid, a: np.ndarray, b: np.ndarray, s: float, out=Non
     terms = np.subtract(a, b, out=out).view(np.float64).reshape(*out.shape, 2)
     np.square(terms, out=terms)
     terms *= weights
-    return 2.0 * np.pi * math.sqrt(terms.reshape(len(out), -1).sum(axis=1).max())
+    return 2.0 * np.pi * math.sqrt(terms.reshape(*out.shape[:-2], -1).sum(axis=-1).max())
 
 
 def _add_to_nodes(stack: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -710,6 +710,14 @@ def test_sup_hs_distance_propagates_nan(grid16):
     assert _sup_hs_distance(grid16, a, a, 2.0) == 0.0
 
 
+def test_sup_hs_distance_of_single_states_is_the_full_norm(grid16):
+    # a state with no node axis is one node: its rows are not nodes
+    a, b = random_field(grid16, 5, 1.5, 1), random_field(grid16, 5, 1.5, 2)
+    single = _sup_hs_distance(grid16, a.coeffs, b.coeffs, 2.0)
+    assert single == _sup_hs_distance(grid16, a.coeffs[None], b.coeffs[None], 2.0)
+    assert single == pytest.approx(qglab.sobolev_norm(a - b, 2.0), rel=1e-14)
+
+
 @pytest.mark.parametrize("s", [0.0, 1.5, 2.0])
 def test_sup_hs_distance_matches_reference_expression(grid16, s):
     # in place on the float view of the difference, with the bits of the

@@ -1,9 +1,7 @@
 #!/usr/bin/env python3
 """Plant one-line mutants in src/qglab and check that the tests kill each of them.
 
-    python3 tools/mutants.py            # every mutant
-    python3 tools/mutants.py NAME ...   # the named ones
-    python3 tools/mutants.py --list     # names and targeted tests
+    python3 tools/mutants.py
 
 A mutant is a (file, old, new) triple with the tests that should kill it.
 `old` must occur exactly once in src/qglab/<file>.  Each mutant is applied
@@ -19,7 +17,6 @@ when a mutant survives or the unmutated tests fail.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -60,6 +57,9 @@ MUTANTS = [
      ("tests/test_stepping.py::test_step_in_work_arrays_matches_reference_expressions",)),
     ("sweep distance without weights", "stepping.py", "    terms *= weights\n", "",
      ("tests/test_stepping.py::test_sup_hs_distance_matches_reference_expression",)),
+    ("sweep distance of a single state by rows", "stepping.py", "terms.reshape(*out.shape[:-2], -1).sum(axis=-1)",
+     "terms.reshape(len(out), -1).sum(axis=1)",
+     ("tests/test_stepping.py::test_sup_hs_distance_of_single_states_is_the_full_norm",)),
     ("stacked check on the stack's largest coefficient", "spectral.py",
      "peaks = np.abs(coeffs).max(axis=(-2, -1))", "peaks = np.abs(coeffs).max()",
      ("tests/test_spectral.py::test_node_fields_check_the_stack_as_spectral_field_does",)),
@@ -96,31 +96,17 @@ def _apply(tree: Path, file: str, old: str, new: str) -> None:
     path.write_text(text.replace(old, new), encoding="utf-8")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="print the mutants and their tests")
-    args = parser.parse_args(argv)
-    known = {m[0]: m for m in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"unknown mutants {unknown}; see --list")
-    chosen = [known[name] for name in args.names] or MUTANTS
-    if args.list:
-        for name, file, _, _, tests in chosen:
-            print(f"{name}  [{file}]  {' '.join(tests)}")
-        return 0
-
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="qglab-mutants-") as tmp:
         clean = Path(tmp) / "clean"
         _copy(clean)
-        union = list(dict.fromkeys(t for m in chosen for t in m[4]))
+        union = list(dict.fromkeys(t for m in MUTANTS for t in m[4]))
         passed, failed = _pytest(clean, union)
         if not passed:
             print(json.dumps({"error": "the unmutated tests fail", "failed": failed}))
             return 1
         results = []
-        for i, (name, file, old, new, tests) in enumerate(chosen):
+        for i, (name, file, old, new, tests) in enumerate(MUTANTS):
             tree = Path(tmp) / f"mutant{i}"
             _copy(tree)
             _apply(tree, file, old, new)
