@@ -90,7 +90,7 @@ def _lp(values: np.ndarray, q) -> float:
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
-    """H^s norm |Lambda^s f|_2, weighted by the symbol `Grid.sqrt_laplacian(2 s)`.
+    """H^s norm |Lambda^s f|_2: 2 pi sqrt of the sum of |f_hat|^2 by `Grid.sobolev_weights(s)`.
 
     The mean participates only at s = 0, where the symbol is 1 at k = 0;
     at any other s it is weighted by 0, so no size of mean can absorb the
@@ -117,7 +117,7 @@ def _sobolev_norms(f: SpectralField, indices) -> dict:
     size = np.abs(f.coeffs)
 
     def norm(c2, s):
-        return TWO_PI * math.sqrt(float(np.sum(f.grid.parseval_weights * f.grid.sqrt_laplacian(2.0 * s) * c2)))
+        return TWO_PI * math.sqrt(float(np.sum(f.grid.sobolev_weights(s) * c2)))
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         c2 = size**2
@@ -704,7 +704,7 @@ def _flux_at_scale(grid, pairing, mol, work, dr_profile) -> FluxEstimate:
 
     r_l32 = decomposition = None
     if work.with_remainder:
-        offsets, weights = mol.stencil(gf, _multiplier=m)
+        offsets, weights = mol.stencil(gf, m)
         diff = _difference_symbol(gf, offsets, weights)
         np.multiply(diff, fields_hat, out=spectra[:3])
         np.multiply(diff, uth_hat, out=spectra[3:5])

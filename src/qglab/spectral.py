@@ -88,6 +88,9 @@ class Grid:
     n must be an integer (a Python int or a numpy integer), even and at
     least 8 (ValidationError otherwise).  It is held as a Python int, so
     sizes derived from it, such as the doubled grid 2n, cannot wrap.
+    The symbols are cached read-only properties; the two that take a
+    power, |k|^beta (`sqrt_laplacian`) and the H^s weight
+    (`sobolev_weights`), are formed afresh on each call.
     """
 
     n: int
@@ -158,6 +161,15 @@ class Grid:
         sym = np.maximum(self.kabs, 1.0) ** power
         sym[0, 0] = 0.0
         return sym
+
+    def sobolev_weights(self, s: float) -> np.ndarray:
+        """Weight of each stored coefficient's |c|^2 in (||f||_s / 2 pi)^2, a fresh array.
+
+        `parseval_weights` times |k|^(2 s): the one H^s weight, which
+        `sobolev_norm` and the Picard sweep distance both sum, so the mean
+        counts at s = 0 only.
+        """
+        return self.parseval_weights * self.sqrt_laplacian(2.0 * s)
 
     @_symbol
     def dealias_mask(self) -> np.ndarray:
@@ -440,19 +452,19 @@ class Mollifier:
             return np.exp(-0.5 * r * r)
         return np.cos(0.5 * np.pi * np.clip(r, 0.0, 1.0)) ** 2
 
-    def stencil(self, grid: Grid, *, _multiplier: np.ndarray | None = None):
+    def stencil(self, grid: Grid, multiplier: np.ndarray):
         """Quadrature stencil for physical-space convolution with this kernel.
 
         Returns (offsets, weights): a 1d array of STENCIL_POINTS per-axis
         offsets covering [-STENCIL_HALF_WIDTH eps, STENCIL_HALF_WIDTH eps]
         and the square weight array sampled from the periodized kernel,
         renormalized to sum to 1.  weights[b, a] belongs to the offset
-        (offsets[a], offsets[b]).  `_multiplier` is this mollifier's
-        `multiplier(grid)` when the caller already holds it; it is not
+        (offsets[a], offsets[b]).  `multiplier` is this mollifier's
+        `multiplier(grid)`, which the caller holds already; it is not
         written to.
         """
         d = self.eps * np.linspace(-STENCIL_HALF_WIDTH, STENCIL_HALF_WIDTH, STENCIL_POINTS)
-        m = (self.multiplier(grid) if _multiplier is None else _multiplier) * grid.parseval_weights
+        m = multiplier * grid.parseval_weights
         e = np.exp(1j * np.outer(grid.wavenumbers, d))  # exp(i k d): (n, STENCIL_POINTS)
         # The stored Nyquist entry stands for both k = +n/2 and k = -n/2, so it
         # takes the mean of their phases, cos(n d / 2); being real, it keeps the

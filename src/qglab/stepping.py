@@ -28,10 +28,13 @@ Richardson estimate of the quadrature error, with no further evaluation.
 A sweep writes into node arrays: the node values, and two trajectories
 that successive sweeps alternate between, and works on whole node stacks.
 Its distance overwrites the trajectory it retires with the difference,
-squares its float view in place, weights it by one plane formed once per
-solve and sums each node's row, so it allocates no state.  The returned
-states are checked once as a stack, by `SpectralField`'s rule, and each
-node is copied into its own frozen field (`spectral.node_fields`).
+squares its float view in place, weights it by `Grid.sobolev_weights(s)`,
+the H^s weight that `sobolev_norm` sums too, formed once per solve, and
+sums each node's row, so it allocates no state.  The distance and
+Simpson's integral write only into arrays that the caller passes; neither
+has a fresh-array default.  The returned states are checked once as a
+stack, by `SpectralField`'s rule, and each node is copied into its own
+frozen field (`spectral.node_fields`).
 `continue_solution` hands one RhsSplit and one set of node arrays to
 every segment.
 
@@ -67,7 +70,13 @@ PICARD_ROUNDOFF = 64.0 * np.finfo(np.float64).eps  # times R: sweep distances at
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Marching controls; t_end must be a whole number of steps of dt."""
+    """Marching controls; t_end must be a whole number of steps of dt.
+
+    `diag_every` and `snapshot_every` count steps: each must be a Python
+    int or a numpy integer, so a NaN or 2.5 raises ValidationError instead
+    of sampling no step or the wrong ones.  They are held as Python ints,
+    so a narrow numpy integer cannot overflow against a step index.
+    """
 
     dt: float
     t_end: float
@@ -94,6 +103,11 @@ class StepperConfig:
             )
         if self.scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
+        for name in ("diag_every", "snapshot_every"):  # as Grid takes n
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # frozen dataclass
         if self.diag_every < 1:
             raise ValidationError("diag_every must be >= 1")
         if self.snapshot_every < 0:
@@ -278,16 +292,15 @@ class PicardTrajectory:
     states: list  # SpectralField at each node
 
 
-def cumulative_simpson(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative integral of uniformly sampled values along axis 0.
+def cumulative_simpson(values: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """Cumulative integral of uniformly sampled values along axis 0, written to `out`.
 
     Composite Simpson on even nodes; odd nodes add the last subinterval of
     the cubic through the four nearest samples.  Exact for polynomials of
-    degree <= 3.  Needs at least four samples.  The integral is written to
-    `out`, which must not overlap `values`, or to a fresh array when None;
-    each node is accumulated in its own row with one reused temporary.
+    degree <= 3.  Needs at least four samples.  `out` has the shape of
+    `values` and must not overlap it; each node is accumulated in its own
+    row with one reused temporary, and `out` is returned.
     """
-    out = np.empty_like(values) if out is None else out
     tmp = np.empty_like(values[0])
     out[0] = 0.0
     row = out[1]  # (h / 24) (9 v0 + 19 v1 - 5 v2 + v3), left to right
@@ -312,36 +325,23 @@ def cumulative_simpson(values: np.ndarray, h: float, out: np.ndarray | None = No
     return out
 
 
-def _distance_weights(grid: Grid, s: float) -> np.ndarray:
-    """The `weights` of `_sup_hs_distance` at index s.
+def _sup_hs_distance(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
+    """sup over nodes of ||a - b||_s for stacked coefficient arrays; overwrites `b`.
 
-    The Parseval weights times |k|^(2s), as in `sobolev_norm`, so the mean
-    counts at s = 0: one real (n, n/2+1, 1) plane that broadcasts over the
-    real and imaginary parts of a coefficient.
+    `weights` is `Grid.sobolev_weights(s)[..., None]`, one real
+    (n, n/2+1, 1) plane that broadcasts over the real and imaginary parts
+    of a coefficient and that a solve forms once, so the mean counts at
+    s = 0; a single state, with no node axis, is one node and gets its full
+    norm.  The difference a - b is written into `b`, which must have the
+    broadcast shape with each node contiguous; its float view is squared
+    and weighted in place, so a sweep's distance allocates no state, and
+    `a` is left as it is.  Each node's row is summed and the largest sum
+    taken; a NaN at any node makes the distance NaN.
     """
-    return (grid.parseval_weights * grid.sqrt_laplacian(2.0 * s))[..., None]
-
-
-def _sup_hs_distance(grid: Grid, a: np.ndarray, b: np.ndarray, s: float, out=None, weights=None) -> float:
-    """sup over nodes of ||a - b||_s for stacked coefficient arrays that broadcast.
-
-    Weighted as in `sobolev_norm`, so the mean counts at s = 0; a single
-    state, with no node axis, is one node and gets its full norm.  The
-    difference is written into `out`, a stack of the broadcast shape with
-    each node contiguous, which may be a or b itself (a fresh array when
-    None); its float view is squared and weighted in place by `weights`,
-    `_distance_weights(grid, s)`, which a solve forms once and passes in,
-    so a sweep's distance allocates no state.  Each node's row is summed
-    and the largest sum taken; a NaN at any node makes the distance NaN.
-    """
-    if out is None:
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
-    if weights is None:
-        weights = _distance_weights(grid, s)
-    terms = np.subtract(a, b, out=out).view(np.float64).reshape(*out.shape, 2)
+    terms = np.subtract(a, b, out=b).view(np.float64).reshape(*b.shape, 2)
     np.square(terms, out=terms)
     terms *= weights
-    return 2.0 * np.pi * math.sqrt(terms.reshape(*out.shape[:-2], -1).sum(axis=-1).max())
+    return 2.0 * np.pi * math.sqrt(terms.reshape(*b.shape[:-2], -1).sum(axis=-1).max())
 
 
 def _add_to_nodes(stack: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -372,12 +372,13 @@ def _picard_work(grid: Grid, p: ModelParams) -> tuple:
     return RhsSplit(grid, p), [np.empty((PICARD_NODES, *grid.shape), dtype=np.complex128) for _ in range(3)]
 
 
-def _picard_iterate(grid, nonlinear, c0, T, s, tol, floor, stack):
+def _picard_iterate(nonlinear, c0, T, weights, tol, floor, stack):
     """Sweeps on the nodes of `stack` from the constant guess theta(t) = theta_0.
 
     `stack` holds the rhs values and the two trajectories, as
     `_picard_work` makes them, for any number of nodes; the returned
-    trajectory is one of them.  Ends as `picard_solve` describes, with
+    trajectory is one of them.  Distances are weighted by `weights`, as
+    `_sup_hs_distance` takes them.  Ends as `picard_solve` describes, with
     `floor` the round-off distance, and returns (times, trajectory,
     ratios, converged, iterations, quadrature estimate).
     """
@@ -385,7 +386,6 @@ def _picard_iterate(grid, nonlinear, c0, T, s, tol, floor, stack):
     nodes = len(rhs_vals)
     times = np.linspace(0.0, T, nodes)
     h = times[1] - times[0]
-    weights = _distance_weights(grid, s)
     # the constant guess has rhs f0 at every node, so the first sweep evaluates nothing
     nonlinear(c0, out=rhs_vals[0])
     rhs_vals[1:] = rhs_vals[0]
@@ -400,7 +400,7 @@ def _picard_iterate(grid, nonlinear, c0, T, s, tol, floor, stack):
             for i in range(1, nodes):  # node 0 is always theta_0 and keeps f0
                 nonlinear(traj[i], out=rhs_vals[i])
         new = _add_to_nodes(cumulative_simpson(rhs_vals, h, out=pair[iterations % 2]), c0)
-        prev_diff, diff = diff, _sup_hs_distance(grid, new, traj, s, traj, weights)  # overwrites the retired trajectory
+        prev_diff, diff = diff, _sup_hs_distance(new, traj, weights)  # overwrites the retired trajectory
         retired, traj = traj, new
         if prev_diff is not None:  # every sweep after the first measures a ratio
             ratios.append(diff / prev_diff)
@@ -414,7 +414,7 @@ def _picard_iterate(grid, nonlinear, c0, T, s, tol, floor, stack):
     # times S_h's error; S_2h goes into the retired trajectory's even nodes,
     # strided like traj[::2], so that their difference needs no ufunc buffer
     coarse = _add_to_nodes(cumulative_simpson(rhs_vals[::2], 2.0 * h, out=retired[::2]), c0)
-    quadrature = _sup_hs_distance(grid, traj[::2], coarse, s, coarse, weights) / 15.0
+    quadrature = _sup_hs_distance(traj[::2], coarse, weights) / 15.0
     return times, traj, ratios, diff <= tol, iterations, quadrature
 
 
@@ -471,7 +471,7 @@ def picard_solve(
 
     split, stack = _picard_work(grid, p) if _work is None else _work
     times, traj, ratios, converged, iters, quadrature = _picard_iterate(
-        grid, split.nonlinear, theta0.coeffs, T, s, tol, PICARD_ROUNDOFF * R, stack
+        split.nonlinear, theta0.coeffs, T, grid.sobolev_weights(s)[..., None], tol, PICARD_ROUNDOFF * R, stack
     )
     del split, stack  # a fresh work's arrays, bar the trajectory, are freed before the states are copied
     cert = PicardCertificate(

@@ -461,6 +461,10 @@ _INVALID_INPUTS = {
     "flux_scan empty eps list": lambda f, path: qglab.flux_scan(f, []),
     "compare_mu mu repeated": lambda f, path: qglab.compare_mu(
         f, 0.5, [0.1, 0.1, 0.01], 0.1, StepperConfig(dt=1e-2, t_end=0.1, scheme="rk4")),
+    "StepperConfig diag_every = nan": lambda f, path: StepperConfig(dt=1e-2, t_end=0.1, diag_every=math.nan),
+    "StepperConfig diag_every = 2.5": lambda f, path: StepperConfig(dt=1e-2, t_end=0.1, diag_every=2.5),
+    "StepperConfig snapshot_every = nan": lambda f, path: StepperConfig(dt=1e-2, t_end=0.1, snapshot_every=math.nan),
+    "StepperConfig snapshot_every = 2.5": lambda f, path: StepperConfig(dt=1e-2, t_end=0.1, snapshot_every=2.5),
     "PhysicalField shape": lambda f, path: qglab.PhysicalField(f.grid, np.zeros((3, 3))),
     "PhysicalField nan": lambda f, path: qglab.PhysicalField(f.grid, np.full((f.grid.n,) * 2, np.nan)),
     "SpectralField shape": lambda f, path: qglab.SpectralField(f.grid, np.zeros((3, 3), dtype=complex)),

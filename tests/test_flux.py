@@ -76,7 +76,7 @@ def _reference_flux(theta, eps, profile):
     flux = float(np.mean(sigma1 * dth1_eps + sigma2 * dth2_eps)) * area
     sigma_l1 = float(np.mean(np.hypot(sigma1, sigma2))) * area
 
-    offsets, weights = mol.stencil(gf)
+    offsets, weights = mol.stencil(gf, mol.multiplier(gf))
     ph = np.exp(-1j * np.outer(gf.wavenumbers, offsets))
     r1 = np.zeros_like(th)
     r2 = np.zeros_like(th)
@@ -423,7 +423,7 @@ def _flux_at_scale_reference(grid, padded, mol, with_remainder, dr_profile):
     sigma_l1 = float(np.mean(np.abs(sigma1 + 1j * sigma2))) * CELL_AREA_FACTOR
     est = FluxEstimate(eps=mol.eps, profile=mol.profile, sigma_l1=sigma_l1, flux_integral=flux)
     if with_remainder:
-        offsets, weights = mol.stencil(gf)
+        offsets, weights = mol.stencil(gf, m)
         diff = _difference_symbol(gf, offsets, weights)
         du1, du2, dth, duth1, duth2 = np.fft.irfft2(diff * np.concatenate([fields_hat, uth_hat]), norm="forward")
         r1 = duth1 - u1 * dth - th * du1

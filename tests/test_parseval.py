@@ -99,7 +99,7 @@ def test_sup_hs_distance_matches_full_spectrum(n, seed, s):
     b = np.stack([_half(grid, v).coeffs for v in b_values])
     d2 = np.abs(_full(a_values) - _full(b_values)) ** 2
     oracle = 2.0 * np.pi * np.sqrt(np.max(np.sum(d2 * _hs_weights(grid, s), axis=(1, 2))))
-    assert _sup_hs_distance(grid, a, b, s) == pytest.approx(oracle, rel=REL, abs=0.0)
+    assert _sup_hs_distance(a, b, grid.sobolev_weights(s)[..., None]) == pytest.approx(oracle, rel=REL, abs=0.0)
 
 
 @settings(max_examples=20, deadline=None)

@@ -173,7 +173,7 @@ def test_the_hypot_walk_finds_planted_uses():
     assert found == [(2, "<module>"), (5, "Field.size"), (5, "Field.size")]
 
 
-@pytest.mark.parametrize("power", [0.0, 0.5, 1.0, 2.0, -1.5])
+@pytest.mark.parametrize("power", [0.0, 0.5, 1.0, 2.0, 4.0, -1.5])
 def test_grid_sqrt_laplacian_symbol(grid16, power):
     sym = grid16.sqrt_laplacian(power)
     assert sym.shape == grid16.shape and sym.dtype == np.float64
@@ -186,6 +186,13 @@ def test_grid_sqrt_laplacian_symbol(grid16, power):
     assert not any(np.shares_memory(sym, a) for a in (again, grid16.kabs))
     sym[...] = -1.0
     assert np.array_equal(grid16.sqrt_laplacian(power), again)
+    # the H^s weight at s = power / 2 (0, 0.5 and 2 among others), bit for
+    # bit the Parseval weights times this symbol, and fresh like it
+    weights = grid16.sobolev_weights(power / 2.0)
+    assert weights.tobytes() == (grid16.parseval_weights * again).tobytes()
+    assert weights.flags.writeable and not np.shares_memory(weights, grid16.parseval_weights)
+    weights[...] = -1.0
+    assert grid16.sobolev_weights(power / 2.0).tobytes() == (grid16.parseval_weights * again).tobytes()
 
 
 _SYMBOLS = [name for name, attr in vars(Grid).items() if isinstance(attr, cached_property)]
@@ -636,7 +643,8 @@ def test_pad_spectrum_property(half_n, extra, seed):
 @pytest.mark.parametrize("profile", ["gaussian", "raised-cosine"])
 def test_stencil_weights_mirror_symmetric(n, eps, profile):
     # the kernel is even in each coordinate, so its sampled weights are too
-    _, w = Mollifier(eps, profile).stencil(Grid(n))
+    grid, mol = Grid(n), Mollifier(eps, profile)
+    _, w = mol.stencil(grid, mol.multiplier(grid))
     assert np.max(np.abs(w - w[::-1])) <= 1e-14 * np.max(w)
     assert np.max(np.abs(w - w[:, ::-1])) <= 1e-14 * np.max(w)
 
@@ -654,9 +662,9 @@ def test_stencil_from_held_multiplier_matches_expression(n, eps, profile):
     w = (e.T @ (mol.multiplier(grid) * grid.parseval_weights) @ e[: n // 2 + 1]).real
     m = mol.multiplier(grid)
     held = m.copy()
-    for offsets, weights in (mol.stencil(grid), mol.stencil(grid, _multiplier=m)):
-        assert offsets.tobytes() == d.tobytes()
-        assert weights.tobytes() == (w / w.sum()).tobytes()
+    offsets, weights = mol.stencil(grid, m)
+    assert offsets.tobytes() == d.tobytes()
+    assert weights.tobytes() == (w / w.sum()).tobytes()
     assert m.tobytes() == held.tobytes()
 
 

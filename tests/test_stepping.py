@@ -16,7 +16,6 @@ from qglab.stepping import (
     PICARD_RATIO_LIMIT,
     PICARD_ROUNDOFF,
     Integrator,
-    _distance_weights,
     _picard_iterate,
     _picard_work,
     _sup_hs_distance,
@@ -33,6 +32,16 @@ from conftest import random_field
 def _work(grid):
     """The five work arrays of one step, as an `Integrator` holds them."""
     return np.empty((5, *grid.shape), dtype=np.complex128)
+
+
+def test_sampling_intervals_are_held_as_python_ints(grid16):
+    # any numpy integer is accepted, as Grid accepts n, and held as an int:
+    # a uint8 interval used to overflow against step index 256
+    cfg = StepperConfig(dt=1e-3, t_end=0.3, diag_every=np.uint8(100), snapshot_every=np.int32(150))
+    assert type(cfg.diag_every) is int and type(cfg.snapshot_every) is int
+    res = run(qglab.single_mode(grid16, 1, 0), ModelParams("inviscid"), cfg)
+    assert [r.t for r in res.records] == pytest.approx([0.0, 0.1, 0.2, 0.3])
+    assert [t for t, _ in res.samples] == pytest.approx([0.0, 0.15, 0.3])
 
 
 def test_config_validation():
@@ -373,7 +382,7 @@ def test_cumulative_simpson_exact_on_cubics():
     t = np.arange(11) * h
     vals = (3 * t**3 - t**2 + 2 * t - 5).reshape(-1, 1, 1)
     exact = (0.75 * t**4 - t**3 / 3 + t**2 - 5 * t).reshape(-1, 1, 1)
-    out = cumulative_simpson(vals, h)
+    out = cumulative_simpson(vals, h, out=np.empty_like(vals))
     assert np.max(np.abs(out - exact)) < 1e-12
 
 
@@ -402,7 +411,6 @@ def test_cumulative_simpson_in_place_matches_reference(m, h, seed):
         out = np.full_like(stack[:m], np.nan)
         assert cumulative_simpson(values, h, out=out) is out
         assert out.tobytes() == expected
-        assert cumulative_simpson(values, h).tobytes() == expected
 
 
 @pytest.mark.parametrize("lam", [1.0, 3.0, 10.0, 30.0, 1j, 3j, 10j, 30j])
@@ -413,9 +421,12 @@ def test_simpson_richardson_estimate_tracks_refinement(lam):
     def samples(m):
         return np.exp(lam * np.linspace(0.0, 1.0, m))[:, None, None]
 
-    coarse = cumulative_simpson(samples(33), 1.0 / 32)
-    estimate = np.max(np.abs(coarse[::2] - cumulative_simpson(samples(33)[::2], 2.0 / 32))) / 15.0
-    gap = np.max(np.abs(coarse - cumulative_simpson(samples(65), 0.5 / 32)[::2]))
+    def integral(values, h):
+        return cumulative_simpson(values, h, out=np.empty_like(values))
+
+    coarse = integral(samples(33), 1.0 / 32)
+    estimate = np.max(np.abs(coarse[::2] - integral(samples(33)[::2], 2.0 / 32))) / 15.0
+    gap = np.max(np.abs(coarse - integral(samples(65), 0.5 / 32)[::2]))
     assert 0.5 <= estimate / gap <= 2.0
 
 
@@ -524,13 +535,13 @@ def test_picard_call_budget(request, nonlinear_args, datum, n, calls):
 def _quadrature_gap(theta, p, T, tol):
     """A 33-node solve's quadrature estimate and its sup-H^2 gap to a 65-node solve on [0, T]."""
     R = 2.0 * qglab.sobolev_norm(theta, 2.0)
-    split = RhsSplit(theta.grid, p)
+    split, weights = RhsSplit(theta.grid, p), theta.grid.sobolev_weights(2.0)[..., None]
     (_, coarse, *_, estimate), (_, fine, *_) = [
-        _picard_iterate(theta.grid, split.nonlinear, theta.coeffs, T, 2.0, tol, PICARD_ROUNDOFF * R,
+        _picard_iterate(split.nonlinear, theta.coeffs, T, weights, tol, PICARD_ROUNDOFF * R,
                         np.empty((3, m, *theta.grid.shape), dtype=np.complex128))
         for m in (33, 65)
     ]
-    return estimate, _sup_hs_distance(theta.grid, fine[::2], coarse, 2.0)
+    return estimate, _sup_hs_distance(fine[::2], coarse, weights)
 
 
 # Measured estimate / gap on cmt and random data at n = 16..64, mu = 1 and
@@ -560,13 +571,14 @@ def test_picard_seven_nodes_match_33_node_reference(request, n, alpha, mu):
     p = ModelParams("regularized", alpha=alpha, mu=mu)
     theta = qglab.cmt(grid)
     traj, cert = picard_solve(theta, p, s=2.0)
+    weights = grid.sobolev_weights(2.0)[..., None]
     _, ref, _, converged, iterations, _ = _picard_iterate(
-        grid, RhsSplit(grid, p).nonlinear, theta.coeffs, cert.T, 2.0, 1e-9, PICARD_ROUNDOFF * cert.R,
+        RhsSplit(grid, p).nonlinear, theta.coeffs, cert.T, weights, 1e-9, PICARD_ROUNDOFF * cert.R,
         np.empty((3, 33, *grid.shape), dtype=np.complex128),
     )
     assert cert.nodes == 7 and cert.converged and converged
     assert cert.iterations == iterations
-    assert _sup_hs_distance(grid, traj.states[-1].coeffs, ref[-1], 2.0) <= 5e-14 * cert.R
+    assert _sup_hs_distance(traj.states[-1].coeffs, ref[-1], weights) <= 5e-14 * cert.R
     assert cert.quadrature <= 5e-16 * cert.R
 
 
@@ -674,8 +686,8 @@ def test_picard_ratio_limit_is_pinned_by_data(grid32):
     R = 2.0 * qglab.sobolev_norm(theta, 2.0)
     split, stack = _picard_work(grid32, p)
     with pytest.raises(NoContraction) as info:
-        _picard_iterate(grid32, split.nonlinear, theta.coeffs, 400.0 * p.mu / (4.0 * R), 2.0, 1e-9,
-                        PICARD_ROUNDOFF * R, stack)
+        _picard_iterate(split.nonlinear, theta.coeffs, 400.0 * p.mu / (4.0 * R),
+                        grid32.sobolev_weights(2.0)[..., None], 1e-9, PICARD_ROUNDOFF * R, stack)
     assert 0.6 <= info.value.ratio <= 0.85 and info.value.t == 0.0
 
 
@@ -706,15 +718,17 @@ def test_sup_hs_distance_propagates_nan(grid16):
     a = np.zeros((3, *grid16.shape), dtype=complex)
     b = a.copy()
     b[1, 1, 1] = np.nan
-    assert np.isnan(_sup_hs_distance(grid16, a, b, 2.0))
-    assert _sup_hs_distance(grid16, a, a, 2.0) == 0.0
+    weights = grid16.sobolev_weights(2.0)[..., None]
+    assert np.isnan(_sup_hs_distance(a, b, weights))
+    assert _sup_hs_distance(a, a.copy(), weights) == 0.0
 
 
 def test_sup_hs_distance_of_single_states_is_the_full_norm(grid16):
     # a state with no node axis is one node: its rows are not nodes
     a, b = random_field(grid16, 5, 1.5, 1), random_field(grid16, 5, 1.5, 2)
-    single = _sup_hs_distance(grid16, a.coeffs, b.coeffs, 2.0)
-    assert single == _sup_hs_distance(grid16, a.coeffs[None], b.coeffs[None], 2.0)
+    weights = grid16.sobolev_weights(2.0)[..., None]
+    single = _sup_hs_distance(a.coeffs, b.coeffs.copy(), weights)
+    assert single == _sup_hs_distance(a.coeffs[None], b.coeffs[None].copy(), weights)
     assert single == pytest.approx(qglab.sobolev_norm(a - b, 2.0), rel=1e-14)
 
 
@@ -726,19 +740,32 @@ def test_sup_hs_distance_matches_reference_expression(grid16, s):
     rng = np.random.default_rng(3)
     a, b = (rng.standard_normal((5, *grid16.shape)) + 1j * rng.standard_normal((5, *grid16.shape)) for _ in "ab")
     w = grid16.parseval_weights * grid16.sqrt_laplacian(2.0 * s)
-    weights = _distance_weights(grid16, s)
+    weights = grid16.sobolev_weights(s)[..., None]
     for x, y in ((a, b), (a, b[2][None])):
         d2 = np.max([
             np.sum((u - v).view(np.float64).reshape(*w.shape, 2) ** 2 * w[..., None])
             for u, v in zip(*np.broadcast_arrays(x, y))
         ])
-        assert _sup_hs_distance(grid16, x, y, s) == 2.0 * np.pi * np.sqrt(d2)
-    # with the solve's weights, written through either operand, as a sweep
-    # writes through the trajectory it retires
-    expected = _sup_hs_distance(grid16, a, b, s)
-    x, y = a.copy(), b.copy()
-    assert _sup_hs_distance(grid16, x, b, s, x, weights) == expected
-    assert _sup_hs_distance(grid16, a, y, s, y, weights) == expected
+        # the difference goes into the second operand, as a sweep writes it
+        # into the trajectory it retires
+        assert _sup_hs_distance(x, np.broadcast_to(y, x.shape).copy(), weights) == 2.0 * np.pi * np.sqrt(d2)
+
+
+@pytest.mark.parametrize("single", [False, True])
+def test_sup_hs_distance_keeps_a_and_overwrites_b(grid16, single):
+    # a sweep measures the new trajectory a against the one it retires, b:
+    # a must come out as it went in, and b holds the weighted squares of the
+    # float view of a - b; a single state a broadcasts over b's nodes
+    rng = np.random.default_rng(4)
+    shape = grid16.shape if single else (3, *grid16.shape)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    b = rng.standard_normal((3, *grid16.shape)) + 1j * rng.standard_normal((3, *grid16.shape))
+    weights = grid16.sobolev_weights(1.5)[..., None]
+    a_before, diff = a.copy(), np.broadcast_to(a, b.shape) - b
+    _sup_hs_distance(a, b, weights)
+    assert a.tobytes() == a_before.tobytes()
+    squares = diff.view(np.float64).reshape(*b.shape, 2) ** 2 * weights
+    assert b.view(np.float64).tobytes() == squares.tobytes()
 
 
 def test_picard_nan_trajectory_raises_no_contraction(grid16, monkeypatch):

@@ -3,8 +3,9 @@
 They check the numerics beyond the conservation laws: a transform, a
 multiplier or a product that favoured one axis, one direction or one
 cell would break the symmetry at first order, while a faithful solver
-keeps it to round-off.  The amplitude-time scaling holds bit for bit,
-and time reversal to the RK4 truncation error.
+keeps it to round-off.  A quarter turn and a mirror with theta flipped
+hold to round-off, the amplitude-time scaling bit for bit, and time
+reversal to the RK4 truncation error.
 """
 
 import dataclasses
@@ -44,6 +45,31 @@ def test_a_quarter_turn_commutes_with_a_run(model, scheme):
     turned_before = run(_quarter_turn(theta), p, cfg).final.coeffs
     assert np.max(np.abs(turned_after - turned_before)) <= 1e-13 * np.max(np.abs(turned_after))
     assert not np.allclose(turned_after, run(theta, p, cfg).final.coeffs)  # the turn moves this state
+
+
+def _mirror(f, sign):
+    """sign times the field mirrored in x1 -> -x1: grid column i takes column (-i) mod n."""
+    values = inverse_transform(f).values
+    n = f.grid.n
+    return forward_transform(PhysicalField(f.grid, sign * values[:, (-np.arange(n)) % n]))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("model", sorted(SYMMETRY_PARAMS))
+def test_a_mirror_with_theta_flipped_commutes_with_a_run(model, scheme):
+    # theta(x1, x2) -> -theta(-x1, x2) maps u to (-u1, u2) at the mirrored
+    # point, so the transport and the even symbols of every model commute
+    # with it: measured at most 2.3e-16 of the largest coefficient.  The
+    # mirror alone makes u minus the mirrored velocity, and its run misses
+    # by 0.11 to 0.32
+    theta = random_field(qglab.Grid(32), 10, 1.5, 5)
+    p, cfg = SYMMETRY_PARAMS[model], StepperConfig(dt=2e-3, t_end=0.2, scheme=scheme)
+    final = run(theta, p, cfg).final
+    mirrored_after = _mirror(final, -1.0).coeffs
+    mirrored_before = run(_mirror(theta, -1.0), p, cfg).final.coeffs
+    assert np.max(np.abs(mirrored_after - mirrored_before)) <= 1e-13 * np.max(np.abs(mirrored_after))
+    unflipped = run(_mirror(theta, 1.0), p, cfg).final.coeffs
+    assert _largest_miss(unflipped, _mirror(final, 1.0).coeffs) >= 1e-2
 
 
 def _largest_miss(a, b):

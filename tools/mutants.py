@@ -57,9 +57,20 @@ MUTANTS = [
      ("tests/test_stepping.py::test_step_in_work_arrays_matches_reference_expressions",)),
     ("sweep distance without weights", "stepping.py", "    terms *= weights\n", "",
      ("tests/test_stepping.py::test_sup_hs_distance_matches_reference_expression",)),
-    ("sweep distance of a single state by rows", "stepping.py", "terms.reshape(*out.shape[:-2], -1).sum(axis=-1)",
-     "terms.reshape(len(out), -1).sum(axis=1)",
+    ("sweep distance of a single state by rows", "stepping.py", "terms.reshape(*b.shape[:-2], -1).sum(axis=-1)",
+     "terms.reshape(len(b), -1).sum(axis=1)",
      ("tests/test_stepping.py::test_sup_hs_distance_of_single_states_is_the_full_norm",)),
+    ("sweep distance written into a", "stepping.py", "np.subtract(a, b, out=b)", "np.subtract(a, b, out=a)",
+     ("tests/test_stepping.py::test_sup_hs_distance_keeps_a_and_overwrites_b",)),
+    ("H^s weight |k|^s in place of |k|^(2s)", "spectral.py",
+     "self.parseval_weights * self.sqrt_laplacian(2.0 * s)", "self.parseval_weights * self.sqrt_laplacian(s)",
+     ("tests/test_spectral.py::test_grid_sqrt_laplacian_symbol",)),
+    ("sampling intervals not checked for integers", "stepping.py",
+     "if not isinstance(value, (int, np.integer)):", "if False:",
+     ("tests/test_diagnostics.py::test_invalid_input_raises_validation_error",)),
+    ("sampling intervals kept as numpy integers", "stepping.py",
+     "object.__setattr__(self, name, int(value))", "pass",
+     ("tests/test_stepping.py::test_sampling_intervals_are_held_as_python_ints",)),
     ("stacked check on the stack's largest coefficient", "spectral.py",
      "peaks = np.abs(coeffs).max(axis=(-2, -1))", "peaks = np.abs(coeffs).max()",
      ("tests/test_spectral.py::test_node_fields_check_the_stack_as_spectral_field_does",)),
