@@ -9,10 +9,8 @@ model.
 
 from .diagnostics import (
     HALF_SQUARE,
-    SQRT1P,
     FluxEstimate,
     NormRecord,
-    besov_norm,
     coarse_grained_flux,
     energy_balance_residual,
     fit_loglog_slope,
@@ -50,7 +48,6 @@ from .spectral import (
     apply_sqrt_laplacian,
     dealias,
     forward_transform,
-    hermitian_defect,
     inverse_transform,
     mollify,
     pad_spectrum,

@@ -130,25 +130,6 @@ def _sobolev_norms(f: SpectralField, indices) -> dict:
     return norms
 
 
-def dyadic_shell(f: SpectralField, j: int) -> SpectralField:
-    """Restrict to the dyadic shell 2^j <= |k| < 2^(j+1)."""
-    lo, hi = 2.0**j, 2.0 ** (j + 1)
-    mask = (f.grid.kabs >= lo) & (f.grid.kabs < hi)
-    return SpectralField(f.grid, np.where(mask, f.coeffs, 0.0))
-
-
-def besov_norm(f: SpectralField, s: float) -> float:
-    """B^(s,inf)_3 norm: sup over shells j >= 0 of 2^(js) |Delta_j f|_3.
-
-    Sharp dyadic cutoffs; the j = 0 shell covers 1 <= |k| < 2 and the mean
-    belongs to no shell.
-    """
-    # the j with 2^j <= max |k| = n / sqrt(2), which is never a power of 2
-    js = range(int(math.log2(np.max(f.grid.kabs))) + 1)
-    values = _irfft2(np.stack([dyadic_shell(f, j).coeffs for j in js]))
-    return max(2.0 ** (j * s) * _lp(v, 3.0) for j, v in zip(js, values))  # empty shells give 0
-
-
 # ---------------------------------------------------------------------------
 # time-series records
 
@@ -413,11 +394,6 @@ def HALF_SQUARE(x):
     return np.ones_like(np.asarray(x, dtype=np.float64))
 
 
-def SQRT1P(x):
-    """G''(x) = (1 + x^2)^(-3/2) of the convex profile G = sqrt(1 + x^2)."""
-    return (1.0 + x * x) ** -1.5
-
-
 @dataclass
 class FluxEstimate:
     """Scale-eps transfer quantities of a single state."""
@@ -478,7 +454,7 @@ def coarse_grained_flux(
     The convex profile G enters only the Duchon-Robert dissipation field
     G''(theta_eps) grad theta_eps . ((u theta)_eps - u_eps theta_eps),
     which is computed, on the grid of `theta`, iff `dr_profile`, the
-    function x -> G''(x) such as HALF_SQUARE or SQRT1P, is given.
+    function x -> G''(x) such as HALF_SQUARE, is given.
     """
     return flux_scan(theta, [eps], profile, with_remainder, dr_profile)[0]
 

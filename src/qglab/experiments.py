@@ -57,6 +57,8 @@ def compare_mu(
         raise ValidationError(f"mu_list must hold at least two values, all distinct, got {mu_list}")
     if t_end != cfg.t_end:
         raise ValidationError(f"t_end={t_end} differs from cfg.t_end={cfg.t_end}")
+    # every mu and alpha is checked here, before the first run marches
+    regularized = [ModelParams("regularized", alpha=alpha, mu=float(mu)) for mu in mu_arr]
 
     steps = cfg.nsteps
     snap = cfg.snapshot_every if cfg.snapshot_every > 0 else max(1, steps // 10)
@@ -77,8 +79,7 @@ def compare_mu(
 
     err_l2 = np.zeros(len(mu_arr))
     err_mod = np.zeros(len(mu_arr))
-    for i, mu in enumerate(mu_arr):
-        p = ModelParams("regularized", alpha=alpha, mu=float(mu))
+    for i, p in enumerate(regularized):
         result = run_model(p, cfg.dt, snap)
         worst_l2 = 0.0
         worst_mod = 0.0
@@ -86,7 +87,7 @@ def compare_mu(
             w = state - ref
             l2 = diagnostics.sobolev_norm(w, 0.0)
             h_alpha = diagnostics.sobolev_norm(w, alpha)
-            mod = l2 * l2 + mu * (h_alpha * h_alpha)
+            mod = l2 * l2 + p.mu * (h_alpha * h_alpha)
             worst_l2 = max(worst_l2, l2)
             worst_mod = max(worst_mod, mod)
         err_l2[i] = worst_l2

@@ -510,17 +510,13 @@ def pad_spectrum(f: SpectralField, m: int) -> SpectralField:
     return _derived_field(fine, out)
 
 
-def hermitian_defect(f: SpectralField) -> float:
-    """Max |c(k) - conj(c(-k))|; zero for coefficients of a real field.
-
-    Only the self-conjugate columns k1 = 0 and k1 = n/2 hold both k and -k;
-    the other columns carry c(-k) implicitly.
-    """
-    return float(_hermitian_defects(f.coeffs))
-
-
 def _hermitian_defects(coeffs: np.ndarray) -> np.ndarray:
-    """`hermitian_defect` of each half spectrum in `coeffs`, over its last two axes."""
+    """Max |c(k) - conj(c(-k))| of each half spectrum in `coeffs`, over its last two axes.
+
+    Zero for the coefficients of a real field.  Only the self-conjugate
+    columns k1 = 0 and k1 = n/2 hold both k and -k; the other columns carry
+    c(-k) implicitly.
+    """
     c = coeffs[..., :: coeffs.shape[-1] - 1]  # the columns k1 = 0 and k1 = n/2
     mirrored = np.concatenate((c[..., :1, :], c[..., :0:-1, :]), axis=-2)  # row j holds -k2 of row j
     return np.abs(c - np.conj(mirrored)).max(axis=(-2, -1))

@@ -8,8 +8,6 @@ import pytest
 import qglab
 from qglab import ModelParams, StepperConfig, run
 from qglab.diagnostics import (
-    besov_norm,
-    dyadic_shell,
     energy_balance_residual,
     gn_constant,
     gn_residual,
@@ -101,36 +99,6 @@ def test_sobolev_matches_l2(grid64):
     f = random_field(grid64, 20, 1.5, 8)
     phys = inverse_transform(f)
     assert sobolev_norm(f, 0.0) == pytest.approx(lp_norm(phys, 2.0), rel=1e-10)
-
-
-# -- Besov norms --------------------------------------------------------------
-
-
-def test_besov_single_shell(grid64):
-    # cos(4 x1) lives in shell j = 2; L3 norm of a cosine is (2 pi 8/3)^(1/3).
-    # |cos|^3 is not a trig polynomial, so the grid quadrature carries a
-    # small discretization error at 16 nodes per period.
-    f = qglab.single_mode(grid64, 4, 0)
-    expect = 4.0 ** (1.0 / 3.0) * (2 * np.pi * 8 / 3) ** (1 / 3)
-    assert besov_norm(f, 1.0 / 3.0) == pytest.approx(expect, rel=1e-3)
-
-    g = qglab.single_mode(grid64, 1, 0)
-    assert besov_norm(g, 0.0) == pytest.approx((2 * np.pi * 8 / 3) ** (1 / 3), rel=1e-6)
-
-
-def test_besov_homogeneity(grid64):
-    f = random_field(grid64, 20, 1.5, 2)
-    a = besov_norm(f, 1.0 / 3.0)
-    b = besov_norm(3.5 * f, 1.0 / 3.0)
-    assert b == pytest.approx(3.5 * a, rel=1e-12)
-
-
-def test_shell_orthogonality(grid64):
-    f = random_field(grid64, 30, 1.2, 6)
-    total = sum(
-        sobolev_norm(dyadic_shell(f, j), 0.0) ** 2 for j in range(8)
-    )
-    assert total == pytest.approx(sobolev_norm(f, 0.0) ** 2, rel=1e-10)
 
 
 # -- maximum principle and energy balance ------------------------------------

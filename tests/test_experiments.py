@@ -82,6 +82,18 @@ def test_compare_mu_requires_t_end_of_cfg(grid32):
         compare_mu(qglab.single_mode(grid32, 1, 0), 0.5, [1e-2, 1e-3], 0.2, cfg)
 
 
+@pytest.mark.parametrize("alpha, mu_list", [(0.5, [0.1, -0.01]), (0.5, [0.1, np.nan]), (0.3, [0.1, 0.01])])
+def test_compare_mu_rejects_alpha_and_mu_before_any_run(grid32, monkeypatch, alpha, mu_list):
+    # each of these once raised only after the inviscid references had marched
+    runs = []
+    march = qglab.experiments.run
+    monkeypatch.setattr(qglab.experiments, "run", lambda *args: runs.append(args) or march(*args))
+    cfg = StepperConfig(dt=1e-2, t_end=0.1, scheme="rk4")
+    with pytest.raises(ValidationError):
+        compare_mu(qglab.cmt(grid32), alpha, mu_list, 0.1, cfg)
+    assert runs == []
+
+
 def test_compare_mu_cmt_slopes(grid64):
     cfg = StepperConfig(dt=2e-3, t_end=0.5, scheme="rk4")
     res = compare_mu(qglab.cmt(grid64), 0.5, [1e-1, 3e-2, 1e-2, 3e-3, 1e-3], 0.5, cfg)

@@ -79,6 +79,9 @@ MUTANTS = [
      ("tests/test_stepping.py::test_picard_states_are_read_only_copies_the_work_does_not_reach",)),
     ("record energy as a float power", "diagnostics.py", "energy = lp[2.0] * lp[2.0]", "energy = lp[2.0] ** 2",
      ("tests/test_diagnostics.py::test_make_record_past_the_double_range_of_the_squares",)),
+    ("Riesz symbols i k / |k|^0.9, still divergence free", "spectral.py",
+     "np.divide(unit * k, self.kabs, out=mj", "np.divide(unit * k, self.kabs ** 0.9, out=mj",
+     ("tests/test_hamiltonian.py::test_hamiltonian_is_conserved",)),
 ]
 
 
