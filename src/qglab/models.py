@@ -8,14 +8,21 @@ velocity u = (-R2 theta, R1 theta):
 * regularized:  theta_t + u . grad theta + mu (-Lap)^alpha theta_t = 0
 
 The advection term is evaluated in divergence form div(u theta) with the
-product formed in physical space and always dealiased by the 2/3 rule.
+product formed in physical space, as the 2/3-rule Galerkin truncation:
+the nonlinear part is -P div(u(P theta) P theta), P the projection onto
+the 2/3 dealias band, for every theta.  At the semi-discrete level it
+keeps each model's quadratic invariants, the L^2 energy and the
+Hamiltonian (their mu-modified forms when regularized), exactly, also for
+a state with content outside the band.  Those modes are passive: the
+inviscid and regularized models keep them as they are, and the
+dissipative one damps them by its linear part alone.
 `advection_coeffs` takes the spectra of the two flux products from
 `spectral.product_spectra`, one stacked inverse and one stacked forward
-transform per call, both writing into the work arrays of the caller's
-`RhsSplit`, so a warm call allocates only the array it returns.  A
-forcing is an immutable `SpectralField`, so it is the spectrum of a real
-field by construction; `ModelParams` also checks that it lies inside the
-2/3 band.
+transform per call whose column stages run on the band's columns alone,
+both writing into the work arrays of the caller's `RhsSplit`, so a warm
+call allocates only the array it returns.  A forcing is an immutable
+`SpectralField`, so it is the spectrum of a real field by construction;
+`ModelParams` also checks that it lies inside the 2/3 band.
 The regularized model applies `regularized_gradient_kernel`, the
 multiplier (1 + mu Lambda^(2 alpha))^(-1) grad, to the flux spectra in
 place of the gradient, so the bound |G| <= 1/mu that criterion 6 checks
@@ -96,19 +103,29 @@ class ModelParams:
 def advection_coeffs(
     grid: Grid, coeffs: np.ndarray, spectra: np.ndarray, fields: np.ndarray, out: np.ndarray | None, gradient: np.ndarray
 ) -> np.ndarray:
-    """Normalized half-spectrum coefficients of G . (u theta); array-level hot path.
+    """Normalized half-spectrum coefficients of G . (u theta), theta = P `coeffs`; array-level hot path.
 
-    `spectral.product_spectra` gives the spectra (f1, f2) of the products
-    (u1 theta, u2 theta) in the work arrays `spectra` and `fields`, and
-    G1 f1 + G2 f2 is formed over them.  G is the stack `gradient`, zero at
-    k = 0 (so the result has zero mean) and outside the 2/3 dealias band;
-    `grid.dealiased_gradient` gives div(u theta).  The result is written to
-    `out`, a complex128 array of the grid's shape, or to a fresh array when
-    None.
+    P is the 2/3-band projection: it zeroes every slot with |k1| or |k2|
+    above n/3, as `Grid.dealias_mask` does, so the slots outside the band
+    never enter the products.  `spectral.product_spectra` gives the
+    spectra (f1, f2) of the products (u1 theta, u2 theta) in the work
+    arrays `spectra` and `fields`, and G1 f1 + G2 f2 is formed over them.
+    G is the stack `gradient`, zero at k = 0 (so the result has zero mean)
+    and outside the band; `grid.dealiased_gradient` gives div(u theta).
+    theta and G are zero in every column k1 > n/3, so both column stages
+    of the transforms run on the band's columns alone.  The result is
+    written to `out`, a complex128 array of the grid's shape that does not
+    share memory with `coeffs`, or to a fresh array when None.
     """
-    flux = product_spectra(grid, coeffs, spectra, fields)
+    cut = grid.n // 3 + 1  # the band's columns k1 < cut; its rows |k2| < cut
+    band = np.empty(grid.shape, dtype=np.complex128) if out is None else out
+    # P coeffs is formed in the result's array: `product_spectra` copies it before the sum lands there
+    band[...] = coeffs
+    band[cut : grid.n - cut + 1] = 0.0
+    band[:, cut:] = 0.0
+    flux = product_spectra(grid, band, spectra, fields, cut)
     np.multiply(gradient, flux, out=flux)
-    adv = np.add(flux[0], flux[1], out=out)
+    adv = np.add(flux[0], flux[1], out=band)
     # rfft2 leaves the k1 = 0 column Hermitian only to round-off: mirror k2 > 0 onto k2 < 0
     np.conjugate(adv[grid.n // 2 - 1 : 0 : -1, 0], out=adv[grid.n // 2 + 1 :, 0])
     return adv
@@ -132,8 +149,10 @@ class RhsSplit:
 
     Acts on bare coefficient arrays.  `linear` is the stiff diagonal part
     -kappa |k|^(2 alpha), present for the dissipative model only (None
-    otherwise).  `nonlinear` is -G . (u theta), plus the forcing when there
-    is one, where `gradient` is the stack G that `advection_coeffs` applies:
+    otherwise).  `nonlinear` is -G . (u theta) with theta = P c, the 2/3-band
+    part of its argument c, plus the forcing when there is one; so
+    nonlinear(c) equals nonlinear(P c), value for value.  `gradient` is
+    the stack G that `advection_coeffs` applies:
     `grid.dealiased_gradient` for the inviscid and dissipative models, and
     for the regularized model `regularized_gradient_kernel` inside the 2/3
     band.  The split owns the kernel's work arrays, `spectra` and `fields`,
@@ -162,9 +181,14 @@ class RhsSplit:
             self.forcing = p.forcing.coeffs
 
     def nonlinear(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The nonlinear part at c, written to `out` when given, else to a fresh array."""
+        """The nonlinear part at c, written to `out` when given, else to a fresh array.
+
+        `out` is a C-ordered complex128 array of the grid's shape that does
+        not share memory with c.
+        """
         out = advection_coeffs(self.grid, c, self.spectra, self.fields, out, self.gradient)
-        np.negative(out, out=out)
+        parts = out.view(np.float64)  # the same bits as a complex negative, several times faster
+        np.negative(parts, out=parts)
         if self.forcing is not None:
             out += self.forcing
         return out

@@ -28,9 +28,11 @@ The domain is fixed to [0, 2pi]^2.  Conventions used throughout:
 * Wavenumbers run over {-n/2+1, ..., n/2}; the Nyquist line is stored
   with the positive sign.
 * Odd multipliers (the Riesz transforms) zero the unmatched Nyquist lines
-  so real fields stay real.  Fields evolved by the solvers live inside
-  the 2/3 dealias band, where those lines are empty and the identity
-  R1^2 + R2^2 = -I holds exactly.
+  so real fields stay real.  The solvers' advection kernel forms its
+  velocity from the 2/3 dealias band part of the state alone, where those
+  lines are empty and the identity R1^2 + R2^2 = -I holds exactly; the
+  state itself may hold modes outside the band, which the kernel leaves
+  passive.
 * Quadratic products are formed on the grid and always dealiased by the
   2/3 rule: `product_spectra` writes the spectra of (u1, u2, theta)
   (`Grid.state_spectra`), takes them to the grid in one stacked inverse

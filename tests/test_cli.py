@@ -78,6 +78,20 @@ def test_simulate_deterministic_csv_bytes(tmp_path):
     assert (out_a / "series.csv").read_bytes() == (out_b / "series.csv").read_bytes()
 
 
+def test_simulate_out_of_band_preset_conserves_energy(tmp_path):
+    # random:30,1.5 reaches past the 2/3 band of n=64; the kernel sees its
+    # band part only, so |theta|_2 is kept to the RK4 error (measured
+    # 1.45e-9), where products of the whole state lost 1.04e-2 of it
+    out = tmp_path / "out"
+    cfg = write_cfg(
+        tmp_path,
+        "model=inviscid\nn=64\nscheme=rk4\ndt=1e-3\nt_end=0.2\n"
+        f"init=random:30,1.5\nseed=1\noutput_dir={out}\n",
+    )
+    assert cli_main(["simulate", "--config", cfg]) == 0
+    assert max(qglab.io.read_series(str(out / "series.csv"))["balance_residual"]) <= 1e-7
+
+
 def test_picard_prints_certificate(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "model=regularized\nmu=1.0\nalpha=0.5\nn=32\ninit=cmt\n")
     assert cli_main(["picard", "--config", cfg]) == 0
@@ -110,8 +124,12 @@ def test_picard_bad_controls_exit_1(tmp_path, capsys, extra):
     assert captured.out == ""
 
 
+# a shell datum whose Picard sweeps stall at round-off; cmt at n=32 reaches a fixed point bit for bit
+STALLING = "model=regularized\nmu=1.0\nalpha=0.5\nn=32\ninit=random:10,2.5\nseed=3\n"
+
+
 def test_picard_tol_below_roundoff_reported_not_converged(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "model=regularized\nmu=1.0\nalpha=0.5\nn=32\ninit=cmt\n")
+    cfg = write_cfg(tmp_path, STALLING)
     assert cli_main(["picard", "--config", cfg, "--tol", "1e-300"]) == 0
     out = capsys.readouterr().out
     assert "converged = False" in out
@@ -120,8 +138,8 @@ def test_picard_tol_below_roundoff_reported_not_converged(tmp_path, capsys):
 
 def test_picard_horizon_counts_unconverged_segments(tmp_path, capsys):
     # a segment stalled at round-off above tol is chained and counted; at
-    # n=16 every cmt segment reaches a sweep distance of exactly 0
-    cfg = write_cfg(tmp_path, "model=regularized\nmu=1.0\nalpha=0.5\nn=32\ninit=cmt\n")
+    # n=16 and n=32 every cmt segment reaches a sweep distance of exactly 0
+    cfg = write_cfg(tmp_path, STALLING)
     assert cli_main(["picard", "--config", cfg, "--tol", "1e-300", "--horizon", "0.1"]) == 0
     line = capsys.readouterr().out.splitlines()[0]
     segments, converged = re.fullmatch(r"reached t=0\.1 in (\d+) segments \((\d+) converged\)", line).groups()

@@ -371,6 +371,29 @@ def test_run_regularized_modified_energy(grid64):
     assert max(abs(v / me[0] - 1.0) for v in me) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_from_out_of_band_data_keeps_modified_energy(grid64, seed):
+    # kmax 30 reaches past the 2/3 band (n/3 = 21.3): E_mu is kept to the
+    # RK4 error, measured at most 5.1e-12; products of the whole state lost
+    # 5.0e-3 to 6.1e-3 of it
+    p = ModelParams("regularized", alpha=0.5, mu=0.1)
+    cfg = StepperConfig(dt=1e-3, t_end=0.2, scheme="rk4", diag_every=10)
+    res = run(random_field(grid64, 30, 1.5, seed), p, cfg)
+    assert qglab.energy_balance_residual(res.records) <= 1e-10
+
+
+@pytest.mark.parametrize("p", [ModelParams("inviscid"), ModelParams("regularized", alpha=0.5, mu=0.1)])
+def test_run_leaves_out_of_band_modes_as_they_were(grid64, p):
+    # the nonlinear part reads and writes the band alone, so without a
+    # linear part the modes outside it are passive, bit for bit
+    theta = random_field(grid64, 30, 1.5, 1)
+    cfg = StepperConfig(dt=1e-3, t_end=0.2, scheme="rk4", diag_every=10)
+    final = run(theta, p, cfg).final.coeffs
+    outside = ~grid64.dealias_mask
+    assert np.array_equal(final[outside], theta.coeffs[outside])
+    assert np.max(np.abs(final - theta.coeffs)) > 1e-3  # the band did move
+
+
 def test_run_records_final_time(grid32):
     cfg = StepperConfig(dt=1e-2, t_end=0.25, diag_every=7)
     res = run(qglab.single_mode(grid32, 1, 0), ModelParams("inviscid"), cfg)
@@ -693,9 +716,11 @@ def test_picard_ratio_limit_is_pinned_by_data(grid32):
 
 def test_picard_tol_below_roundoff_ends_unconverged(grid32):
     # no sweep resolves 1e-300: the solve ends on a ratio above the limit
-    # measured at round-off, and a chain goes on past such a segment
+    # measured at round-off, and a chain goes on past such a segment.  The
+    # shell datum stalls above a sweep distance of 0; cmt at n=32 reaches
+    # a fixed point bit for bit
     p = ModelParams("regularized", alpha=0.5, mu=1.0)
-    theta = qglab.cmt(grid32)
+    theta = random_field(grid32, 10, 2.5, 3)
     _, cert = picard_solve(theta, p, s=2.0, tol=1e-300)
     assert not cert.converged
     assert cert.ratios[-1] > PICARD_RATIO_LIMIT
@@ -704,11 +729,11 @@ def test_picard_tol_below_roundoff_ends_unconverged(grid32):
     assert sol.times[-1] == pytest.approx(1.5 * cert.T)
 
 
-def test_picard_ratio_at_roundoff_does_not_raise():
+def test_picard_ratio_at_roundoff_does_not_raise(grid32):
     # tol lies below what round-off resolves: on the ninth sweep, at a
-    # distance below PICARD_ROUNDOFF R, round-off measures a ratio of 1.78;
+    # distance below PICARD_ROUNDOFF R, round-off measures a ratio of 0.619;
     # the solve ends unconverged instead of raising
-    theta = qglab.cmt(qglab.Grid(32))
+    theta = random_field(grid32, 10, 2.5, 3)
     _, cert = picard_solve(theta, ModelParams("regularized", alpha=0.5, mu=1.0), s=2.0, tol=1e-17)
     assert cert.ratios[-1] > PICARD_RATIO_LIMIT
     assert not cert.converged

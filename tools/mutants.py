@@ -29,6 +29,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the tests that the advection kernel forms its products of the 2/3-band part alone;
+# the hypothesis oracle goes last, since it shrinks a failing example for seconds
+BAND_TESTS = (
+    "tests/test_models.py::test_advection_skew_symmetry",
+    "tests/test_cli.py::test_simulate_out_of_band_preset_conserves_energy",
+    "tests/test_models.py::test_advection_matches_complex_kernel",
+)
+
 # (name, file under src/qglab, old, new, targeted tests)
 MUTANTS = [
     ("dealias band n/3 -> n/2", "spectral.py", "lim = self.n / 3.0", "lim = self.n / 2.0",
@@ -82,6 +90,10 @@ MUTANTS = [
     ("Riesz symbols i k / |k|^0.9, still divergence free", "spectral.py",
      "np.divide(unit * k, self.kabs, out=mj", "np.divide(unit * k, self.kabs ** 0.9, out=mj",
      ("tests/test_hamiltonian.py::test_hamiltonian_is_conserved",)),
+    ("kernel products of the whole state", "models.py",
+     "flux = product_spectra(grid, band, spectra, fields, cut)", "flux = product_spectra(grid, coeffs, spectra, fields)",
+     BAND_TESTS),
+    ("band projection zeroes columns only", "models.py", "    band[cut : grid.n - cut + 1] = 0.0\n", "", BAND_TESTS),
 ]
 
 
